@@ -128,16 +128,15 @@ def build_links(edge_start, edge_label, edge_child, term, fail, out_link):
 
 @_jit
 def scan_count(text, edge_start, edge_label, edge_child, fail, out_link, term,
-               pat_len, pat_domain, pat_boundary, cls_table, seen, epoch, counts):
+               pat_domain, seen, epoch, counts):
     """Single-pass scan aggregating occurrence counts for one document.
 
     counts (int64[12]) receives: [0] n_k, [1] n_distinct,
     [2:7] per-domain occurrences, [7:12] per-domain distinct counts.
     `seen` tracks distinctness with an epoch stamp per pattern id, so it
-    never needs clearing between documents.
-
-    A pattern flagged in pat_boundary only counts when not flanked by
-    word characters; class value 1 in cls_table means "word, non-CJK".
+    never needs clearing between documents. Every pattern matches as a
+    raw substring; word-bounded patterns are matched outside the
+    automaton.
     """
     n = text.shape[0]
     state = np.int32(0)
@@ -159,32 +158,24 @@ def scan_count(text, edge_start, edge_label, edge_child, fail, out_link, term,
         while v != 0:
             pid = term[v]
             if pid >= 0:
-                ok = True
-                if pat_boundary[pid] != 0:
-                    start = i - pat_len[pid] + 1
-                    if start > 0 and cls_table[text[start - 1]] == 1:
-                        ok = False
-                    elif i + 1 < n and cls_table[text[i + 1]] == 1:
-                        ok = False
-                if ok:
-                    dom = pat_domain[pid]
-                    counts[0] += 1
-                    counts[2 + dom] += 1
-                    if seen[pid] != epoch:
-                        seen[pid] = epoch
-                        counts[1] += 1
-                        counts[7 + dom] += 1
+                dom = pat_domain[pid]
+                counts[0] += 1
+                counts[2 + dom] += 1
+                if seen[pid] != epoch:
+                    seen[pid] = epoch
+                    counts[1] += 1
+                    counts[7 + dom] += 1
             v = out_link[v]
 
 
 @_jit
 def scan_collect(text, edge_start, edge_label, edge_child, fail, out_link, term,
-                 pat_len, pat_boundary, cls_table, out_pid, out_end):
+                 out_pid, out_end):
     """Like scan_count but materializes (pattern id, end index) pairs.
 
     Fills out_pid/out_end up to their capacity and returns the total
-    number of boundary-surviving occurrences; the caller retries with a
-    larger buffer when the return value exceeds capacity.
+    number of occurrences; the caller retries with a larger buffer when
+    the return value exceeds capacity.
     """
     n = text.shape[0]
     cap = out_pid.shape[0]
@@ -208,17 +199,9 @@ def scan_collect(text, edge_start, edge_label, edge_child, fail, out_link, term,
         while v != 0:
             pid = term[v]
             if pid >= 0:
-                ok = True
-                if pat_boundary[pid] != 0:
-                    start = i - pat_len[pid] + 1
-                    if start > 0 and cls_table[text[start - 1]] == 1:
-                        ok = False
-                    elif i + 1 < n and cls_table[text[i + 1]] == 1:
-                        ok = False
-                if ok:
-                    if found < cap:
-                        out_pid[found] = pid
-                        out_end[found] = i
-                    found += 1
+                if found < cap:
+                    out_pid[found] = pid
+                    out_end[found] = i
+                found += 1
             v = out_link[v]
     return found

@@ -1,15 +1,25 @@
-"""Multi-pattern automaton over the pool and per-document annotation.
+"""Multi-pattern matching over the pool and per-document annotation.
 
-Builds an Aho-Corasick automaton from all pool surfaces and, per
-document, counts every occurrence of every surface: total occurrences
-(n_k), distinct surfaces (n_distinct), and the same pair per domain.
-Overlapping and nested matches all count by default; a leftmost-longest
-canonicalization is available as a config flag.
+Per document, counts every occurrence of every pool surface: total
+occurrences (n_k), distinct surfaces (n_distinct), and the same pair per
+domain. Overlapping and nested matches all count by default; a
+leftmost-longest canonicalization is available as a config flag.
 
 Boundary rule: surfaces made purely of word characters (no CJK) only
 match when not flanked by word characters, so "art" never fires inside
 "start". Surfaces containing CJK characters, or with non-word edges,
 match as raw substrings: CJK text carries no word delimiters.
+
+Each surface takes one of two matching paths, fixed by its own text:
+
+- Span path: a surface the boundary rule applies to can only match from
+  the start of a maximal run of non-CJK word characters to the end of a
+  run. These surfaces sit in one {surface: pattern id} dict, and a
+  document is matched by looking up each slice spanning k consecutive
+  runs, for every run count k that some such surface has.
+- Automaton path: every other surface (CJK-bearing, non-word edges, or
+  any surface once the boundary rule is off) goes into an Aho-Corasick
+  automaton and matches as a raw substring.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ import numpy as np
 from . import _kernels
 from .errors import DataError, EmptyPoolError, ResourceError
 from .pool import DOMAINS, KnowledgePool
-from .textnorm import class_table, encode_codepoints, normalize, token_count_from_classes
+from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
+                       token_count_from_classes)
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +97,14 @@ class MatcherConfig:
 class Automaton:
     """Immutable multi-pattern matcher built from a pool.
 
+    Pattern ids index the pool surfaces in sorted order and are shared
+    by both matching paths (see the module docstring): `span_pids` maps
+    each span-path surface to its id, `span_runs` lists the run counts
+    those surfaces have, and the Aho-Corasick arrays cover the remaining
+    surfaces only, with terminal ids that are global pattern ids. When
+    every surface takes the span path no automaton is built and
+    `n_nodes` is 0. The two paths hold disjoint ids, so their counts add.
+
     Construction is deterministic for a given pool. The automaton is
     safe to share read-only across processes (fork) but a single
     instance must not be scanned from two threads at once: distinctness
@@ -115,6 +134,30 @@ class Automaton:
         lens = np.fromiter((len(s) for s in surfaces), dtype=np.int64, count=n_pat)
         pat_offsets = np.zeros(n_pat + 1, dtype=np.int64)
         np.cumsum(lens, out=pat_offsets[1:])
+
+        # Per-pattern metadata, indexed by sorted pattern id.
+        self.pat_len = lens.astype(np.int32)
+        self.pat_domain = pool.domain_ids[order].astype(np.uint8)
+        self.pat_surfaces = surfaces
+        pat_boundary, runs = _split_paths(
+            np.frombuffer("".join(surfaces).encode("utf-32-le"), dtype=np.uint32),
+            pat_offsets, self.config.boundary)
+        span_ids = np.flatnonzero(pat_boundary)
+        self.span_pids = {surfaces[p]: p for p in span_ids.tolist()}
+        self.span_runs = sorted(set(runs[span_ids].tolist()))
+
+        rest = np.flatnonzero(~pat_boundary)
+        self.n_nodes = 0
+        if rest.size:
+            self._build_automaton([surfaces[p] for p in rest], lens[rest], rest)
+        log.debug("matcher built: %d span patterns, %d automaton patterns, "
+                  "%d nodes", span_ids.size, rest.size, self.n_nodes)
+
+    def _build_automaton(self, surfaces: list[str], lens: np.ndarray,
+                         pids: np.ndarray) -> None:
+        """Aho-Corasick arrays over sorted `surfaces` with global ids `pids`."""
+        pat_offsets = np.zeros(len(surfaces) + 1, dtype=np.int64)
+        np.cumsum(lens, out=pat_offsets[1:])
         pat_buf = np.frombuffer("".join(surfaces).encode("utf-32-le"), dtype=np.uint32)
         total = int(pat_offsets[-1])
 
@@ -135,29 +178,16 @@ class Automaton:
         self.edge_start = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=self.edge_start[1:])
         self.term = term[:n_nodes].copy()
+        is_term = self.term >= 0
+        self.term[is_term] = pids[self.term[is_term]]
         del parent, label, term, key, edge_order, counts
 
         self.fail = np.zeros(n_nodes, dtype=np.int32)
         self.out_link = np.zeros(n_nodes, dtype=np.int32)
         _kernels.build_links(self.edge_start, self.edge_label, self.edge_child,
                              self.term, self.fail, self.out_link)
-
-        # Per-pattern metadata, indexed by sorted pattern id.
-        self.pat_len = lens.astype(np.int32)
-        self.pat_domain = pool.domain_ids[order].astype(np.uint8)
-        self.pat_surfaces = surfaces
-        cls_buf = class_table()[pat_buf]
-        seg_or = np.bitwise_or.reduceat(cls_buf, pat_offsets[:-1])
-        first = cls_buf[pat_offsets[:-1]]
-        last = cls_buf[pat_offsets[1:] - 1]
-        if self.config.boundary:
-            self.pat_boundary = ((first == 1) & (last == 1)
-                                 & ((seg_or & 2) == 0)).astype(np.uint8)
-        else:
-            self.pat_boundary = np.zeros(n_pat, dtype=np.uint8)
-        self._seen = np.full(n_pat, -1, dtype=np.int32)
+        self._seen = np.full(len(self.pat_surfaces), -1, dtype=np.int32)
         self.n_nodes = n_nodes
-        log.debug("automaton built: %d patterns, %d nodes", n_pat, n_nodes)
 
     @property
     def pattern_count(self) -> int:
@@ -170,26 +200,54 @@ class Automaton:
         self._epoch += 1
         return self._epoch
 
-    def _count_all(self, cps: np.ndarray) -> np.ndarray:
+    def _span_hits(self, text: str, cls: np.ndarray) -> tuple[list[int], list[int]]:
+        """Span-path occurrences as (pattern ids, end indices)."""
+        pids: list[int] = []
+        ends: list[int] = []
+        if not self.span_runs:
+            return pids, ends
+        # Edges of the maximal word runs alternate start, end.
+        word = np.zeros(cls.size + 2, dtype=np.int8)
+        word[1:-1] = cls == WORD
+        edges = np.flatnonzero(np.diff(word)).tolist()
+        starts, stops = edges[0::2], edges[1::2]
+        get = self.span_pids.get
+        for k in self.span_runs:
+            for s, e in zip(starts, stops[k - 1:]):
+                pid = get(text[s:e])
+                if pid is not None:
+                    pids.append(pid)
+                    ends.append(e - 1)
+        return pids, ends
+
+    def _count_all(self, text: str, cps: np.ndarray, cls: np.ndarray) -> np.ndarray:
         counts = np.zeros(12, dtype=np.int64)
-        _kernels.scan_count(cps, self.edge_start, self.edge_label, self.edge_child,
-                            self.fail, self.out_link, self.term, self.pat_len,
-                            self.pat_domain, self.pat_boundary, class_table(),
-                            self._seen, self._next_epoch(), counts)
+        if self.n_nodes:
+            _kernels.scan_count(cps, self.edge_start, self.edge_label, self.edge_child,
+                                self.fail, self.out_link, self.term, self.pat_domain,
+                                self._seen, self._next_epoch(), counts)
+        pids, _ = self._span_hits(text, cls)
+        _tally(np.asarray(pids, dtype=np.int64), self.pat_domain, counts)
         return counts
 
-    def _collect(self, cps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _collect(self, text: str, cps: np.ndarray,
+                 cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All boundary-surviving occurrences as (pattern ids, end indices)."""
+        pids, ends = self._span_hits(text, cls)
+        pids = np.asarray(pids, dtype=np.int32)
+        ends = np.asarray(ends, dtype=np.int64)
+        if not self.n_nodes:
+            return pids, ends
         cap = max(16, cps.size)
         while True:
             out_pid = np.empty(cap, dtype=np.int32)
             out_end = np.empty(cap, dtype=np.int64)
             found = int(_kernels.scan_collect(
                 cps, self.edge_start, self.edge_label, self.edge_child,
-                self.fail, self.out_link, self.term, self.pat_len,
-                self.pat_boundary, class_table(), out_pid, out_end))
+                self.fail, self.out_link, self.term, out_pid, out_end))
             if found <= cap:
-                return out_pid[:found], out_end[:found]
+                return (np.concatenate((out_pid[:found], pids)),
+                        np.concatenate((out_end[:found], ends)))
             cap = found
 
     def find_matches(self, text: str, normalized: bool = False) -> list[tuple[int, str]]:
@@ -199,15 +257,50 @@ class Automaton:
         cps = encode_codepoints(text)
         if cps.size == 0:
             return []
-        pids, ends = self._collect(cps)
+        pids, ends = self._collect(text, cps, class_table()[cps])
         starts = ends - self.pat_len[pids] + 1
         found = [(int(s), self.pat_surfaces[p]) for s, p in zip(starts, pids)]
         found.sort()
         return found
 
 
+def _split_paths(pat_buf: np.ndarray, pat_offsets: np.ndarray,
+                 boundary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per pattern: whether it takes the span path, and its word-run count.
+
+    pat_buf holds the patterns concatenated as codepoints; pattern i is
+    pat_buf[pat_offsets[i]:pat_offsets[i+1]].
+    """
+    cls_buf = class_table()[pat_buf]
+    starts = pat_offsets[:-1]
+    if boundary:
+        seg_or = np.bitwise_or.reduceat(cls_buf, starts)
+        pat_boundary = ((cls_buf[starts] == WORD) & (cls_buf[pat_offsets[1:] - 1] == WORD)
+                        & ((seg_or & CJK) == 0))
+    else:
+        pat_boundary = np.zeros(starts.size, dtype=bool)
+    # A run starts at a word character not preceded by one inside the
+    # same pattern.
+    word = cls_buf == WORD
+    prev = np.roll(word, 1)
+    prev[starts] = False
+    run_starts = np.flatnonzero(word & ~prev)
+    return pat_boundary, np.diff(np.searchsorted(run_starts, pat_offsets))
+
+
 def build_automaton(pool: KnowledgePool, config: MatcherConfig | None = None) -> Automaton:
     return Automaton(pool, config)
+
+
+def _tally(pids: np.ndarray, pat_domain: np.ndarray, counts: np.ndarray) -> None:
+    """Add the counts of occurrences `pids` into `counts` (see scan_count)."""
+    if not pids.size:
+        return
+    uniq = np.unique(pids)
+    counts[0] += pids.size
+    counts[1] += uniq.size
+    counts[2:7] += np.bincount(pat_domain[pids], minlength=5)
+    counts[7:12] += np.bincount(pat_domain[uniq], minlength=5)
 
 
 def _leftmost_longest(pids: np.ndarray, ends: np.ndarray,
@@ -241,18 +334,12 @@ def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
     if cps.size == 0:
         counts = np.zeros(12, dtype=np.int64)
     elif automaton.config.occurrence == "all":
-        counts = automaton._count_all(cps)
+        counts = automaton._count_all(text, cps, cls)
     else:
-        pids, ends = automaton._collect(cps)
-        kept = _leftmost_longest(pids, ends, automaton.pat_len)
+        pids, ends = automaton._collect(text, cps, cls)
         counts = np.zeros(12, dtype=np.int64)
-        counts[0] = kept.size
-        if kept.size:
-            uniq = np.unique(kept)
-            counts[1] = uniq.size
-            doms = automaton.pat_domain[kept]
-            counts[2:7] = np.bincount(doms, minlength=5)
-            counts[7:12] = np.bincount(automaton.pat_domain[uniq], minlength=5)
+        _tally(_leftmost_longest(pids, ends, automaton.pat_len),
+               automaton.pat_domain, counts)
 
     per_domain = {name: (int(counts[2 + i]), int(counts[7 + i]))
                   for i, name in enumerate(DOMAINS)}

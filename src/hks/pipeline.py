@@ -209,12 +209,38 @@ def _resolve_shards(corpus_glob: str) -> list[str]:
     return paths
 
 
+def _check_resumable(manifest_path: Path, identity: dict) -> None:
+    """Refuse to reuse shards scored under another config or pool.
+
+    `identity` maps "config_hash" and "pool.sha256" to this run's
+    values; an existing manifest must record the same ones.
+    """
+    if not manifest_path.exists():
+        return
+    try:
+        old = json.loads(manifest_path.read_text(encoding="utf-8"))
+        recorded = {"config_hash": old["config_hash"],
+                    "pool.sha256": old["pool"]["sha256"]}
+    except OSError as exc:
+        raise ResourceError(f"cannot read {manifest_path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{manifest_path}: not a score manifest ({exc!r})") from exc
+    for name, value in identity.items():
+        if recorded[name] != value:
+            raise DataError(
+                f"{manifest_path}: {name} differs from this run "
+                f"({recorded[name]} != {value}); score into a new out dir "
+                f"or empty this one")
+
+
 def run_score(config: RunConfig) -> dict:
     """Score every document in the corpus; returns the manifest dict.
 
     Existing output shards are kept as-is (crash resume); delete a shard
-    file to force its regeneration. The manifest and shard bytes are
-    identical whether a run was fresh, resumed, or parallel.
+    file to force its regeneration. An existing manifest whose config
+    hash or pool checksum differs from this run's is refused with a
+    DataError before any shard is reused. The manifest and shard bytes
+    are identical whether a run was fresh, resumed, or parallel.
     """
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
@@ -222,6 +248,9 @@ def run_score(config: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pool = load_pool(config.pool_path, PoolOptions(strict=config.strict))
+    identity = {"config_hash": config_hash(config),
+                "pool.sha256": file_sha256(config.pool_path)}
+    _check_resumable(out_dir / MANIFEST_NAME, identity)
     automaton = build_automaton(pool, MatcherConfig(boundary=config.boundary))
     built_at = time.monotonic()
 
@@ -251,10 +280,10 @@ def run_score(config: RunConfig) -> dict:
     manifest = {
         "version": 1,
         "config": _identity_config(config),
-        "config_hash": config_hash(config),
+        "config_hash": identity["config_hash"],
         "pool": {
             "path": config.pool_path,
-            "sha256": file_sha256(config.pool_path),
+            "sha256": identity["pool.sha256"],
             "elements": pool.total,
             "per_domain": {d: int(n) for d, n in
                            sorted(pool.per_domain_total.items())},
@@ -274,6 +303,9 @@ def run_score(config: RunConfig) -> dict:
     stats = {
         "elapsed_s": round(elapsed, 3),
         "automaton_build_s": round(built_at - started, 3),
+        "span_patterns": len(automaton.span_pids),
+        "automaton_patterns": automaton.pattern_count - len(automaton.span_pids),
+        "automaton_nodes": automaton.n_nodes,
         "workers": workers,
         "input_bytes": input_bytes,
         "docs_read": read,

@@ -66,19 +66,16 @@ def boundary_checked(surface: str) -> bool:
     return is_word_noncjk(surface[0]) and is_word_noncjk(surface[-1])
 
 
-def naive_match_counts(text: str, elements: list[tuple[str, str]],
-                       boundary: bool = True):
+def naive_occurrences(text: str, elements: list[tuple[str, str]],
+                      boundary: bool = True) -> list[tuple[int, str]]:
     """Per-pattern str.find scan over normalized text.
 
-    elements are (normalized surface, domain) pairs. Returns
-    (n_k, n_distinct, {domain: (occ, distinct)}).
+    elements are (normalized surface, domain) pairs. Returns every
+    (start offset, surface) occurrence, sorted.
     """
     norm = ref_normalize(text)
-    n_k = 0
-    per_domain = {m: [0, 0] for m in DOMAINS}
-    distinct = 0
-    for surface, domain in elements:
-        occ = 0
+    found = []
+    for surface, _ in elements:
         start = 0
         checked = boundary and boundary_checked(surface)
         while True:
@@ -92,13 +89,44 @@ def naive_match_counts(text: str, elements: list[tuple[str, str]],
                 j = i + len(surface)
                 if j < len(norm) and is_word_noncjk(norm[j]):
                     continue
-            occ += 1
-        if occ:
-            n_k += occ
-            distinct += 1
-            per_domain[domain][0] += occ
-            per_domain[domain][1] += 1
-    return n_k, distinct, {m: tuple(v) for m, v in per_domain.items()}
+            found.append((i, surface))
+    return sorted(found)
+
+
+def occurrence_counts(occurrences: list[tuple[int, str]],
+                      elements: list[tuple[str, str]]):
+    """(n_k, n_distinct, {domain: (occ, distinct)}) of (start, surface)
+    occurrences of the given (surface, domain) elements."""
+    domain_of = dict(elements)
+    per_domain = {m: [0, 0] for m in DOMAINS}
+    for _, surface in occurrences:
+        per_domain[domain_of[surface]][0] += 1
+    distinct = {surface for _, surface in occurrences}
+    for surface in distinct:
+        per_domain[domain_of[surface]][1] += 1
+    return (len(occurrences), len(distinct),
+            {m: tuple(v) for m, v in per_domain.items()})
+
+
+def naive_match_counts(text: str, elements: list[tuple[str, str]],
+                       boundary: bool = True):
+    """(n_k, n_distinct, {domain: (occ, distinct)}) from the naive scan."""
+    return occurrence_counts(naive_occurrences(text, elements, boundary),
+                             elements)
+
+
+def naive_leftmost_longest(occurrences: list[tuple[int, str]]
+                           ) -> list[tuple[int, str]]:
+    """Scanning left to right, take the longest occurrence starting at
+    the first free offset, then resume after its end."""
+    kept = []
+    cursor = 0
+    for start, surface in sorted(occurrences,
+                                 key=lambda o: (o[0], -len(o[1]))):
+        if start >= cursor:
+            kept.append((start, surface))
+            cursor = start + len(surface)
+    return kept
 
 
 # Text/pool generators. The alphabet mixes short Latin words, digits,

@@ -41,6 +41,14 @@ class TestExitCodes:
                      "--corpus", corpus,
                      "--out", str(tmp_path / "scores")]) == 3
 
+    def test_resume_with_changed_flags_is_data_error(self, workspace):
+        root, corpus = workspace
+        assert run_score(root, corpus) == 0
+        shard = root / "scores" / "scores-00000.jsonl"
+        before = shard.read_bytes()
+        assert run_score(root, corpus, "--no-boundary", "--no-domains") == 2
+        assert shard.read_bytes() == before
+
     def test_missing_scores_dir_is_data_error(self, tmp_path):
         assert main(["split", "--scores", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o"),

@@ -7,12 +7,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, build_automaton,
                  normalize)
 
-from helpers import naive_match_counts, random_pool_elements, random_text
+from helpers import (DOMAINS, naive_leftmost_longest, naive_match_counts,
+                     naive_occurrences, occurrence_counts,
+                     random_pool_elements, random_text, ref_normalize)
 
 
 def make_pool(pairs):
@@ -184,6 +188,42 @@ class TestOracleEquivalence:
             assert sum(v[1] for v in prof.per_domain.values()) == prof.n_distinct
             for m, (occ, dis) in prof.per_domain.items():
                 assert dis <= pool.per_domain_total[m]
+
+
+# Pieces covering both matching paths: multi-run word surfaces ("a-b",
+# "a b c"), CJK-bearing ones ("a数b" has word edges yet is matched as a
+# raw substring), non-word edges ("-", "+", " "), Hangul (word-bounded
+# like Latin) and a combining mark, which NFC folds into "é" after "e"
+# and which is a word character on its own after CJK.
+_SURFACE_PIECES = ["a", "b", "ab", "a-b", "a b c", "a数b", "e", "é",
+                   "\u0301", "_", "1", "-", "+", " ", "数", "据", "한", "국"]
+_TEXT_PIECES = _SURFACE_PIECES + [".", "!?", "--", "  ", "A", "É", "語"]
+
+_surfaces = (st.lists(st.sampled_from(_SURFACE_PIECES), min_size=1, max_size=4)
+             .map(lambda parts: ref_normalize("".join(parts))).filter(bool))
+_pools = st.lists(st.tuples(_surfaces, st.sampled_from(DOMAINS)),
+                  min_size=1, max_size=12, unique_by=lambda e: e[0])
+_texts = st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join)
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(elements=_pools, text=_texts, boundary=st.booleans())
+    def test_all_modes_match_naive_oracle(self, elements, text, boundary):
+        pool = make_pool(elements)
+        occurrences = naive_occurrences(text, elements, boundary)
+
+        auto = build_automaton(pool, MatcherConfig(boundary=boundary))
+        prof = annotate(Document("x", text), auto)
+        assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
+            naive_match_counts(text, elements, boundary)
+        assert auto.find_matches(text) == occurrences
+
+        longest = build_automaton(pool, MatcherConfig(
+            boundary=boundary, occurrence="leftmost_longest"))
+        prof = annotate(Document("x", text), longest)
+        assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
+            occurrence_counts(naive_leftmost_longest(occurrences), elements)
 
 
 class TestAdditivity:

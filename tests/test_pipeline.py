@@ -140,6 +140,26 @@ class TestScoreRun:
         assert snapshot(config.out_dir) == first
         stats = json.loads((out / "run_stats.json").read_text())
         assert stats["resumed_shards"] == 2
+        # Every toy surface is word-bounded, so no automaton is built.
+        assert stats["span_patterns"] + stats["automaton_patterns"] == 5
+        assert (stats["automaton_patterns"], stats["automaton_nodes"]) == (0, 0)
+
+    def test_resume_refuses_changed_config_or_pool(self, tmp_path):
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        changed = RunConfig(**{**config.canonical(), "boundary": False,
+                               "domain_scores": False})
+        with pytest.raises(DataError, match="config_hash"):
+            run_score(changed)
+        Path(config.pool_path).write_text(POOL_TSV + "free jazz\tart\n",
+                                          encoding="utf-8")
+        with pytest.raises(DataError, match="pool.sha256"):
+            run_score(config)
+        assert snapshot(config.out_dir) == first
+        (Path(config.out_dir) / "manifest.json").write_text("[]\n")
+        with pytest.raises(DataError, match="not a score manifest"):
+            run_score(config)
 
     def test_gzip_shards(self, tmp_path):
         pool_path = tmp_path / "pool.tsv"
@@ -232,6 +252,7 @@ class TestScoreRun:
         assert rec.d == 2.0  # 4 occurrences over 2 tokens
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert stats["density_gt_1"] == 1
+        assert (stats["span_patterns"], stats["automaton_patterns"]) == (0, 1)
 
 
 @pytest.fixture()
