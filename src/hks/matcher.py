@@ -10,16 +10,25 @@ match when not flanked by word characters, so "art" never fires inside
 "start". Surfaces containing CJK characters, or with non-word edges,
 match as raw substrings: CJK text carries no word delimiters.
 
-Each surface takes one of two matching paths, fixed by its own text:
+Each surface takes one of two matching paths, fixed by its own text,
+and both are dictionary lookups of text slices (the FlashText idea,
+Singh 2017, arXiv:1711.00046):
 
 - Span path: a surface the boundary rule applies to can only match from
   the start of a maximal run of non-CJK word characters to the end of a
   run. These surfaces sit in one {surface: pattern id} dict, and a
   document is matched by looking up each slice spanning k consecutive
   runs, for every run count k that some such surface has.
-- Automaton path: every other surface (CJK-bearing, non-word edges, or
-  any surface once the boundary rule is off) goes into an Aho-Corasick
-  automaton and matches as a raw substring.
+- Substring path: every other surface (CJK-bearing, non-word edges, or
+  any surface once the boundary rule is off) sits in a second
+  {surface: pattern id} dict. At each text position the slice as long
+  as the shortest such surface is looked up in a prefix index, which
+  lists the lengths of the surfaces starting with it; the slice of each
+  listed length that fits inside the text is then looked up in the dict.
+
+Both paths feed one list of (pattern id, end index) occurrences, from
+which the counts, the leftmost-longest filter and `find_matches` are
+derived.
 """
 
 from __future__ import annotations
@@ -29,15 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError, EmptyPoolError, ResourceError
 from .pool import DOMAINS, KnowledgePool
 from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
                        token_count_from_classes)
 
 log = logging.getLogger(__name__)
-
-_EPOCH_MAX = 2**31 - 1
 
 
 @dataclass
@@ -84,7 +90,7 @@ class KnowledgeProfile:
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """Matching knobs; defaults reflect unmodified automaton output."""
+    """Matching knobs; defaults count every boundary-surviving occurrence."""
 
     boundary: bool = True
     occurrence: str = "all"  # "all" | "leftmost_longest"
@@ -99,16 +105,16 @@ class Automaton:
 
     Pattern ids index the pool surfaces in sorted order and are shared
     by both matching paths (see the module docstring): `span_pids` maps
-    each span-path surface to its id, `span_runs` lists the run counts
-    those surfaces have, and the Aho-Corasick arrays cover the remaining
-    surfaces only, with terminal ids that are global pattern ids. When
-    every surface takes the span path no automaton is built and
-    `n_nodes` is 0. The two paths hold disjoint ids, so their counts add.
+    each span-path surface to its id and `span_runs` lists the run counts
+    those surfaces have; `sub_pids` maps every other surface to its id,
+    and `sub_prefix` maps the first `sub_prefix_len` characters of those
+    surfaces to the ascending lengths of the surfaces under that prefix.
+    `sub_prefix_len` is the length of the shortest substring-path
+    surface. The two paths hold disjoint ids, so their counts add.
 
-    Construction is deterministic for a given pool. The automaton is
-    safe to share read-only across processes (fork) but a single
-    instance must not be scanned from two threads at once: distinctness
-    tracking reuses a per-instance epoch-stamped array.
+    Construction is deterministic for a given pool. Matching reads the
+    instance and never writes it, so one instance may be shared across
+    threads and forked processes.
     """
 
     def __init__(self, pool: KnowledgePool, config: MatcherConfig | None = None):
@@ -122,7 +128,6 @@ class Automaton:
             raise ResourceError(
                 f"out of memory building automaton over {pool.total} patterns"
             ) from exc
-        self._epoch = 0
 
     def _build(self, pool: KnowledgePool) -> None:
         n_pat = pool.total
@@ -146,118 +151,61 @@ class Automaton:
         self.span_pids = {surfaces[p]: p for p in span_ids.tolist()}
         self.span_runs = sorted(set(runs[span_ids].tolist()))
 
-        rest = np.flatnonzero(~pat_boundary)
-        self.n_nodes = 0
-        if rest.size:
-            self._build_automaton([surfaces[p] for p in rest], lens[rest], rest)
-        log.debug("matcher built: %d span patterns, %d automaton patterns, "
-                  "%d nodes", span_ids.size, rest.size, self.n_nodes)
+        rest = np.flatnonzero(~pat_boundary).tolist()
+        self.sub_pids = {surfaces[p]: p for p in rest}
+        m = int(lens[rest].min()) if rest else 0
+        by_prefix: dict[str, set[int]] = {}
+        for s in self.sub_pids:
+            by_prefix.setdefault(s[:m], set()).add(len(s))
+        self.sub_prefix = {k: tuple(sorted(v)) for k, v in by_prefix.items()}
+        self.sub_prefix_len = m
+        log.debug("matcher built: %d span patterns, %d substring patterns, "
+                  "%d prefixes of length %d", span_ids.size, len(rest),
+                  len(self.sub_prefix), m)
 
-    def _build_automaton(self, surfaces: list[str], lens: np.ndarray,
-                         pids: np.ndarray) -> None:
-        """Aho-Corasick arrays over sorted `surfaces` with global ids `pids`."""
-        pat_offsets = np.zeros(len(surfaces) + 1, dtype=np.int64)
-        np.cumsum(lens, out=pat_offsets[1:])
-        pat_buf = np.frombuffer("".join(surfaces).encode("utf-32-le"), dtype=np.uint32)
-        total = int(pat_offsets[-1])
-
-        # Worst case one node per pattern codepoint, plus the root.
-        parent = np.empty(total + 1, dtype=np.int32)
-        label = np.empty(total + 1, dtype=np.uint32)
-        term = np.full(total + 1, -1, dtype=np.int32)
-        stack = np.zeros(int(lens.max()) + 1, dtype=np.int32)
-        n_nodes = int(_kernels.build_trie(pat_buf, pat_offsets, parent, label, term, stack))
-
-        # CSR edge arrays sorted by (parent, label); (parent, label) pairs
-        # are unique in a trie so the sort key never collides.
-        key = (parent[1:n_nodes].astype(np.int64) << 21) | label[1:n_nodes]
-        edge_order = np.argsort(key)
-        self.edge_child = (edge_order + 1).astype(np.int32)
-        self.edge_label = label[1:n_nodes][edge_order].copy()
-        counts = np.bincount(parent[1:n_nodes], minlength=n_nodes)
-        self.edge_start = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.edge_start[1:])
-        self.term = term[:n_nodes].copy()
-        is_term = self.term >= 0
-        self.term[is_term] = pids[self.term[is_term]]
-        del parent, label, term, key, edge_order, counts
-
-        self.fail = np.zeros(n_nodes, dtype=np.int32)
-        self.out_link = np.zeros(n_nodes, dtype=np.int32)
-        _kernels.build_links(self.edge_start, self.edge_label, self.edge_child,
-                             self.term, self.fail, self.out_link)
-        self._seen = np.full(len(self.pat_surfaces), -1, dtype=np.int32)
-        self.n_nodes = n_nodes
-
-    @property
-    def pattern_count(self) -> int:
-        return len(self.pat_surfaces)
-
-    def _next_epoch(self) -> int:
-        if self._epoch >= _EPOCH_MAX:
-            self._seen.fill(-1)
-            self._epoch = 0
-        self._epoch += 1
-        return self._epoch
-
-    def _span_hits(self, text: str, cls: np.ndarray) -> tuple[list[int], list[int]]:
-        """Span-path occurrences as (pattern ids, end indices)."""
+    def _hits(self, text: str, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every boundary-surviving occurrence as (pattern ids, end indices)."""
         pids: list[int] = []
         ends: list[int] = []
-        if not self.span_runs:
-            return pids, ends
-        # Edges of the maximal word runs alternate start, end.
-        word = np.zeros(cls.size + 2, dtype=np.int8)
-        word[1:-1] = cls == WORD
-        edges = np.flatnonzero(np.diff(word)).tolist()
-        starts, stops = edges[0::2], edges[1::2]
-        get = self.span_pids.get
-        for k in self.span_runs:
-            for s, e in zip(starts, stops[k - 1:]):
-                pid = get(text[s:e])
-                if pid is not None:
-                    pids.append(pid)
-                    ends.append(e - 1)
-        return pids, ends
-
-    def _count_all(self, text: str, cps: np.ndarray, cls: np.ndarray) -> np.ndarray:
-        counts = np.zeros(12, dtype=np.int64)
-        if self.n_nodes:
-            _kernels.scan_count(cps, self.edge_start, self.edge_label, self.edge_child,
-                                self.fail, self.out_link, self.term, self.pat_domain,
-                                self._seen, self._next_epoch(), counts)
-        pids, _ = self._span_hits(text, cls)
-        _tally(np.asarray(pids, dtype=np.int64), self.pat_domain, counts)
-        return counts
-
-    def _collect(self, text: str, cps: np.ndarray,
-                 cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All boundary-surviving occurrences as (pattern ids, end indices)."""
-        pids, ends = self._span_hits(text, cls)
-        pids = np.asarray(pids, dtype=np.int32)
-        ends = np.asarray(ends, dtype=np.int64)
-        if not self.n_nodes:
-            return pids, ends
-        cap = max(16, cps.size)
-        while True:
-            out_pid = np.empty(cap, dtype=np.int32)
-            out_end = np.empty(cap, dtype=np.int64)
-            found = int(_kernels.scan_collect(
-                cps, self.edge_start, self.edge_label, self.edge_child,
-                self.fail, self.out_link, self.term, out_pid, out_end))
-            if found <= cap:
-                return (np.concatenate((out_pid[:found], pids)),
-                        np.concatenate((out_end[:found], ends)))
-            cap = found
+        if self.span_runs:
+            # Edges of the maximal word runs alternate start, end.
+            word = np.zeros(cls.size + 2, dtype=np.int8)
+            word[1:-1] = cls == WORD
+            edges = np.flatnonzero(np.diff(word)).tolist()
+            starts, stops = edges[0::2], edges[1::2]
+            get = self.span_pids.get
+            for k in self.span_runs:
+                for s, e in zip(starts, stops[k - 1:]):
+                    pid = get(text[s:e])
+                    if pid is not None:
+                        pids.append(pid)
+                        ends.append(e - 1)
+        if self.sub_pids:
+            m = self.sub_prefix_len
+            n = len(text)
+            lookup = self.sub_prefix.get
+            get = self.sub_pids.get
+            for i in range(n - m + 1):
+                lengths = lookup(text[i:i + m])
+                if lengths is None:
+                    continue
+                for length in lengths:
+                    e = i + length
+                    # Past the end a slice is shorter than `length` and
+                    # may equal another surface, counted at its own length.
+                    if e > n:
+                        break
+                    pid = get(text[i:e])
+                    if pid is not None:
+                        pids.append(pid)
+                        ends.append(e - 1)
+        return np.asarray(pids, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
     def find_matches(self, text: str, normalized: bool = False) -> list[tuple[int, str]]:
         """(start offset, surface) pairs in the normalized text, sorted."""
         if not normalized:
             text = normalize(text)
-        cps = encode_codepoints(text)
-        if cps.size == 0:
-            return []
-        pids, ends = self._collect(text, cps, class_table()[cps])
+        pids, ends = self._hits(text, class_table()[encode_codepoints(text)])
         starts = ends - self.pat_len[pids] + 1
         found = [(int(s), self.pat_surfaces[p]) for s, p in zip(starts, pids)]
         found.sort()
@@ -292,15 +240,20 @@ def build_automaton(pool: KnowledgePool, config: MatcherConfig | None = None) ->
     return Automaton(pool, config)
 
 
-def _tally(pids: np.ndarray, pat_domain: np.ndarray, counts: np.ndarray) -> None:
-    """Add the counts of occurrences `pids` into `counts` (see scan_count)."""
-    if not pids.size:
-        return
-    uniq = np.unique(pids)
-    counts[0] += pids.size
-    counts[1] += uniq.size
-    counts[2:7] += np.bincount(pat_domain[pids], minlength=5)
-    counts[7:12] += np.bincount(pat_domain[uniq], minlength=5)
+def _tally(pids: np.ndarray, pat_domain: np.ndarray) -> np.ndarray:
+    """Counts of the occurrences `pids`.
+
+    In order: n_k, n_distinct, occurrences per domain, then distinct
+    surfaces per domain, domains in DOMAINS order.
+    """
+    counts = np.zeros(12, dtype=np.int64)
+    if pids.size:
+        uniq = np.unique(pids)
+        counts[0] = pids.size
+        counts[1] = uniq.size
+        counts[2:7] = np.bincount(pat_domain[pids], minlength=5)
+        counts[7:12] = np.bincount(pat_domain[uniq], minlength=5)
+    return counts
 
 
 def _leftmost_longest(pids: np.ndarray, ends: np.ndarray,
@@ -331,15 +284,10 @@ def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
     cls = class_table()[cps]
     n_p = token_count_from_classes(cls)
 
-    if cps.size == 0:
-        counts = np.zeros(12, dtype=np.int64)
-    elif automaton.config.occurrence == "all":
-        counts = automaton._count_all(text, cps, cls)
-    else:
-        pids, ends = automaton._collect(text, cps, cls)
-        counts = np.zeros(12, dtype=np.int64)
-        _tally(_leftmost_longest(pids, ends, automaton.pat_len),
-               automaton.pat_domain, counts)
+    pids, ends = automaton._hits(text, cls)
+    if automaton.config.occurrence == "leftmost_longest":
+        pids = _leftmost_longest(pids, ends, automaton.pat_len)
+    counts = _tally(pids, automaton.pat_domain)
 
     per_domain = {name: (int(counts[2 + i]), int(counts[7 + i]))
                   for i, name in enumerate(DOMAINS)}

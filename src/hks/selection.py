@@ -78,21 +78,25 @@ class SelectionResult:
         }
 
 
-def _hash_uniform(seed: int, *parts: str) -> float:
-    """Deterministic uniform in (0, 1) keyed by seed and string parts."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "big", signed=False))
+def _hash_uniforms(doc_ids: Sequence[str], seed: int, *parts: str) -> list[float]:
+    """Deterministic uniforms in (0, 1), one per id, keyed by seed, parts
+    and id.
+
+    Each key is one blake2b hash of the 8-byte seed followed by every
+    part and then the id, each UTF-8 encoded and preceded by its 8-byte
+    length; everything before the id is joined once per call.
+    """
+    prefix = seed.to_bytes(8, "big", signed=False)
     for p in parts:
         raw = p.encode("utf-8")
-        h.update(len(raw).to_bytes(8, "big"))
-        h.update(raw)
-    bits = int.from_bytes(h.digest(), "big") >> 11
-    return (bits + 0.5) * 2.0**-53
-
-
-def _gumbel(seed: int, doc_id: str) -> float:
-    u = _hash_uniform(seed, doc_id)
-    return -math.log(-math.log(u))
+        prefix += len(raw).to_bytes(8, "big") + raw
+    out = []
+    for doc_id in doc_ids:
+        raw = doc_id.encode("utf-8")
+        digest = hashlib.blake2b(prefix + len(raw).to_bytes(8, "big") + raw,
+                                 digest_size=8).digest()
+        out.append(((int.from_bytes(digest, "big") >> 11) + 0.5) * 2.0**-53)
+    return out
 
 
 def _budget_walk(ordered: Sequence[ScoreRecord], budget: int,
@@ -148,10 +152,10 @@ def gumbel_topk_sample(records: Sequence[ScoreRecord],
         lo, hi = min(scores), max(scores)
         span = hi - lo
         scores = [(s - lo) / span if span > 0 else 0.0 for s in scores]
-    keyed = [
-        (scores[i] / spec.tau + _gumbel(spec.seed, r.doc_id), r)
-        for i, r in enumerate(records)
-    ]
+    # Standard Gumbel noise -ln(-ln u).
+    uniforms = _hash_uniforms([r.doc_id for r in records], spec.seed)
+    keyed = [(s / spec.tau - math.log(-math.log(u)), r)
+             for s, u, r in zip(scores, uniforms, records)]
     keyed.sort(key=lambda kr: (-kr[0], kr[1].doc_id))
     ordered = [r for _, r in keyed]
     taken, tokens = _budget_walk(ordered, spec.budget, spec.by_docs)
@@ -199,9 +203,9 @@ def _sample_stratum(records: Sequence[ScoreRecord], target: float,
     """Uniformly ordered greedy draw of about `target` tokens."""
     if target <= 0:
         return [], 0
-    ordered = sorted(records,
-                     key=lambda r: (_hash_uniform(seed, label, r.doc_id),
-                                    r.doc_id))
+    ids = [r.doc_id for r in records]
+    keyed = sorted(zip(_hash_uniforms(ids, seed, label), ids, range(len(ids))))
+    ordered = [records[i] for _, _, i in keyed]
     taken: list[ScoreRecord] = []
     tokens = 0
     for rec in ordered:

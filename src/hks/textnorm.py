@@ -68,7 +68,7 @@ def class_table() -> np.ndarray:
     """uint8 class table indexed by codepoint, built lazily once.
 
     ~1.1M unicodedata lookups; takes well under a second and is shared
-    by every automaton scan in the process.
+    by every document annotated in the process.
     """
     global _class_table
     if _class_table is None:
@@ -86,7 +86,7 @@ def class_table() -> np.ndarray:
 
 
 def encode_codepoints(text: str) -> np.ndarray:
-    """Text as a uint32 codepoint array (what the scan kernels consume)."""
+    """Text as a uint32 codepoint array, the index into `class_table()`."""
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 

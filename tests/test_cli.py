@@ -49,6 +49,18 @@ class TestExitCodes:
         assert run_score(root, corpus, "--no-boundary", "--no-domains") == 2
         assert shard.read_bytes() == before
 
+    def test_cross_shard_duplicate_id_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
+        corpus = write_corpus(tmp_path, [[DOC_A], [DOC_B, DOC_A]])
+        assert run_score(tmp_path, corpus) == 0
+        assert main(["select", "--scores", str(tmp_path / "scores"),
+                     "--out", str(tmp_path / "sel"),
+                     "--budget-docs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "'doc-a'" in err
+        assert "scores-00000.jsonl" in err and "scores-00001.jsonl" in err
+        assert not (tmp_path / "sel" / "selected.jsonl").exists()
+
     def test_missing_scores_dir_is_data_error(self, tmp_path):
         assert main(["split", "--scores", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o"),

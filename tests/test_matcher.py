@@ -1,9 +1,7 @@
 """Automaton matching vs a naive per-pattern scan oracle."""
 
-import json
-import os
-import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +111,40 @@ class TestTokenCounts:
     def test_mixed_cjk(self):
         prof = profile_of("data数据", [("ab", "life")])
         assert prof.n_p == 3
+
+
+class TestSubstringPath:
+    """Substring-path lookups at the end of the text and with a
+    one-character shortest surface (prefix length 1)."""
+
+    ELEMENTS = [("数", "science"), ("数据", "life")]
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    @pytest.mark.parametrize("occurrence", ["all", "leftmost_longest"])
+    @pytest.mark.parametrize("text", ["数", "数据数", "据 数", "ab数"])
+    def test_slice_past_end_not_counted(self, text, occurrence, boundary):
+        # A slice of "数据"'s length taken at the final "数" is just "数";
+        # it must not be counted a second time.
+        auto = build_automaton(make_pool(self.ELEMENTS), MatcherConfig(
+            boundary=boundary, occurrence=occurrence))
+        assert auto.sub_prefix_len == 1
+        occurrences = naive_occurrences(text, self.ELEMENTS, boundary)
+        if occurrence == "leftmost_longest":
+            occurrences = naive_leftmost_longest(occurrences)
+        prof = annotate(Document("x", text), auto)
+        assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
+            occurrence_counts(occurrences, self.ELEMENTS)
+        assert prof.n_k == text.count("数") + (
+            text.count("数据") if occurrence == "all" else 0)
+
+    def test_single_char_prefix_beside_span_surfaces(self):
+        elements = [("+", "science"), ("c++", "art"), ("a-b", "life")]
+        auto = build_automaton(make_pool(elements))
+        assert auto.sub_prefix_len == 1
+        assert set(auto.span_pids) == {"a-b"}
+        text = "c++ a-b+ +c++"
+        assert auto.find_matches(text) == naive_occurrences(text, elements)
+        assert profile_of(text, elements).n_k == 9
 
 
 class TestLeftmostLongest:
@@ -269,36 +301,31 @@ class TestDeterminism:
             again = annotate(Document("x", text), auto)
             assert again == first
 
-    def test_jit_and_fallback_agree(self):
-        # Same cases through a fresh interpreter with the JIT disabled.
-        script = r"""
-import json, sys
-import numpy as np
-sys.path.insert(0, sys.argv[1])
-from helpers import random_pool_elements, random_text
-from hks import Document, KnowledgeElement, KnowledgePool, annotate, build_automaton
-rng = np.random.default_rng(2024)
-out = []
-for _ in range(40):
-    elements = random_pool_elements(rng, 50)
-    if not elements:
-        continue
-    pool = KnowledgePool.from_elements(KnowledgeElement(s, d) for s, d in elements)
-    auto = build_automaton(pool)
-    prof = annotate(Document("x", random_text(rng, 300)), auto)
-    out.append([prof.n_p, prof.n_k, prof.n_distinct, sorted(prof.per_domain.items())])
-print(json.dumps(out))
-"""
-        here = os.path.dirname(os.path.abspath(__file__))
 
-        def run(no_jit):
-            env = dict(os.environ)
-            env.pop("HKS_NO_JIT", None)
-            if no_jit:
-                env["HKS_NO_JIT"] = "1"
-            proc = subprocess.run([sys.executable, "-c", script, here],
-                                  capture_output=True, text=True, env=env,
-                                  check=True)
-            return json.loads(proc.stdout)
+class TestThreads:
+    def test_shared_automaton_matches_serial(self):
+        rng = np.random.default_rng(8)
+        elements = random_pool_elements(rng, 200)
+        for occurrence in ("all", "leftmost_longest"):
+            auto = build_automaton(make_pool(elements),
+                                   MatcherConfig(occurrence=occurrence))
+            docs = [Document(str(i), random_text(rng, 400)) for i in range(200)]
+            serial = [annotate(d, auto) for d in docs]
+            results = [None, None]
 
-        assert run(no_jit=True) == run(no_jit=False)
+            def work(slot):
+                results[slot] = [annotate(d, auto) for d in docs]
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(old)
+            assert results == [serial, serial]

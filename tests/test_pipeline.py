@@ -140,9 +140,18 @@ class TestScoreRun:
         assert snapshot(config.out_dir) == first
         stats = json.loads((out / "run_stats.json").read_text())
         assert stats["resumed_shards"] == 2
-        # Every toy surface is word-bounded, so no automaton is built.
-        assert stats["span_patterns"] + stats["automaton_patterns"] == 5
-        assert (stats["automaton_patterns"], stats["automaton_nodes"]) == (0, 0)
+        # Every toy surface is word-bounded, so none takes the substring path.
+        assert stats["span_patterns"] + stats["substring_patterns"] == 5
+        assert stats["substring_patterns"] == 0
+        # Throughput covers only the one shard this run scored.
+        assert stats["docs_read"] > 0
+        assert stats["docs_per_s"] > 0 and stats["mb_per_s"] >= 0
+        assert 0 <= stats["automaton_build_s"] <= stats["elapsed_s"]
+        assert 0 <= stats["pool_load_s"] <= stats["elapsed_s"]
+        run_score(config)
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (3, 0)
+        assert (stats["docs_per_s"], stats["mb_per_s"]) == (None, None)
 
     def test_resume_refuses_changed_config_or_pool(self, tmp_path):
         config = toy_config(tmp_path)
@@ -252,7 +261,7 @@ class TestScoreRun:
         assert rec.d == 2.0  # 4 occurrences over 2 tokens
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert stats["density_gt_1"] == 1
-        assert (stats["span_patterns"], stats["automaton_patterns"]) == (0, 1)
+        assert (stats["span_patterns"], stats["substring_patterns"]) == (0, 1)
 
 
 @pytest.fixture()
