@@ -94,16 +94,11 @@ def bucket_distribution(records: Sequence[ScoreRecord], metric: str,
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    # A tie group of size k ending at 1-based position u ranks u - (k-1)/2.
+    upper = np.cumsum(counts)
+    return (upper - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="match surfaces as raw substrings")
     p_score.add_argument("--no-domains", action="store_true",
                          help="skip per-domain score columns")
-    p_score.add_argument("--seed", type=int, default=0)
 
     p_select = sub.add_parser("select", help="select documents from a scored run",
                               parents=[common])
@@ -185,7 +184,6 @@ def _cmd_score(args) -> int:
         strict=args.strict,
         boundary=not args.no_boundary,
         domain_scores=not args.no_domains,
-        seed=args.seed,
     )
     manifest = run_score(config)
     print(f"scored {manifest['records']} documents into "

@@ -2,8 +2,7 @@
 
 Per document, counts every occurrence of every pool surface: total
 occurrences (n_k), distinct surfaces (n_distinct), and the same pair per
-domain. Overlapping and nested matches all count by default; a
-leftmost-longest canonicalization is available as a config flag.
+domain. Overlapping and nested matches all count.
 
 Boundary rule: surfaces made purely of word characters (no CJK) only
 match when not flanked by word characters, so "art" never fires inside
@@ -27,8 +26,7 @@ Singh 2017, arXiv:1711.00046):
   listed length that fits inside the text is then looked up in the dict.
 
 Both paths feed one list of (pattern id, end index) occurrences, from
-which the counts, the leftmost-longest filter and `find_matches` are
-derived.
+which the counts and `find_matches` are derived.
 """
 
 from __future__ import annotations
@@ -68,36 +66,12 @@ class KnowledgeProfile:
     n_distinct: int
     per_domain: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.doc_id,
-            "n_p": self.n_p,
-            "n_k": self.n_k,
-            "n_distinct": self.n_distinct,
-            "domains": {d: [c[0], c[1]] for d, c in self.per_domain.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "KnowledgeProfile":
-        return cls(
-            doc_id=obj["id"],
-            n_p=obj["n_p"],
-            n_k=obj["n_k"],
-            n_distinct=obj["n_distinct"],
-            per_domain={d: (v[0], v[1]) for d, v in obj.get("domains", {}).items()},
-        )
-
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """Matching knobs; defaults count every boundary-surviving occurrence."""
+    """Matching options; `boundary` turns the word-boundary rule on."""
 
     boundary: bool = True
-    occurrence: str = "all"  # "all" | "leftmost_longest"
-
-    def __post_init__(self):
-        if self.occurrence not in ("all", "leftmost_longest"):
-            raise DataError(f"unknown occurrence mode {self.occurrence!r}")
 
 
 class Automaton:
@@ -120,7 +94,6 @@ class Automaton:
     def __init__(self, pool: KnowledgePool, config: MatcherConfig | None = None):
         if pool.total == 0:
             raise EmptyPoolError("cannot build an automaton from an empty pool")
-        self.pool = pool
         self.config = config or MatcherConfig()
         try:
             self._build(pool)
@@ -201,10 +174,9 @@ class Automaton:
                         ends.append(e - 1)
         return np.asarray(pids, dtype=np.int64), np.asarray(ends, dtype=np.int64)
 
-    def find_matches(self, text: str, normalized: bool = False) -> list[tuple[int, str]]:
+    def find_matches(self, text: str) -> list[tuple[int, str]]:
         """(start offset, surface) pairs in the normalized text, sorted."""
-        if not normalized:
-            text = normalize(text)
+        text = normalize(text)
         pids, ends = self._hits(text, class_table()[encode_codepoints(text)])
         starts = ends - self.pat_len[pids] + 1
         found = [(int(s), self.pat_surfaces[p]) for s, p in zip(starts, pids)]
@@ -256,22 +228,6 @@ def _tally(pids: np.ndarray, pat_domain: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _leftmost_longest(pids: np.ndarray, ends: np.ndarray,
-                      pat_len: np.ndarray) -> np.ndarray:
-    """Greedy leftmost-longest filter over materialized occurrences."""
-    lens = pat_len[pids].astype(np.int64)
-    starts = ends - lens + 1
-    order = np.lexsort((-lens, starts))
-    keep = []
-    cursor = -1
-    for idx in order:
-        s = starts[idx]
-        if s >= cursor:
-            keep.append(idx)
-            cursor = s + lens[idx]
-    return pids[np.asarray(keep, dtype=np.int64)] if keep else pids[:0]
-
-
 def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
     """Profile one document: token length plus occurrence counts.
 
@@ -284,9 +240,7 @@ def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
     cls = class_table()[cps]
     n_p = token_count_from_classes(cls)
 
-    pids, ends = automaton._hits(text, cls)
-    if automaton.config.occurrence == "leftmost_longest":
-        pids = _leftmost_longest(pids, ends, automaton.pat_len)
+    pids, _ = automaton._hits(text, cls)
     counts = _tally(pids, automaton.pat_domain)
 
     per_domain = {name: (int(counts[2 + i]), int(counts[7 + i]))

@@ -202,13 +202,8 @@ def score_record(profile: KnowledgeProfile, pool: KnowledgePool,
         totals = pool.per_domain_total
         for m in DOMAINS:
             occ, distinct = profile.per_domain.get(m, (0, 0))
-            n_km = totals.get(m, 0)
-            if n_km > 0:
-                d_m = occ / profile.n_p
-                c_m = distinct / n_km
-                s_m = d_m * math.log1p(c_m)
-            else:
-                d_m, c_m, s_m = 0.0, 0.0, 0.0
+            d_m, c_m, s_m = (domain_score(profile, pool, m) if totals[m] > 0
+                             else (0.0, 0.0, 0.0))
             domains[m] = {"n": occ, "distinct": distinct,
                           "d": d_m, "c": c_m, "score": s_m}
     return ScoreRecord(

@@ -52,7 +52,6 @@ class RunConfig:
     strict: bool = False
     boundary: bool = True
     domain_scores: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.workers < 1:
@@ -125,8 +124,7 @@ _G_POOL: KnowledgePool | None = None
 _G_CONFIG: RunConfig | None = None
 
 
-def _parse_doc(obj, shard: str, line_no: int, seen_ids: set,
-               strict: bool) -> Document | None:
+def _parse_doc(obj, shard: str, line_no: int, seen_ids: set) -> Document:
     if not isinstance(obj, dict):
         raise DataError(f"{shard}:{line_no}: document is not an object")
     doc_id = obj.get("id")
@@ -172,8 +170,7 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
                 continue
             outcome.read += 1
             try:
-                doc = _parse_doc(json.loads(line), in_path, line_no,
-                                 seen_ids, config.strict)
+                doc = _parse_doc(json.loads(line), in_path, line_no, seen_ids)
             except (json.JSONDecodeError, DataError) as exc:
                 if config.strict:
                     if isinstance(exc, DataError):

@@ -50,7 +50,6 @@ class KnowledgeElement:
 @dataclass
 class PoolOptions:
     strict: bool = False
-    min_length: int = MIN_SURFACE_CHARS
 
 
 @dataclass
@@ -109,42 +108,10 @@ class KnowledgePool:
         counts = np.bincount(self.domain_ids, minlength=len(DOMAINS))
         return {name: int(counts[i]) for i, name in enumerate(DOMAINS)}
 
-    def domain_total(self, domain: str) -> int:
-        if domain not in _DOMAIN_ID:
-            raise DataError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
-        return int((self.domain_ids == _DOMAIN_ID[domain]).sum())
-
-    def __len__(self) -> int:
-        return len(self.surfaces)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._index()
-
-    def _index(self) -> dict[str, int]:
-        # Built lazily: only dedup-by-construction paths need it.
-        idx = getattr(self, "_surface_index", None)
-        if idx is None:
-            idx = {s: i for i, s in enumerate(self.surfaces)}
-            self._surface_index = idx
-        return idx
-
     def elements(self) -> Iterator[KnowledgeElement]:
         for i, surface in enumerate(self.surfaces):
             yield KnowledgeElement(surface, DOMAINS[self.domain_ids[i]],
                                    SOURCES[self.source_ids[i]])
-
-    def restrict(self, domain: str) -> "KnowledgePool":
-        """View containing exactly the elements of `domain`.
-
-        The view's total equals N_km of the parent. An empty view is
-        legal; scoring against it errors downstream.
-        """
-        if domain not in _DOMAIN_ID:
-            raise DataError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
-        mask = self.domain_ids == _DOMAIN_ID[domain]
-        keep = np.flatnonzero(mask)
-        surfaces = [self.surfaces[i] for i in keep]
-        return KnowledgePool(surfaces, self.domain_ids[keep], self.source_ids[keep])
 
 
 def _open_text(source: str | Path | TextIO) -> TextIO:
@@ -202,7 +169,7 @@ def load_pool(source: str | Path | TextIO,
             if source_tag not in _SOURCE_ID:
                 source_tag = "unknown"
             surface = normalize(raw_surface)
-            if len(surface) < options.min_length:
+            if len(surface) < MIN_SURFACE_CHARS:
                 report.dropped_short += 1
                 continue
             prev = index.get(surface)
@@ -230,10 +197,8 @@ def load_pool(source: str | Path | TextIO,
             report.dropped_duplicate, report.domain_conflicts,
             report.unknown_domain, report.malformed,
         )
-    pool = KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
+    return KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
                          np.asarray(sources, dtype=np.uint8), report=report)
-    pool._surface_index = index
-    return pool
 
 
 def dump_pool(pool: KnowledgePool, dest: str | Path | TextIO) -> None:

@@ -99,7 +99,7 @@ def _hash_uniforms(doc_ids: Sequence[str], seed: int, *parts: str) -> list[float
     return out
 
 
-def _budget_walk(ordered: Sequence[ScoreRecord], budget: int,
+def _budget_walk(ordered: Sequence[ScoreRecord], budget: float,
                  by_docs: bool) -> tuple[list[ScoreRecord], int]:
     """Greedy prefix under the budget; the crossing document is kept
     whole rather than truncated."""
@@ -178,23 +178,24 @@ def threshold_split(records: Sequence[ScoreRecord], token_budget: int,
     Returns (high, low, threshold) where high holds every record with
     score >= threshold (ties at the threshold all land high) and low is
     the complement; both preserve input order. Budget 0 puts everything
-    in low with no threshold.
+    in low with no threshold. An empty low (the threshold is the lowest
+    score) is logged as a warning.
     """
     records = list(records)
     if token_budget < 0:
         raise DataError(f"token budget must be >= 0, got {token_budget}")
     if not records or token_budget == 0:
         return [], records, None
-    total = sum(r.n_p for r in records)
-    if token_budget > total:
-        log.warning("split budget %d exceeds corpus tokens %d; "
-                    "all records are high", token_budget, total)
     spec = SelectionSpec(strategy="topk", budget=token_budget,
                          score_field=score_field)
     prefix = top_k(records, spec)
     threshold = prefix.threshold
     high = [r for r in records if r.score(score_field) >= threshold]
     low = [r for r in records if r.score(score_field) < threshold]
+    if not low:
+        log.warning("split threshold %r is the corpus's lowest %s score; "
+                    "every record is high and the low stratum is empty",
+                    threshold, score_field)
     return high, low, threshold
 
 
@@ -206,13 +207,7 @@ def _sample_stratum(records: Sequence[ScoreRecord], target: float,
     ids = [r.doc_id for r in records]
     keyed = sorted(zip(_hash_uniforms(ids, seed, label), ids, range(len(ids))))
     ordered = [records[i] for _, _, i in keyed]
-    taken: list[ScoreRecord] = []
-    tokens = 0
-    for rec in ordered:
-        if tokens >= target:
-            break
-        taken.append(rec)
-        tokens += rec.n_p
+    taken, tokens = _budget_walk(ordered, target, False)
     if tokens < target:
         raise StratumExhaustedError(label, int(math.ceil(target)), tokens)
     return taken, tokens

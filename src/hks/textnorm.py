@@ -90,17 +90,6 @@ def encode_codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
-def is_flank_word(ch: str) -> bool:
-    """True if `ch` extends a word across a match edge.
-
-    CJK characters act as boundaries even though Unicode classifies them
-    as letters: in mixed text an ideograph next to a Latin term does not
-    glue onto it.
-    """
-    cls = char_class(ch)
-    return bool(cls & WORD) and not (cls & CJK)
-
-
 def token_count_from_classes(cls: np.ndarray) -> int:
     """Token count over a per-codepoint class array."""
     if cls.size == 0:

@@ -115,20 +115,6 @@ def naive_match_counts(text: str, elements: list[tuple[str, str]],
                              elements)
 
 
-def naive_leftmost_longest(occurrences: list[tuple[int, str]]
-                           ) -> list[tuple[int, str]]:
-    """Scanning left to right, take the longest occurrence starting at
-    the first free offset, then resume after its end."""
-    kept = []
-    cursor = 0
-    for start, surface in sorted(occurrences,
-                                 key=lambda o: (o[0], -len(o[1]))):
-        if start >= cursor:
-            kept.append((start, surface))
-            cursor = start + len(surface)
-    return kept
-
-
 # Text/pool generators. The alphabet mixes short Latin words, digits,
 # accented letters, CJK, and separators; ';' is reserved as a
 # never-in-pattern delimiter for additivity tests.

@@ -47,6 +47,7 @@ class TestExitCodes:
         shard = root / "scores" / "scores-00000.jsonl"
         before = shard.read_bytes()
         assert run_score(root, corpus, "--no-boundary", "--no-domains") == 2
+        assert run_score(root, corpus, "--seed", "3") == 1  # not a score flag
         assert shard.read_bytes() == before
 
     def test_cross_shard_duplicate_id_is_data_error(self, tmp_path, capsys):

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
-                 KnowledgePool, MatcherConfig, annotate, build_automaton,
-                 normalize)
+from hks import (Document, EmptyPoolError, KnowledgeElement, KnowledgePool,
+                 MatcherConfig, annotate, build_automaton)
 
-from helpers import (DOMAINS, naive_leftmost_longest, naive_match_counts,
-                     naive_occurrences, occurrence_counts,
-                     random_pool_elements, random_text, ref_normalize)
+from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
+                     occurrence_counts, random_pool_elements, random_text,
+                     ref_normalize)
 
 
 def make_pool(pairs):
@@ -119,23 +118,22 @@ class TestSubstringPath:
 
     ELEMENTS = [("数", "science"), ("数据", "life")]
 
-    @pytest.mark.parametrize("boundary", [True, False])
-    @pytest.mark.parametrize("occurrence", ["all", "leftmost_longest"])
+    # The ids keep their "<text>-all-<boundary>" form ("all": every
+    # occurrence counts), so results stay comparable across versions.
+    @pytest.mark.parametrize("boundary", [True, False],
+                             ids=["all-True", "all-False"])
     @pytest.mark.parametrize("text", ["数", "数据数", "据 数", "ab数"])
-    def test_slice_past_end_not_counted(self, text, occurrence, boundary):
+    def test_slice_past_end_not_counted(self, text, boundary):
         # A slice of "数据"'s length taken at the final "数" is just "数";
         # it must not be counted a second time.
-        auto = build_automaton(make_pool(self.ELEMENTS), MatcherConfig(
-            boundary=boundary, occurrence=occurrence))
+        auto = build_automaton(make_pool(self.ELEMENTS),
+                               MatcherConfig(boundary=boundary))
         assert auto.sub_prefix_len == 1
         occurrences = naive_occurrences(text, self.ELEMENTS, boundary)
-        if occurrence == "leftmost_longest":
-            occurrences = naive_leftmost_longest(occurrences)
         prof = annotate(Document("x", text), auto)
         assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
             occurrence_counts(occurrences, self.ELEMENTS)
-        assert prof.n_k == text.count("数") + (
-            text.count("数据") if occurrence == "all" else 0)
+        assert prof.n_k == text.count("数") + text.count("数据")
 
     def test_single_char_prefix_beside_span_surfaces(self):
         elements = [("+", "science"), ("c++", "art"), ("a-b", "life")]
@@ -145,33 +143,6 @@ class TestSubstringPath:
         text = "c++ a-b+ +c++"
         assert auto.find_matches(text) == naive_occurrences(text, elements)
         assert profile_of(text, elements).n_k == 9
-
-
-class TestLeftmostLongest:
-    def test_nested_counts_once(self):
-        prof = profile_of("machine learning",
-                          [("machine learning", "science"),
-                           ("learning", "culture")],
-                          occurrence="leftmost_longest")
-        assert prof.n_k == 1
-        assert prof.n_distinct == 1
-        assert prof.per_domain["science"] == (1, 1)
-        assert prof.per_domain["culture"] == (0, 0)
-
-    def test_overlap_takes_leftmost(self):
-        prof = profile_of("abc", [("ab", "life"), ("bc", "life")],
-                          boundary=False, occurrence="leftmost_longest")
-        assert prof.n_k == 1
-
-    def test_longest_wins_at_same_start(self):
-        prof = profile_of("abc abc", [("ab", "life"), ("abc", "science")],
-                          boundary=False, occurrence="leftmost_longest")
-        assert prof.per_domain["science"] == (2, 1)
-        assert prof.per_domain["life"] == (0, 0)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(DataError):
-            MatcherConfig(occurrence="shortest")
 
 
 class TestOracleEquivalence:
@@ -251,12 +222,6 @@ class TestDifferential:
             naive_match_counts(text, elements, boundary)
         assert auto.find_matches(text) == occurrences
 
-        longest = build_automaton(pool, MatcherConfig(
-            boundary=boundary, occurrence="leftmost_longest"))
-        prof = annotate(Document("x", text), longest)
-        assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
-            occurrence_counts(naive_leftmost_longest(occurrences), elements)
-
 
 class TestAdditivity:
     def test_concat_with_nonmatching_separator(self):
@@ -306,26 +271,24 @@ class TestThreads:
     def test_shared_automaton_matches_serial(self):
         rng = np.random.default_rng(8)
         elements = random_pool_elements(rng, 200)
-        for occurrence in ("all", "leftmost_longest"):
-            auto = build_automaton(make_pool(elements),
-                                   MatcherConfig(occurrence=occurrence))
-            docs = [Document(str(i), random_text(rng, 400)) for i in range(200)]
-            serial = [annotate(d, auto) for d in docs]
-            results = [None, None]
+        auto = build_automaton(make_pool(elements))
+        docs = [Document(str(i), random_text(rng, 400)) for i in range(200)]
+        serial = [annotate(d, auto) for d in docs]
+        results = [None, None]
 
-            def work(slot):
-                results[slot] = [annotate(d, auto) for d in docs]
+        def work(slot):
+            results[slot] = [annotate(d, auto) for d in docs]
 
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [threading.Thread(target=work, args=(k,))
-                           for k in range(2)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                    assert not t.is_alive()
-            finally:
-                sys.setswitchinterval(old)
-            assert results == [serial, serial]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [serial, serial]

@@ -183,15 +183,17 @@ class TestScoreFunctionFamily:
 
 
 class TestScoreRecord:
-    def rec(self):
+    def inputs(self):
         prof = KnowledgeProfile(
             doc_id="doc-1", n_p=8, n_k=5, n_distinct=3,
             per_domain={"science": (3, 2), "culture": (2, 1),
                         "society": (0, 0), "art": (0, 0), "life": (0, 0)})
         els = [KnowledgeElement(f"s{i}", "science") for i in range(4)]
         els += [KnowledgeElement(f"c{i}", "culture") for i in range(1)]
-        pool = KnowledgePool.from_elements(els)
-        return score_record(prof, pool, meta={"subset": "wiki"})
+        return prof, KnowledgePool.from_elements(els)
+
+    def rec(self):
+        return score_record(*self.inputs(), meta={"subset": "wiki"})
 
     def test_ratios_are_exact_quotients(self):
         # The floats are the IEEE quotients of the carried integers, so
@@ -208,6 +210,15 @@ class TestScoreRecord:
         assert sci["d"] == 3 / 8
         assert sci["c"] == 2 / 4
         assert rec.domains["art"]["score"] == 0.0
+        # One formula: non-empty domains score as domain_score does, and
+        # domains without pool elements are all zeros.
+        prof, pool = self.inputs()
+        for m, block in rec.domains.items():
+            got = (block["d"], block["c"], block["score"])
+            if pool.per_domain_total[m]:
+                assert got == domain_score(prof, pool, m)
+            else:
+                assert got == (0.0, 0.0, 0.0)
 
     def test_json_roundtrip(self):
         rec = self.rec()

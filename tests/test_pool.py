@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hks import DataError, EmptyPoolError, ResourceError
-from hks.pool import (DOMAINS, KnowledgeElement, KnowledgePool, PoolOptions,
-                      dump_pool, load_pool, pool_stats)
+from hks.pool import (KnowledgeElement, KnowledgePool, PoolOptions, dump_pool,
+                      load_pool, pool_stats)
 
 from helpers import random_pool_elements
 
@@ -117,8 +117,6 @@ class TestInvariants:
                 KnowledgeElement(s, d) for s, d in elements)
             totals = pool.per_domain_total
             assert sum(totals.values()) == pool.total
-            for m in DOMAINS:
-                assert pool.domain_total(m) == totals[m]
 
     def test_surfaces_equal_own_normalization(self):
         from hks import normalize
@@ -145,24 +143,6 @@ class TestInvariants:
         path2 = tmp_path / "out2.tsv"
         dump_pool(again, path2)
         assert path.read_text() == path2.read_text()
-
-    def test_restrict_view(self):
-        pool = load_from_lines([
-            "ab\tscience",
-            "cd\tlife",
-            "ef\tscience",
-        ])
-        sci = pool.restrict("science")
-        assert sci.total == 2
-        assert sci.surfaces == ["ab", "ef"]
-        assert pool.restrict("art").total == 0
-        with pytest.raises(DataError):
-            pool.restrict("finance")
-
-    def test_contains(self):
-        pool = load_from_lines(["graph theory\tscience"])
-        assert "graph theory" in pool
-        assert "jazz" not in pool
 
 
 class TestStats:

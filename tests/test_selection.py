@@ -211,6 +211,22 @@ class TestThresholdSplit:
         assert low == []
         assert threshold == 1.0
 
+    def test_sparse_corpus_empties_low(self, caplog):
+        # Five matched documents among 95 zero scores: the split budget
+        # reaches the zero scores, so the threshold is 0.0 and every
+        # record lands high.
+        recs = records_from([0.5] * 5 + [0.0] * 95)
+        with caplog.at_level("WARNING", logger="hks.selection"):
+            high, low, threshold = threshold_split(recs, 200)
+        assert (len(high), low, threshold) == (100, [], 0.0)
+        assert any("threshold 0.0 is the corpus's lowest hks score" in r.message
+                   for r in caplog.records)
+        spec = SelectionSpec(strategy="mix", budget=100, alpha=0.75,
+                             split_budget=200)
+        with pytest.raises(StratumExhaustedError) as exc:
+            select(recs, spec)
+        assert exc.value.stratum == "low"
+
     def test_ties_at_threshold_go_high(self):
         recs = records_from([5.0, 3.0, 3.0, 1.0], n_p=[5, 5, 5, 5])
         high, low, threshold = threshold_split(recs, 10)

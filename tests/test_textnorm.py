@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hks.textnorm import (CJK, WORD, char_class, class_table,
-                          encode_codepoints, is_flank_word, normalize,
-                          tokenize_count)
+                          encode_codepoints, normalize, tokenize_count)
 
 from helpers import ref_normalize, ref_token_count
 
@@ -80,12 +79,6 @@ class TestCharClass:
         for cp in cps:
             ch = chr(int(cp))
             assert table[int(cp)] == char_class(ch)
-
-    def test_flank_predicate(self):
-        assert is_flank_word("a")
-        assert is_flank_word("9")
-        assert not is_flank_word("数")  # ideograph: boundary, not glue
-        assert not is_flank_word(" ")
 
 
 class TestTokenCount:
