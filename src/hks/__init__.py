@@ -6,38 +6,33 @@ density * ln(coverage + 1), and selects training subsets by top-k,
 softmax sampling, or high/low mixtures.
 """
 
-from .analysis import (BucketHistogram, PreferencePair, bucket_distribution,
-                       correlation_matrix, function_search,
-                       pairwise_function_correlation, spearman)
+from .analysis import (PreferencePair, bucket_distribution, correlation_matrix,
+                       function_search, pairwise_function_correlation,
+                       spearman)
 from .errors import (DataError, DegenerateDocumentError, EmptyPoolError,
                      HksError, ResourceError, StratumExhaustedError,
                      UsageError)
-from .matcher import (Automaton, Document, KnowledgeProfile, MatcherConfig,
-                      annotate, build_automaton)
+from .matcher import (Document, KnowledgeProfile, MatcherConfig, annotate,
+                      build_automaton)
 from .metrics import (ScoreFunction, ScoreRecord, all_score_functions,
                       coverage, density, domain_score, eval_score_function,
                       hks_score, score_record)
-from .pool import (DOMAINS, KnowledgeElement, KnowledgePool, PoolOptions,
-                   dump_pool, load_pool, pool_stats)
-from .pipeline import RunConfig, load_score_records, read_score_records, run_score
-from .selection import (SelectionResult, SelectionSpec, gumbel_topk_sample,
-                        mix, select, threshold_split, top_k)
-from .textnorm import normalize, tokenize_count
+from .pool import DOMAINS, KnowledgeElement, KnowledgePool, load_pool
+from .selection import (SelectionSpec, gumbel_topk_sample, mix, select,
+                        threshold_split, top_k)
+from .textnorm import normalize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Automaton", "BucketHistogram", "DOMAINS", "DataError",
-    "DegenerateDocumentError", "Document", "EmptyPoolError", "HksError",
-    "KnowledgeElement", "KnowledgePool", "KnowledgeProfile", "MatcherConfig",
-    "PoolOptions", "PreferencePair", "ResourceError", "RunConfig",
-    "ScoreFunction", "ScoreRecord", "SelectionResult", "SelectionSpec",
-    "StratumExhaustedError", "UsageError", "all_score_functions", "annotate",
-    "bucket_distribution", "build_automaton", "correlation_matrix",
-    "coverage", "density", "domain_score", "dump_pool",
-    "eval_score_function", "function_search", "gumbel_topk_sample",
-    "hks_score", "load_pool", "load_score_records", "mix", "normalize",
-    "pairwise_function_correlation", "pool_stats", "read_score_records",
-    "run_score", "score_record", "select", "spearman", "threshold_split",
-    "tokenize_count", "top_k",
+    "DOMAINS", "DataError", "DegenerateDocumentError", "Document",
+    "EmptyPoolError", "HksError", "KnowledgeElement", "KnowledgePool",
+    "KnowledgeProfile", "MatcherConfig", "PreferencePair", "ResourceError",
+    "ScoreFunction", "ScoreRecord", "SelectionSpec", "StratumExhaustedError",
+    "UsageError", "all_score_functions", "annotate", "bucket_distribution",
+    "build_automaton", "correlation_matrix", "coverage", "density",
+    "domain_score", "eval_score_function", "function_search",
+    "gumbel_topk_sample", "hks_score", "load_pool", "mix", "normalize",
+    "pairwise_function_correlation", "score_record", "select", "spearman",
+    "threshold_split", "top_k",
 ]

@@ -2,7 +2,7 @@
 
 Subcommands: pool stats, score, select, split, analyze (hist, corr,
 fsearch). Exit codes: 0 success, 1 usage error, 2 data error,
-3 resource error. HKS_WORKERS overrides the scoring worker count.
+3 resource error.
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from .errors import HksError, UsageError
+from .files import writing
 from .pool import DOMAINS, PoolOptions, load_pool, pool_stats
 from .pipeline import (RunConfig, run_corr, run_fsearch, run_hist, run_score,
                        run_select, run_split)
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="glob of JSONL corpus shards (optionally .gz)")
     p_score.add_argument("--out", required=True, help="output directory")
     p_score.add_argument("--workers", type=int, default=1,
-                         help="parallel shard workers (HKS_WORKERS overrides)")
+                         help="parallel shard workers")
     p_score.add_argument("--strict", action="store_true",
                          help="abort on malformed input lines")
     p_score.add_argument("--no-boundary", action="store_true",
@@ -161,26 +161,19 @@ def _cmd_pool_stats(args) -> int:
     pool = load_pool(args.pool, PoolOptions(strict=args.strict))
     payload = pool_stats(pool).to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(payload + "\n")
+        with writing(args.out) as out:
+            out.write(payload + "\n")
     else:
         print(payload)
     return 0
 
 
 def _cmd_score(args) -> int:
-    workers = args.workers
-    env = os.environ.get("HKS_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise UsageError(f"HKS_WORKERS must be an integer, got {env!r}")
     config = RunConfig(
         pool_path=args.pool,
         corpus=args.corpus,
         out_dir=args.out,
-        workers=workers,
+        workers=args.workers,
         strict=args.strict,
         boundary=not args.no_boundary,
         domain_scores=not args.no_domains,

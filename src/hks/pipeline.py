@@ -15,7 +15,6 @@ order, so worker count never changes any output byte.
 from __future__ import annotations
 
 import glob
-import gzip
 import hashlib
 import json
 import logging
@@ -24,11 +23,12 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .analysis import (PreferencePair, bucket_distribution, correlation_json,
                        correlation_matrix, function_search, function_search_csv)
-from .errors import DataError, ResourceError
+from .errors import DataError
+from .files import file_sha256, reading, writing
 from .matcher import Automaton, Document, MatcherConfig, annotate, build_automaton
 from .metrics import ScoreRecord, score_record
 from .pool import KnowledgePool, PoolOptions, load_pool
@@ -76,30 +76,6 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
-
-
-def _open_text(path: str, strict: bool):
-    errors = "strict" if strict else "replace"
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors=errors)
-    return open(path, "r", encoding="utf-8", errors=errors)
-
-
-def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 @dataclass
 class ShardOutcome:
     """Per-shard result; `records` and the output bytes are deterministic,
@@ -108,8 +84,8 @@ class ShardOutcome:
     index: int
     input_path: str
     output_name: str
-    sha256: str
-    records: int
+    sha256: str = ""
+    records: int = 0
     read: int = 0
     malformed: int = 0
     degenerate: int = 0
@@ -147,57 +123,44 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
-
-    if out.exists():
-        with open(out, "r", encoding="utf-8") as f:
-            records = sum(1 for _ in f)
-        return ShardOutcome(index=index, input_path=in_path,
-                            output_name=out.name, sha256=file_sha256(out),
-                            records=records, resumed=True)
-
     outcome = ShardOutcome(index=index, input_path=in_path,
-                           output_name=out.name, sha256="", records=0)
+                           output_name=out.name, resumed=out.exists())
     seen_ids: set[str] = set()
-    lines: list[str] = []
-    try:
-        fh = _open_text(in_path, config.strict)
-    except OSError as exc:
-        raise ResourceError(f"cannot read corpus shard {in_path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            outcome.read += 1
-            try:
-                doc = _parse_doc(json.loads(line), in_path, line_no, seen_ids)
-            except (json.JSONDecodeError, DataError) as exc:
-                if config.strict:
-                    if isinstance(exc, DataError):
-                        raise
-                    raise DataError(f"{in_path}:{line_no}: invalid JSON "
-                                    f"({exc})") from exc
-                outcome.malformed += 1
-                log.debug("%s:%d: skipped malformed line (%s)",
-                          in_path, line_no, exc)
-                continue
-            profile = annotate(doc, automaton)
-            if profile.n_p == 0:
-                outcome.degenerate += 1
-                log.debug("%s:%d: document %r has no tokens; excluded",
-                          in_path, line_no, doc.id)
-                continue
-            rec = score_record(profile, pool,
-                               with_domains=config.domain_scores,
-                               meta=doc.meta)
-            if rec.d > 1:
-                outcome.density_gt_1 += 1
-            lines.append(rec.to_json())
-
-    data = "".join(line + "\n" for line in lines)
-    _atomic_write(out, data)
-    outcome.records = len(lines)
-    outcome.sha256 = hashlib.sha256(data.encode("utf-8")).hexdigest()
+    if not outcome.resumed:
+        with reading(in_path, config.strict) as fh, writing(out) as dest:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                outcome.read += 1
+                try:
+                    doc = _parse_doc(json.loads(line), in_path, line_no, seen_ids)
+                except (json.JSONDecodeError, DataError) as exc:
+                    if config.strict:
+                        if isinstance(exc, DataError):
+                            raise
+                        raise DataError(f"{in_path}:{line_no}: invalid JSON "
+                                        f"({exc})") from exc
+                    outcome.malformed += 1
+                    log.debug("%s:%d: skipped malformed line (%s)",
+                              in_path, line_no, exc)
+                    continue
+                profile = annotate(doc, automaton)
+                if profile.n_p == 0:
+                    outcome.degenerate += 1
+                    log.debug("%s:%d: document %r has no tokens; excluded",
+                              in_path, line_no, doc.id)
+                    continue
+                rec = score_record(profile, pool,
+                                   with_domains=config.domain_scores,
+                                   meta=doc.meta)
+                if rec.d > 1:
+                    outcome.density_gt_1 += 1
+                dest.write(rec.to_json() + "\n")
+    # Fresh and resumed shards alike are described by the file on disk.
+    outcome.sha256 = file_sha256(out)
+    with reading(out) as fh:
+        outcome.records = sum(1 for _ in fh)
     return outcome
 
 
@@ -207,28 +170,21 @@ def _resolve_shards(corpus_glob: str) -> list[str]:
     return paths
 
 
-def _check_resumable(manifest_path: Path, identity: dict) -> None:
-    """Refuse to reuse shards scored under another config or pool.
-
-    `identity` maps "config_hash" and "pool.sha256" to this run's
-    values; an existing manifest must record the same ones.
-    """
-    if not manifest_path.exists():
-        return
+def _read_manifest(scores_dir: Path) -> tuple[dict, list[str]] | None:
+    """A scoring run's recorded identity ("config_hash", "pool.sha256")
+    and shard output names, or None when the directory has no manifest."""
+    path = scores_dir / MANIFEST_NAME
+    if not path.exists():
+        return None
     try:
-        old = json.loads(manifest_path.read_text(encoding="utf-8"))
-        recorded = {"config_hash": old["config_hash"],
-                    "pool.sha256": old["pool"]["sha256"]}
-    except OSError as exc:
-        raise ResourceError(f"cannot read {manifest_path}: {exc}") from exc
+        with reading(path) as fh:
+            manifest = json.loads(fh.read())
+        identity = {"config_hash": manifest["config_hash"],
+                    "pool.sha256": manifest["pool"]["sha256"]}
+        names = [str(shard["output"]) for shard in manifest["shards"]]
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{manifest_path}: not a score manifest ({exc!r})") from exc
-    for name, value in identity.items():
-        if recorded[name] != value:
-            raise DataError(
-                f"{manifest_path}: {name} differs from this run "
-                f"({recorded[name]} != {value}); score into a new out dir "
-                f"or empty this one")
+        raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
+    return identity, names
 
 
 def run_score(config: RunConfig) -> dict:
@@ -243,13 +199,19 @@ def run_score(config: RunConfig) -> dict:
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     pool = load_pool(config.pool_path, PoolOptions(strict=config.strict))
     identity = {"config_hash": config_hash(config),
                 "pool.sha256": file_sha256(config.pool_path)}
     pool_loaded = time.monotonic()
-    _check_resumable(out_dir / MANIFEST_NAME, identity)
+    old = _read_manifest(out_dir)
+    recorded = old[0] if old else identity
+    for name, value in identity.items():
+        if recorded[name] != value:
+            raise DataError(
+                f"{out_dir / MANIFEST_NAME}: {name} differs from this run "
+                f"({recorded[name]} != {value}); score into a new out dir "
+                f"or empty this one")
     # Built once per process; warmed here so automaton_build_s times
     # the matcher alone.
     class_table()
@@ -299,8 +261,8 @@ def run_score(config: RunConfig) -> dict:
             for o in outcomes
         ],
     }
-    _atomic_write(out_dir / MANIFEST_NAME,
-                  _canonical_json(manifest) + "\n")
+    with writing(out_dir / MANIFEST_NAME) as dest:
+        dest.write(_canonical_json(manifest) + "\n")
 
     input_bytes = sum(os.path.getsize(p) for p in shards)
     read = sum(o.read for o in outcomes)
@@ -326,51 +288,48 @@ def run_score(config: RunConfig) -> dict:
         "resumed_shards": sum(1 for o in outcomes if o.resumed),
         "pool_load": pool.report.to_dict() if pool.report else None,
     }
-    _atomic_write(out_dir / STATS_NAME,
-                  json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    with writing(out_dir / STATS_NAME) as dest:
+        dest.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
     log.info("scored %d documents from %d shards in %.1fs",
              read, len(shards), elapsed)
     return manifest
 
 
-def read_score_records(scores_dir: str | Path) -> Iterator[ScoreRecord]:
-    """Stream records from a scoring run's output directory.
+def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
+    """Every record of a scoring run's output directory.
 
     Uses the manifest's shard list when present, else every
-    scores-*.jsonl in name order. A document id seen twice, in one
-    shard or across two, is a DataError naming both shard files.
+    scores-*.jsonl in name order. A line that is not a score record, a
+    document id seen twice (in one shard or across two) and a run with
+    no records are each a DataError naming the shard files involved.
     """
     scores_dir = Path(scores_dir)
-    manifest_path = scores_dir / MANIFEST_NAME
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        names = [s["output"] for s in manifest["shards"]]
+    manifest = _read_manifest(scores_dir)
+    if manifest is not None:
+        _, names = manifest
     else:
         names = sorted(p.name for p in scores_dir.glob("scores-*.jsonl"))
     if not names:
         raise DataError(f"no score shards found under {scores_dir}")
+    records: list[ScoreRecord] = []
     shard_of: dict[str, Path] = {}
     for name in names:
         path = scores_dir / name
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise ResourceError(f"cannot read score shard {path}: {exc}") from exc
-        with fh:
-            for line in fh:
+        with reading(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = ScoreRecord.from_json(line)
+                try:
+                    rec = ScoreRecord.from_json(line)
+                except (ValueError, TypeError, DataError) as exc:
+                    raise DataError(f"{path}:{line_no}: not a score record "
+                                    f"({exc})") from exc
                 if rec.doc_id in shard_of:
                     raise DataError(f"duplicate document id {rec.doc_id!r} "
                                     f"in {shard_of[rec.doc_id]} and {path}")
                 shard_of[rec.doc_id] = path
-                yield rec
-
-
-def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
-    records = list(read_score_records(scores_dir))
+                records.append(rec)
     if not records:
         raise DataError(f"score run under {scores_dir} holds zero records")
     return records
@@ -389,45 +348,39 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     result = select(records, spec)
     by_id = {r.doc_id: r for r in records}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    lines = []
-    for doc_id in result.selected_ids:
-        rec = by_id[doc_id]
-        lines.append(_canonical_json({
-            "id": doc_id, "n_p": rec.n_p,
-            "score": rec.score(spec.score_field),
-        }))
-    _atomic_write(out / "selected.jsonl",
-                  "".join(line + "\n" for line in lines))
+    with writing(out / "selected.jsonl") as dest:
+        for doc_id in result.selected_ids:
+            rec = by_id[doc_id]
+            dest.write(_canonical_json({
+                "id": doc_id, "n_p": rec.n_p,
+                "score": rec.score(spec.score_field),
+            }) + "\n")
 
     summary = {
         "spec": dict(sorted(asdict(spec).items())),
         **result.summary(),
     }
-    _atomic_write(out / "selection.json",
-                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with writing(out / "selection.json") as dest:
+        dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
     if emit_corpus:
         if not corpus_glob:
             raise DataError("emitting the selected corpus requires the "
                             "source corpus glob")
         wanted = set(result.selected_ids)
-        emitted = []
-        for shard in _resolve_shards(corpus_glob):
-            with _open_text(shard, strict=False) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if isinstance(obj, dict) and obj.get("id") in wanted:
-                        emitted.append(line)
-        _atomic_write(Path(emit_corpus),
-                      "".join(line + "\n" for line in emitted))
+        with writing(emit_corpus) as dest:
+            for shard in _resolve_shards(corpus_glob):
+                with reading(shard, strict=False) as fh:
+                    for line in fh:
+                        line = line.strip()
+                        if not line:
+                            continue
+                        try:
+                            obj = json.loads(line)
+                        except json.JSONDecodeError:
+                            continue
+                        if isinstance(obj, dict) and obj.get("id") in wanted:
+                            dest.write(line + "\n")
     return summary
 
 
@@ -438,10 +391,10 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     records = load_score_records(scores_dir)
     high, low, threshold = threshold_split(records, token_budget, score_field)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, part in (("high.jsonl", high), ("low.jsonl", low)):
-        _atomic_write(out / name,
-                      "".join(r.to_json() + "\n" for r in part))
+        with writing(out / name) as dest:
+            for r in part:
+                dest.write(r.to_json() + "\n")
     summary = {
         "score_field": score_field,
         "token_budget": token_budget,
@@ -451,8 +404,8 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
         "low_records": len(low),
         "low_tokens": sum(r.n_p for r in low),
     }
-    _atomic_write(out / "split.json",
-                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with writing(out / "split.json") as dest:
+        dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -460,25 +413,26 @@ def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
     records = load_score_records(scores_dir)
     hist = bucket_distribution(records, metric, group_by, n_buckets)
-    _atomic_write(Path(out_path), hist.to_csv())
+    with writing(out_path) as dest:
+        dest.write(hist.to_csv())
 
 
 def _load_ext_columns(path: str) -> dict[str, dict[str, float]]:
     """External baseline columns: JSONL of {"id": ..., <name>: value}."""
     table: dict[str, dict[str, float]] = {}
-    with _open_text(path, strict=False) as fh:
+    with reading(path, strict=False) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-                doc_id = obj["id"]
+                table[obj["id"]] = {
+                    k: float(v) for k, v in obj.items()
+                    if k != "id" and isinstance(v, (int, float))}
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{line_no}: bad external column "
                                 f"row ({exc})") from exc
-            table[doc_id] = {k: float(v) for k, v in obj.items()
-                             if k != "id" and isinstance(v, (int, float))}
     return table
 
 
@@ -519,21 +473,22 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
         else:
             data[col] = [r.score(col) for r in kept]
     result = correlation_matrix(data)
-    _atomic_write(Path(out_path), correlation_json(result) + "\n")
+    with writing(out_path) as dest:
+        dest.write(correlation_json(result) + "\n")
     return result
 
 
 def load_pairs(path: str) -> list[PreferencePair]:
     pairs = []
-    with _open_text(path, strict=False) as fh:
+    with reading(path, strict=False) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 pairs.append(PreferencePair.from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON "
+            except (ValueError, TypeError, DataError) as exc:
+                raise DataError(f"{path}:{line_no}: not a preference pair "
                                 f"({exc})") from exc
     return pairs
 
@@ -542,5 +497,6 @@ def run_fsearch(pairs_path: str, out_path: str,
                 per_pair_normalize: bool = False) -> list:
     pairs = load_pairs(pairs_path)
     rows = function_search(pairs, per_pair_normalize)
-    _atomic_write(Path(out_path), function_search_csv(rows))
+    with writing(out_path) as dest:
+        dest.write(function_search_csv(rows))
     return rows

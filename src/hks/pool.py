@@ -14,8 +14,6 @@ on the domain are additionally counted as conflicts.
 from __future__ import annotations
 
 import functools
-import gzip
-import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -24,7 +22,8 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError, EmptyPoolError, ResourceError
+from .errors import DataError, EmptyPoolError
+from .files import reading, writing
 from .textnorm import normalize
 
 log = logging.getLogger(__name__)
@@ -114,18 +113,6 @@ class KnowledgePool:
                                    SOURCES[self.source_ids[i]])
 
 
-def _open_text(source: str | Path | TextIO) -> TextIO:
-    if hasattr(source, "read"):
-        return source  # caller-managed stream
-    path = Path(source)
-    try:
-        if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot read pool file {path}: {exc}") from exc
-
-
 def load_pool(source: str | Path | TextIO,
               options: PoolOptions | None = None) -> KnowledgePool:
     """Load a TSV element stream into a deduplicated pool.
@@ -141,9 +128,7 @@ def load_pool(source: str | Path | TextIO,
     sources: list[int] = []
     index: dict[str, int] = {}
 
-    stream = _open_text(source)
-    close = stream is not source
-    try:
+    with reading(source) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -182,9 +167,6 @@ def load_pool(source: str | Path | TextIO,
             surfaces.append(surface)
             domains.append(_DOMAIN_ID[domain])
             sources.append(_SOURCE_ID[source_tag])
-    finally:
-        if close:
-            stream.close()
 
     report.kept = len(surfaces)
     if not surfaces:
@@ -201,16 +183,11 @@ def load_pool(source: str | Path | TextIO,
                          np.asarray(sources, dtype=np.uint8), report=report)
 
 
-def dump_pool(pool: KnowledgePool, dest: str | Path | TextIO) -> None:
+def dump_pool(pool: KnowledgePool, path: str | Path) -> None:
     """Write the pool back out as TSV in insertion (first-seen) order."""
-    own = not hasattr(dest, "write")
-    out = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with writing(path) as out:
         for el in pool.elements():
             out.write(f"{el.surface}\t{el.domain}\t{el.source}\n")
-    finally:
-        if own:
-            out.close()
 
 
 @dataclass

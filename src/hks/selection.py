@@ -214,8 +214,7 @@ def _sample_stratum(records: Sequence[ScoreRecord], target: float,
 
 
 def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
-        alpha: float, token_budget: int, seed: int,
-        score_field: str = "hks") -> SelectionResult:
+        alpha: float, token_budget: int, seed: int) -> SelectionResult:
     """Merge uniform samples of alpha*budget high tokens and
     (1-alpha)*budget low tokens.
 
@@ -262,7 +261,6 @@ def select(records: Sequence[ScoreRecord], spec: SelectionSpec) -> SelectionResu
         raise DataError("mix strategy budgets tokens, not documents")
     high, low, threshold = threshold_split(records, spec.split_budget,
                                            spec.score_field)
-    result = mix(high, low, spec.alpha, spec.budget, spec.seed,
-                 spec.score_field)
+    result = mix(high, low, spec.alpha, spec.budget, spec.seed)
     result.threshold = threshold
     return result

@@ -1,6 +1,5 @@
 """Histograms, rank correlation, and the scoring-function search."""
 
-import itertools
 import math
 
 import numpy as np

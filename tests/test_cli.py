@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, flag validation, end-to-end flows."""
 
+import gzip
 import json
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +22,86 @@ def run_score(root, corpus, *extra):
                  "--corpus", corpus, "--out", str(root / "scores"), *extra])
 
 
+# Each case sets up one bad input or output under `root` and returns
+# (argv, the file the error must name, the exit code).
+
+def _scored(root, corpus):
+    assert run_score(root, corpus) == 0
+    return root / "scores"
+
+
+def _bad_utf8_corpus_strict(root, corpus):
+    shard = root / "bad" / "shard.jsonl"
+    shard.parent.mkdir()
+    shard.write_bytes(b'{"id": "x", "text": "caf\xe9"}\n')
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s"), "--strict"], shard, 2)
+
+
+def _truncated_gzip_corpus(root, corpus):
+    shard = root / "bad" / "shard.jsonl.gz"
+    shard.parent.mkdir()
+    shard.write_bytes(gzip.compress(json.dumps(DOC_A).encode() * 50)[:40])
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s")], shard, 2)
+
+
+def _not_gzip_corpus(root, corpus):
+    shard = root / "bad" / "shard.jsonl.gz"
+    shard.parent.mkdir()
+    shard.write_text(json.dumps(DOC_A) + "\n", encoding="utf-8")
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s")], shard, 3)
+
+
+def _bad_utf8_pool(root, corpus):
+    pool = root / "bad.tsv"
+    pool.write_bytes(b"caf\xe9 society\tculture\n")
+    return (["score", "--pool", str(pool), "--corpus", corpus,
+             "--out", str(root / "s")], pool, 2)
+
+
+def _truncated_score_line(root, corpus):
+    shard = _scored(root, corpus) / "scores-00000.jsonl"
+    shard.write_bytes(shard.read_bytes()[:-20])
+    return (["select", "--scores", str(root / "scores"), "--out",
+             str(root / "sel"), "--budget-docs", "1"], shard, 2)
+
+
+def _malformed_manifest(root, corpus):
+    manifest = _scored(root, corpus) / "manifest.json"
+    manifest.write_text('{"shards": 3}', encoding="utf-8")
+    return (["split", "--scores", str(root / "scores"), "--out",
+             str(root / "split"), "--budget-tokens", "6"], manifest, 2)
+
+
+def _missing_pairs(root, corpus):
+    pairs = root / "absent.jsonl"
+    return (["analyze", "fsearch", "--pairs", str(pairs),
+             "--out", str(root / "fs.csv")], pairs, 3)
+
+
+def _missing_ext(root, corpus):
+    ext = root / "absent.jsonl"
+    return (["analyze", "corr", "--scores", str(_scored(root, corpus)),
+             "--columns", "d,ext:ppl", "--ext", str(ext),
+             "--out", str(root / "corr.json")], ext, 3)
+
+
+def _score_out_under_file(root, corpus):
+    blocker = root / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus", corpus,
+             "--out", str(blocker / "scores")], blocker, 3)
+
+
+def _pool_stats_out_under_file(root, corpus):
+    blocker = root / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    return (["pool", "stats", str(root / "pool.tsv"),
+             "--out", str(blocker / "stats.json")], blocker, 3)
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
@@ -40,6 +120,28 @@ class TestExitCodes:
         assert main(["score", "--pool", str(tmp_path / "absent.tsv"),
                      "--corpus", corpus,
                      "--out", str(tmp_path / "scores")]) == 3
+
+    @pytest.mark.parametrize("case", [
+        _bad_utf8_corpus_strict, _truncated_gzip_corpus, _not_gzip_corpus,
+        _bad_utf8_pool, _truncated_score_line,
+        _malformed_manifest, _missing_pairs, _missing_ext,
+        _score_out_under_file, _pool_stats_out_under_file,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_bad_file_exit_code_names_file(self, workspace, capsys, case):
+        argv, named, code = case(*workspace)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("hks: error: ") and str(named) in err
+
+    def test_strict_failure_mid_shard_leaves_no_temp(self, workspace):
+        root, _ = workspace
+        shard = root / "mid" / "shard.jsonl"
+        shard.parent.mkdir()
+        shard.write_text(json.dumps(DOC_A) + "\n{not json\n", encoding="utf-8")
+        assert main(["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                     str(shard), "--out", str(root / "s"), "--strict"]) == 2
+        assert list((root / "s").glob("scores-*")) == []
 
     def test_resume_with_changed_flags_is_data_error(self, workspace):
         root, corpus = workspace
@@ -79,10 +181,9 @@ class TestExitCodes:
         assert main(["split", "--scores", str(tmp_path),
                      "--out", str(tmp_path), "--budget-tokens", "1.5"]) == 1
 
-    def test_bad_workers_env(self, workspace, monkeypatch):
+    def test_bad_workers_flag(self, workspace):
         root, corpus = workspace
-        monkeypatch.setenv("HKS_WORKERS", "lots")
-        assert run_score(root, corpus) == 1
+        assert run_score(root, corpus, "--workers", "lots") == 1
 
     def test_log_flags_accepted_anywhere(self, workspace, capsys):
         # -v/-q may come before or after the subcommand.
@@ -105,6 +206,13 @@ class TestPoolStats:
     def test_out_file(self, workspace):
         root, _ = workspace
         out = root / "stats.json"
+        assert main(["pool", "stats", str(root / "pool.tsv"),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["total"] == 5
+
+    def test_out_file_in_missing_dir(self, workspace):
+        root, _ = workspace
+        out = root / "new" / "dir" / "stats.json"
         assert main(["pool", "stats", str(root / "pool.tsv"),
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"] == 5
@@ -176,10 +284,9 @@ class TestWalkthrough:
         # doc-a holds both science elements; doc-b only non-science ones.
         assert [p["id"] for p in picked] == ["doc-a"]
 
-    def test_workers_env_override(self, workspace, monkeypatch, capsys):
+    def test_workers_flag(self, workspace):
         root, corpus = workspace
-        monkeypatch.setenv("HKS_WORKERS", "2")
-        assert run_score(root, corpus) == 0
+        assert run_score(root, corpus, "--workers", "2") == 0
         stats = json.loads((root / "scores" / "run_stats.json").read_text())
         assert stats["workers"] == 2
 

@@ -1,7 +1,6 @@
 """Normalization, character classes, and token counting."""
 
 import numpy as np
-import pytest
 
 from hks.textnorm import (CJK, WORD, char_class, class_table,
                           encode_codepoints, normalize, tokenize_count)
