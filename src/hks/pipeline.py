@@ -90,6 +90,7 @@ class ShardOutcome:
     malformed: int = 0
     degenerate: int = 0
     density_gt_1: int = 0
+    replaced: int = 0
     resumed: bool = False
 
 
@@ -157,6 +158,7 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
                 if rec.d > 1:
                     outcome.density_gt_1 += 1
                 dest.write(rec.to_json() + "\n")
+            outcome.replaced = fh.replaced
     # Fresh and resumed shards alike are described by the file on disk.
     outcome.sha256 = file_sha256(out)
     with reading(out) as fh:
@@ -170,9 +172,10 @@ def _resolve_shards(corpus_glob: str) -> list[str]:
     return paths
 
 
-def _read_manifest(scores_dir: Path) -> tuple[dict, list[str]] | None:
+def _read_manifest(scores_dir: Path) -> tuple[dict, list[dict]] | None:
     """A scoring run's recorded identity ("config_hash", "pool.sha256")
-    and shard output names, or None when the directory has no manifest."""
+    and its shard entries ("output", "sha256", "records"), or None when
+    the directory has no manifest."""
     path = scores_dir / MANIFEST_NAME
     if not path.exists():
         return None
@@ -181,10 +184,13 @@ def _read_manifest(scores_dir: Path) -> tuple[dict, list[str]] | None:
             manifest = json.loads(fh.read())
         identity = {"config_hash": manifest["config_hash"],
                     "pool.sha256": manifest["pool"]["sha256"]}
-        names = [str(shard["output"]) for shard in manifest["shards"]]
+        shards = [{"output": str(shard["output"]),
+                   "sha256": str(shard["sha256"]),
+                   "records": int(shard["records"])}
+                  for shard in manifest["shards"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
-    return identity, names
+    return identity, shards
 
 
 def run_score(config: RunConfig) -> dict:
@@ -285,6 +291,7 @@ def run_score(config: RunConfig) -> dict:
         "skipped_malformed": sum(o.malformed for o in outcomes),
         "skipped_degenerate": sum(o.degenerate for o in outcomes),
         "density_gt_1": sum(o.density_gt_1 for o in outcomes),
+        "replaced_sequences": sum(o.replaced for o in outcomes),
         "resumed_shards": sum(1 for o in outcomes if o.resumed),
         "pool_load": pool.report.to_dict() if pool.report else None,
     }
@@ -298,23 +305,29 @@ def run_score(config: RunConfig) -> dict:
 def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
     """Every record of a scoring run's output directory.
 
-    Uses the manifest's shard list when present, else every
-    scores-*.jsonl in name order. A line that is not a score record, a
-    document id seen twice (in one shard or across two) and a run with
-    no records are each a DataError naming the shard files involved.
+    Reads the shards its manifest lists, each only after its sha256
+    matches the manifest's. A missing manifest, a shard that changed
+    since scoring, a record count other than the manifest's, a line that
+    is not a score record, a document id seen twice (in one shard or
+    across two) and a run with no records are each a DataError naming
+    the directory or the shard files involved.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
-    if manifest is not None:
-        _, names = manifest
-    else:
-        names = sorted(p.name for p in scores_dir.glob("scores-*.jsonl"))
-    if not names:
-        raise DataError(f"no score shards found under {scores_dir}")
+    if manifest is None:
+        raise DataError(f"{scores_dir}: no {MANIFEST_NAME}; phase two reads "
+                        f"only the output directory of an `hks score` run")
+    _, shards = manifest
     records: list[ScoreRecord] = []
     shard_of: dict[str, Path] = {}
-    for name in names:
-        path = scores_dir / name
+    for shard in shards:
+        path = scores_dir / shard["output"]
+        digest = file_sha256(path)
+        if digest != shard["sha256"]:
+            raise DataError(f"{path}: sha256 {digest} differs from the "
+                            f"manifest's {shard['sha256']}; the shard "
+                            f"changed after scoring")
+        first = len(records)
         with reading(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -330,6 +343,9 @@ def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
                                     f"in {shard_of[rec.doc_id]} and {path}")
                 shard_of[rec.doc_id] = path
                 records.append(rec)
+        if len(records) - first != shard["records"]:
+            raise DataError(f"{path}: holds {len(records) - first} records, "
+                            f"the manifest lists {shard['records']}")
     if not records:
         raise DataError(f"score run under {scores_dir} holds zero records")
     return records

@@ -82,9 +82,11 @@ def _hash_uniforms(doc_ids: Sequence[str], seed: int, *parts: str) -> list[float
     """Deterministic uniforms in (0, 1), one per id, keyed by seed, parts
     and id.
 
-    Each key is one blake2b hash of the 8-byte seed followed by every
-    part and then the id, each UTF-8 encoded and preceded by its 8-byte
-    length; everything before the id is joined once per call.
+    Each key is one 8-byte blake2b digest of the 8-byte big-endian seed
+    followed by every part and then the id, each UTF-8 encoded and
+    preceded by its 8-byte big-endian length; the digest's top 53 bits,
+    read big-endian, give u = (bits + 0.5) / 2**53. Everything before
+    the id is joined once per call.
     """
     prefix = seed.to_bytes(8, "big", signed=False)
     for p in parts:
@@ -99,18 +101,21 @@ def _hash_uniforms(doc_ids: Sequence[str], seed: int, *parts: str) -> list[float
     return out
 
 
-def _budget_walk(ordered: Sequence[ScoreRecord], budget: float,
-                 by_docs: bool) -> tuple[list[ScoreRecord], int]:
-    """Greedy prefix under the budget; the crossing document is kept
-    whole rather than truncated."""
-    taken: list[ScoreRecord] = []
+def _rank_take(records: Sequence[ScoreRecord], keys: Sequence[float],
+               budget: float, by_docs: bool) -> tuple[list[int], int]:
+    """Positions of the greedy prefix of records ranked by (key desc,
+    doc_id asc, input position) under a token (or, with by_docs, a
+    document) budget, and the tokens they hold; the crossing document is
+    kept whole rather than truncated."""
+    rank_key = [(-k, r.doc_id) for k, r in zip(keys, records)]
+    taken: list[int] = []
     tokens = 0
-    for rec in ordered:
-        used = len(taken) if by_docs else tokens
-        if used >= budget:
+    # A stable sort: positions tied on (key, doc_id) keep input order.
+    for i in sorted(range(len(records)), key=rank_key.__getitem__):
+        if (len(taken) if by_docs else tokens) >= budget:
             break
-        taken.append(rec)
-        tokens += rec.n_p
+        taken.append(i)
+        tokens += records[i].n_p
     return taken, tokens
 
 
@@ -120,19 +125,17 @@ def top_k(records: Sequence[ScoreRecord], spec: SelectionSpec) -> SelectionResul
     Ordering is (score desc, doc_id asc); the id tie-break makes the
     result independent of input order.
     """
-    ordered = sorted(records,
-                     key=lambda r: (-r.score(spec.score_field), r.doc_id))
-    taken, tokens = _budget_walk(ordered, spec.budget, spec.by_docs)
+    scores = [r.score(spec.score_field) for r in records]
+    taken, tokens = _rank_take(records, scores, spec.budget, spec.by_docs)
     if len(taken) == len(records) and records:
         corpus = len(records) if spec.by_docs else tokens
         if spec.budget > corpus:
             log.warning("budget %d exceeds corpus size %d; selecting all",
                         spec.budget, corpus)
-    threshold = taken[-1].score(spec.score_field) if taken else None
     return SelectionResult(
-        selected_ids=[r.doc_id for r in taken],
+        selected_ids=[records[i].doc_id for i in taken],
         total_tokens=tokens,
-        threshold=threshold,
+        threshold=scores[taken[-1]] if taken else None,
         seed_used=spec.seed,
     )
 
@@ -148,23 +151,20 @@ def gumbel_topk_sample(records: Sequence[ScoreRecord],
     (constant score vectors rescale to all zeros, i.e. uniform).
     """
     scores = [r.score(spec.score_field) for r in records]
+    scaled = scores
     if spec.normalize and scores:
         lo, hi = min(scores), max(scores)
         span = hi - lo
-        scores = [(s - lo) / span if span > 0 else 0.0 for s in scores]
+        scaled = [(s - lo) / span if span > 0 else 0.0 for s in scores]
     # Standard Gumbel noise -ln(-ln u).
     uniforms = _hash_uniforms([r.doc_id for r in records], spec.seed)
-    keyed = [(s / spec.tau - math.log(-math.log(u)), r)
-             for s, u, r in zip(scores, uniforms, records)]
-    keyed.sort(key=lambda kr: (-kr[0], kr[1].doc_id))
-    ordered = [r for _, r in keyed]
-    taken, tokens = _budget_walk(ordered, spec.budget, spec.by_docs)
-    threshold = (min(r.score(spec.score_field) for r in taken)
-                 if taken else None)
+    keys = [s / spec.tau - math.log(-math.log(u))
+            for s, u in zip(scaled, uniforms)]
+    taken, tokens = _rank_take(records, keys, spec.budget, spec.by_docs)
     return SelectionResult(
-        selected_ids=[r.doc_id for r in taken],
+        selected_ids=[records[i].doc_id for i in taken],
         total_tokens=tokens,
-        threshold=threshold,
+        threshold=min(scores[i] for i in taken) if taken else None,
         seed_used=spec.seed,
     )
 
@@ -186,12 +186,11 @@ def threshold_split(records: Sequence[ScoreRecord], token_budget: int,
         raise DataError(f"token budget must be >= 0, got {token_budget}")
     if not records or token_budget == 0:
         return [], records, None
-    spec = SelectionSpec(strategy="topk", budget=token_budget,
-                         score_field=score_field)
-    prefix = top_k(records, spec)
-    threshold = prefix.threshold
-    high = [r for r in records if r.score(score_field) >= threshold]
-    low = [r for r in records if r.score(score_field) < threshold]
+    scores = [r.score(score_field) for r in records]
+    taken, _ = _rank_take(records, scores, token_budget, False)
+    threshold = scores[taken[-1]]
+    high = [r for r, s in zip(records, scores) if s >= threshold]
+    low = [r for r, s in zip(records, scores) if s < threshold]
     if not low:
         log.warning("split threshold %r is the corpus's lowest %s score; "
                     "every record is high and the low stratum is empty",
@@ -200,17 +199,16 @@ def threshold_split(records: Sequence[ScoreRecord], token_budget: int,
 
 
 def _sample_stratum(records: Sequence[ScoreRecord], target: float,
-                    label: str, seed: int) -> tuple[list[ScoreRecord], int]:
-    """Uniformly ordered greedy draw of about `target` tokens."""
+                    label: str, seed: int) -> tuple[list[str], int]:
+    """Ids of a uniformly ordered greedy draw of about `target` tokens."""
     if target <= 0:
         return [], 0
-    ids = [r.doc_id for r in records]
-    keyed = sorted(zip(_hash_uniforms(ids, seed, label), ids, range(len(ids))))
-    ordered = [records[i] for _, _, i in keyed]
-    taken, tokens = _budget_walk(ordered, target, False)
+    uniforms = _hash_uniforms([r.doc_id for r in records], seed, label)
+    # Key -u ranks by (u asc, doc_id asc).
+    taken, tokens = _rank_take(records, [-u for u in uniforms], target, False)
     if tokens < target:
         raise StratumExhaustedError(label, int(math.ceil(target)), tokens)
-    return taken, tokens
+    return [records[i].doc_id for i in taken], tokens
 
 
 def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
@@ -228,15 +226,14 @@ def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
         raise DataError(f"alpha must be in [0, 1], got {alpha}")
     if token_budget < 0:
         raise DataError(f"token budget must be >= 0, got {token_budget}")
-    high_taken, high_tokens = _sample_stratum(
+    high_ids, high_tokens = _sample_stratum(
         high, alpha * token_budget, "high", seed)
-    low_taken, low_tokens = _sample_stratum(
+    low_ids, low_tokens = _sample_stratum(
         low, (1.0 - alpha) * token_budget, "low", seed)
     total = high_tokens + low_tokens
     realized = high_tokens / total if total > 0 else None
     return SelectionResult(
-        selected_ids=[r.doc_id for r in high_taken] +
-                     [r.doc_id for r in low_taken],
+        selected_ids=high_ids + low_ids,
         total_tokens=total,
         threshold=None,
         seed_used=seed,

@@ -7,6 +7,8 @@ unicodedata, so package bugs cannot hide in a shared code path.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import unicodedata
 from fractions import Fraction
 
@@ -173,3 +175,86 @@ def make_record(doc_id: str, n_p: int, score: float, **extra):
                   d=0.0, c=0.0, hks=score)
     kwargs.update(extra)
     return ScoreRecord(**kwargs)
+
+
+# Selection oracle. Rows are (doc_id, n_p, score) with distinct ids; each
+# strategy ranks with sorted() on (-key, doc_id) and takes documents
+# while the budget is not yet reached, so the crossing one is whole.
+
+def oracle_uniform(seed: int, doc_id: str, *parts: str) -> float:
+    """The documented (seed, parts, doc_id) key: blake2b with an 8-byte
+    digest over the 8-byte big-endian seed and then each part and the
+    id, every one UTF-8 encoded behind its 8-byte big-endian length;
+    the digest's top 53 bits plus one half, over 2**53."""
+    message = seed.to_bytes(8, "big")
+    for text in (*parts, doc_id):
+        raw = text.encode("utf-8")
+        message += len(raw).to_bytes(8, "big") + raw
+    digest = hashlib.blake2b(message, digest_size=8).digest()
+    return ((int.from_bytes(digest, "big") >> 11) + 0.5) / 2**53
+
+
+def oracle_take(rows, key, budget, by_docs: bool):
+    """(rows taken, tokens) of the greedy prefix by (-key, id)."""
+    ranked = sorted(rows, key=lambda row: (-key[row[0]], row[0]))
+    taken, tokens = [], 0
+    for row in ranked:
+        if (len(taken) if by_docs else tokens) >= budget:
+            break
+        taken.append(row)
+        tokens += row[1]
+    return taken, tokens
+
+
+def oracle_topk(rows, budget: int, by_docs: bool):
+    """(ids, tokens, threshold): the lowest taken score."""
+    taken, tokens = oracle_take(rows, {row[0]: row[2] for row in rows},
+                                budget, by_docs)
+    return [row[0] for row in taken], tokens, taken[-1][2] if taken else None
+
+
+def oracle_sample(rows, budget: int, by_docs: bool, tau: float, seed: int,
+                  normalize: bool):
+    """Gumbel top-k: key = score/tau - ln(-ln u), with scores min-max
+    rescaled to [0, 1] (all zero when constant) under normalize;
+    (ids, tokens, threshold), the threshold being the lowest raw
+    score taken."""
+    scores = [row[2] for row in rows]
+    if normalize and rows:
+        lo, hi = min(scores), max(scores)
+        scores = [(s - lo) / (hi - lo) if hi > lo else 0.0 for s in scores]
+    key = {row[0]: s / tau - math.log(-math.log(oracle_uniform(seed, row[0])))
+           for row, s in zip(rows, scores)}
+    taken, tokens = oracle_take(rows, key, budget, by_docs)
+    return ([row[0] for row in taken], tokens,
+            min(row[2] for row in taken) if taken else None)
+
+
+def oracle_split(rows, budget: int):
+    """(high ids, low ids, threshold) in input order; the threshold is
+    the lowest score in the top-`budget`-token prefix."""
+    if budget == 0 or not rows:
+        return [], [row[0] for row in rows], None
+    threshold = oracle_topk(rows, budget, False)[2]
+    return ([row[0] for row in rows if row[2] >= threshold],
+            [row[0] for row in rows if row[2] < threshold], threshold)
+
+
+def oracle_mix(high, low, alpha: float, budget: int, seed: int):
+    """(ids, high tokens, low tokens) of the two strata, each drawn by
+    ascending (seed, stratum, id) uniform until its token target
+    (alpha*budget high, the rest low) is reached; None when a stratum
+    holds fewer tokens than its target."""
+    ids, tokens = [], []
+    for label, rows, target in (("high", high, alpha * budget),
+                                ("low", low, (1.0 - alpha) * budget)):
+        if target <= 0:
+            tokens.append(0)
+            continue
+        key = {row[0]: -oracle_uniform(seed, row[0], label) for row in rows}
+        taken, got = oracle_take(rows, key, target, False)
+        if got < target:
+            return None
+        ids += [row[0] for row in taken]
+        tokens.append(got)
+    return ids, tokens[0], tokens[1]

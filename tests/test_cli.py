@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hks.cli import main
+from hks.files import file_sha256
 
 from test_pipeline import DOC_A, DOC_B, DOC_C, POOL_TSV, write_corpus
 
@@ -61,11 +62,61 @@ def _bad_utf8_pool(root, corpus):
              "--out", str(root / "s")], pool, 2)
 
 
+def _select_argv(root):
+    return ["select", "--scores", str(root / "scores"), "--out",
+            str(root / "sel"), "--budget-docs", "1"]
+
+
 def _truncated_score_line(root, corpus):
     shard = _scored(root, corpus) / "scores-00000.jsonl"
     shard.write_bytes(shard.read_bytes()[:-20])
-    return (["select", "--scores", str(root / "scores"), "--out",
-             str(root / "sel"), "--budget-docs", "1"], shard, 2)
+    return _select_argv(root), shard, 2
+
+
+def _crc_flipped_gzip_corpus(root, corpus):
+    shard = root / "bad" / "shard.jsonl.gz"
+    shard.parent.mkdir()
+    data = bytearray(gzip.compress((json.dumps(DOC_A) + "\n").encode()))
+    data[-8] ^= 0xFF  # first byte of the CRC32 trailer
+    shard.write_bytes(bytes(data))
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s")], shard, 2)
+
+
+def _appended_score_record(root, corpus):
+    shard = _scored(root, corpus) / "scores-00000.jsonl"
+    rec = json.loads(shard.read_text(encoding="utf-8"))
+    rec.update(id="injected", hks=9.0)
+    with shard.open("a", encoding="utf-8") as f:
+        f.write(json.dumps(rec) + "\n")
+    return _select_argv(root), shard, 2
+
+
+def _edited_score_record(root, corpus):
+    shard = _scored(root, corpus) / "scores-00000.jsonl"
+    data = shard.read_bytes()
+    edited = data.replace(b'"n_p":9', b'"n_p":8', 1)
+    assert edited != data and len(edited) == len(data)
+    shard.write_bytes(edited)
+    return _select_argv(root), shard, 2
+
+
+def _missing_manifest(root, corpus):
+    scores = _scored(root, corpus)
+    (scores / "manifest.json").unlink()
+    return _select_argv(root), scores, 2
+
+
+def _malformed_shard_in_manifest(root, corpus):
+    # The manifest vouches for the malformed shard, so the line parse
+    # is what fails.
+    scores = _scored(root, corpus)
+    shard = scores / "scores-00000.jsonl"
+    shard.write_bytes(shard.read_bytes()[:-20])
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][0]["sha256"] = file_sha256(shard)
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    return _select_argv(root), f"{shard}:1", 2
 
 
 def _malformed_manifest(root, corpus):
@@ -123,16 +174,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         _bad_utf8_corpus_strict, _truncated_gzip_corpus, _not_gzip_corpus,
-        _bad_utf8_pool, _truncated_score_line,
+        _crc_flipped_gzip_corpus, _bad_utf8_pool, _truncated_score_line,
+        _appended_score_record, _edited_score_record, _missing_manifest,
+        _malformed_shard_in_manifest,
         _malformed_manifest, _missing_pairs, _missing_ext,
         _score_out_under_file, _pool_stats_out_under_file,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_bad_file_exit_code_names_file(self, workspace, capsys, case):
+        root, _ = workspace
         argv, named, code = case(*workspace)
         capsys.readouterr()
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("hks: error: ") and str(named) in err
+        # A failed run leaves no output shard and no temp file behind.
+        assert list(root.glob("s/scores-*")) == []
+        assert list(root.rglob("*.tmp")) == []
+        assert not (root / "sel" / "selected.jsonl").exists()
 
     def test_strict_failure_mid_shard_leaves_no_temp(self, workspace):
         root, _ = workspace
@@ -289,6 +347,24 @@ class TestWalkthrough:
         assert run_score(root, corpus, "--workers", "2") == 0
         stats = json.loads((root / "scores" / "run_stats.json").read_text())
         assert stats["workers"] == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_undecodable_bytes_counted(self, workspace, workers):
+        root, _ = workspace
+        shards = root / "latin1"
+        shards.mkdir()
+        (shards / "a.jsonl").write_bytes(b'{"id": "x", "text": "caf\xe9 jazz"}\n')
+        (shards / "b.jsonl").write_text(json.dumps(DOC_A) + "\n",
+                                        encoding="utf-8")
+        argv = ["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                str(shards / "*.jsonl"), "--workers", workers]
+        assert main([*argv, "--out", str(root / "s")]) == 0
+        stats = json.loads((root / "s" / "run_stats.json").read_text())
+        assert (stats["replaced_sequences"], stats["skipped_malformed"],
+                stats["docs_scored"]) == (1, 0, 2)
+        manifest = (root / "s" / "manifest.json").read_text()
+        assert "replaced" not in manifest
+        assert main([*argv, "--out", str(root / "s2"), "--strict"]) == 2
 
     def test_no_boundary_and_no_domains_flags(self, workspace):
         root, corpus = workspace

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hks import (DataError, SelectionSpec, StratumExhaustedError,
                  gumbel_topk_sample, mix, select, threshold_split, top_k)
 
-from helpers import make_record, softmax
+from helpers import (make_record, oracle_mix, oracle_sample, oracle_split,
+                     oracle_topk, softmax)
 
 
 def records_from(scores, n_p=None):
@@ -357,3 +360,78 @@ class TestDispatch:
             SelectionSpec(budget=-1)
         with pytest.raises(DataError):
             SelectionSpec(alpha=1.2)
+
+
+# Ids mix ASCII, accented and CJK text, so UTF-8 key bytes and code-point
+# id order both matter; scores come from a small set, so ties are common.
+_rows = st.lists(
+    st.tuples(st.text("aZé数据の-1", min_size=1, max_size=4),
+              st.integers(1, 40),
+              st.sampled_from([0.0, 0.1, 0.5, 0.5000000000000001, 1.0, 3.0])),
+    max_size=25, unique_by=lambda row: row[0])
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_rows, budget=st.integers(0, 500), by_docs=st.booleans(),
+           seed=st.integers(0, 2**64 - 1), tau=st.sampled_from([0.5, 2.0]),
+           normalize=st.booleans(), alpha=st.sampled_from([0.0, 0.3, 1.0]),
+           mix_budget=st.integers(0, 300))
+    def test_strategies_match_oracle(self, rows, budget, by_docs, seed, tau,
+                                     normalize, alpha, mix_budget):
+        recs = [make_record(*row) for row in rows]
+        spec = SelectionSpec(budget=budget, by_docs=by_docs, seed=seed,
+                             tau=tau, normalize=normalize)
+        res = top_k(recs, spec)
+        assert ((res.selected_ids, res.total_tokens, res.threshold)
+                == oracle_topk(rows, budget, by_docs))
+        res = gumbel_topk_sample(recs, spec)
+        assert ((res.selected_ids, res.total_tokens, res.threshold)
+                == oracle_sample(rows, budget, by_docs, tau, seed, normalize))
+
+        high, low, threshold = threshold_split(recs, budget)
+        high_ids, low_ids, expect_threshold = oracle_split(rows, budget)
+        assert ([r.doc_id for r in high], [r.doc_id for r in low],
+                threshold) == (high_ids, low_ids, expect_threshold)
+
+        by_id = {row[0]: row for row in rows}
+        expect = oracle_mix([by_id[i] for i in high_ids],
+                            [by_id[i] for i in low_ids], alpha, mix_budget,
+                            seed)
+        if expect is None:
+            with pytest.raises(StratumExhaustedError):
+                mix(high, low, alpha, mix_budget, seed)
+        else:
+            res = mix(high, low, alpha, mix_budget, seed)
+            ids, high_tokens, low_tokens = expect
+            assert res.selected_ids == ids
+            assert res.total_tokens == high_tokens + low_tokens
+
+
+# Expected picks written out, so the code and the oracle cannot drift
+# together.
+PINNED_ROWS = [("数据-1", 40, 0.9), ("café", 25, 0.5), ("doc-03", 60, 0.5),
+               ("ñandú", 10, 0.0), ("学习の理", 35, 1.2), ("Zeta", 15, 0.75),
+               ("élan", 50, 0.1), ("b", 20, 0.5), ("α-beta", 30, 0.3),
+               ("x9", 45, 0.0)]
+
+
+@pytest.mark.parametrize("seed, sample_ids, mix_ids", [
+    (1, ["élan", "b", "数据-1", "Zeta"],
+     ["b", "学习の理", "doc-03", "ñandú", "α-beta", "élan"]),
+    (2, ["café", "学习の理", "b", "Zeta"],
+     ["Zeta", "café", "b", "élan", "ñandú"]),
+])
+def test_pinned_sample_and_mix_ids(seed, sample_ids, mix_ids):
+    recs = [make_record(*row) for row in PINNED_ROWS]
+    sample = select(recs, SelectionSpec(strategy="sample", budget=4,
+                                        by_docs=True, seed=seed))
+    assert sample.selected_ids == sample_ids
+    assert oracle_sample(PINNED_ROWS, 4, True, 2.0, seed, True)[0] == sample_ids
+    mixed = select(recs, SelectionSpec(strategy="mix", budget=120, alpha=0.5,
+                                       split_budget=150, seed=seed))
+    assert mixed.selected_ids == mix_ids
+    high, low, _ = oracle_split(PINNED_ROWS, 150)
+    by_id = {row[0]: row for row in PINNED_ROWS}
+    assert oracle_mix([by_id[i] for i in high], [by_id[i] for i in low],
+                      0.5, 120, seed)[0] == mix_ids
