@@ -2,7 +2,9 @@
 names its file: an unreadable or unwritable path is a ResourceError,
 input that does not decode a DataError. An OSError raised in a `with`
 body is claimed by the innermost `reading` or `writing` around it, except
-a failed gzip CRC or length check, which is always the reader's."""
+a failed gzip CRC or length check, which is always the reader's. Score
+shards are read back through `verified_lines`, which checks each one's
+sha256 against the manifest as it streams the shard."""
 
 from __future__ import annotations
 
@@ -91,3 +93,67 @@ def file_sha256(path: str | Path) -> str:
     except OSError as exc:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
     return h.hexdigest()
+
+
+def _binary_lines(path: str | Path) -> Iterator[bytes]:
+    """The lines of the file at `path`, split on b"\\n" only."""
+    try:
+        with open(path, "rb") as f:
+            yield from f
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
+
+
+def line_digest(path: str | Path) -> tuple[str, int]:
+    """The sha256 and line count of the file at `path`, from one pass."""
+    h = hashlib.sha256()
+    count = 0
+    for raw in _binary_lines(path):
+        h.update(raw)
+        count += 1
+    return h.hexdigest(), count
+
+
+@contextlib.contextmanager
+def verified_lines(path: str | Path, sha256: str) -> Iterator[Iterator[str]]:
+    """Yield an iterator over the lines of the score shard at `path`:
+    split on b"\\n" only (never on U+2028 or U+0085, which score lines
+    hold raw), terminators removed, each decoded as strict UTF-8. A
+    running sha256 takes in every byte read, and when the body ends the
+    rest of the shard is hashed too. A digest other than `sha256` is a
+    DataError naming the shard; it replaces a DataError raised by the
+    body or by a line that does not decode, since a shard changed after
+    scoring is the cause of both."""
+    h = hashlib.sha256()
+
+    def lines() -> Iterator[str]:
+        for line_no, raw in enumerate(raws, start=1):
+            h.update(raw)
+            try:
+                line = raw.rstrip(b"\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: cannot decode "
+                                f"({exc})") from exc
+            yield line
+
+    def changed() -> DataError | None:
+        for raw in raws:
+            h.update(raw)
+        digest = h.hexdigest()
+        if digest == sha256:
+            return None
+        return DataError(f"{path}: sha256 {digest} differs from the "
+                         f"manifest's {sha256}; the shard changed after "
+                         f"scoring")
+
+    with contextlib.closing(_binary_lines(path)) as raws:
+        try:
+            yield lines()
+        except DataError as exc:
+            error = changed()
+            if error is None:
+                raise
+            raise error from exc
+        error = changed()
+        if error is not None:
+            raise error

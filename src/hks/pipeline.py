@@ -28,7 +28,7 @@ from typing import Sequence
 from .analysis import (PreferencePair, bucket_distribution, correlation_json,
                        correlation_matrix, function_search, function_search_csv)
 from .errors import DataError
-from .files import file_sha256, reading, writing
+from .files import file_sha256, line_digest, reading, verified_lines, writing
 from .matcher import Automaton, Document, MatcherConfig, annotate, build_automaton
 from .metrics import ScoreRecord, score_record
 from .pool import KnowledgePool, PoolOptions, load_pool
@@ -101,7 +101,8 @@ _G_POOL: KnowledgePool | None = None
 _G_CONFIG: RunConfig | None = None
 
 
-def _parse_doc(obj, shard: str, line_no: int, seen_ids: set) -> Document:
+def _parse_doc(line: str, shard: str, line_no: int, seen_ids: set) -> Document:
+    obj = json.loads(line)
     if not isinstance(obj, dict):
         raise DataError(f"{shard}:{line_no}: document is not an object")
     doc_id = obj.get("id")
@@ -116,6 +117,14 @@ def _parse_doc(obj, shard: str, line_no: int, seen_ids: set) -> Document:
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise DataError(f"{shard}:{line_no}: 'meta' is not an object")
+    # json.loads turns a \udXXX escape outside a surrogate pair into a
+    # lone surrogate, which UTF-8 cannot encode; only such lines pay.
+    if "\\ud" in line or "\\uD" in line:
+        try:
+            json.dumps([doc_id, text, meta], ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{shard}:{line_no}: unpaired surrogate "
+                            f"escape ({exc.reason})") from exc
     return Document(id=doc_id, text=text, meta=meta)
 
 
@@ -135,7 +144,7 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
                     continue
                 outcome.read += 1
                 try:
-                    doc = _parse_doc(json.loads(line), in_path, line_no, seen_ids)
+                    doc = _parse_doc(line, in_path, line_no, seen_ids)
                 except (json.JSONDecodeError, DataError) as exc:
                     if config.strict:
                         if isinstance(exc, DataError):
@@ -160,9 +169,7 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
                 dest.write(rec.to_json() + "\n")
             outcome.replaced = fh.replaced
     # Fresh and resumed shards alike are described by the file on disk.
-    outcome.sha256 = file_sha256(out)
-    with reading(out) as fh:
-        outcome.records = sum(1 for _ in fh)
+    outcome.sha256, outcome.records = line_digest(out)
     return outcome
 
 
@@ -302,34 +309,32 @@ def run_score(config: RunConfig) -> dict:
     return manifest
 
 
-def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
-    """Every record of a scoring run's output directory.
-
-    Reads the shards its manifest lists, each only after its sha256
-    matches the manifest's. A missing manifest, a shard that changed
-    since scoring, a record count other than the manifest's, a line that
-    is not a score record, a document id seen twice (in one shard or
-    across two) and a run with no records are each a DataError naming
-    the directory or the shard files involved.
-    """
-    scores_dir = Path(scores_dir)
+def _listed_shards(scores_dir: Path) -> list[tuple[Path, dict]]:
+    """The path and manifest entry of every shard a score run lists."""
     manifest = _read_manifest(scores_dir)
     if manifest is None:
         raise DataError(f"{scores_dir}: no {MANIFEST_NAME}; phase two reads "
                         f"only the output directory of an `hks score` run")
-    _, shards = manifest
+    return [(scores_dir / shard["output"], shard) for shard in manifest[1]]
+
+
+def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
+    """Every record of a scoring run's output directory.
+
+    Reads the shards its manifest lists, checking each one's sha256
+    against the manifest's as it reads it. A missing manifest, a shard
+    that changed since scoring, a record count other than the
+    manifest's, a line that is not a score record, a document id seen
+    twice (in one shard or across two) and a run with no records are
+    each a DataError naming the directory or the shard files involved.
+    """
+    scores_dir = Path(scores_dir)
     records: list[ScoreRecord] = []
     shard_of: dict[str, Path] = {}
-    for shard in shards:
-        path = scores_dir / shard["output"]
-        digest = file_sha256(path)
-        if digest != shard["sha256"]:
-            raise DataError(f"{path}: sha256 {digest} differs from the "
-                            f"manifest's {shard['sha256']}; the shard "
-                            f"changed after scoring")
+    for path, shard in _listed_shards(scores_dir):
         first = len(records)
-        with reading(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
+        with verified_lines(path, shard["sha256"]) as lines:
+            for line_no, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -343,9 +348,10 @@ def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
                                     f"in {shard_of[rec.doc_id]} and {path}")
                 shard_of[rec.doc_id] = path
                 records.append(rec)
-        if len(records) - first != shard["records"]:
-            raise DataError(f"{path}: holds {len(records) - first} records, "
-                            f"the manifest lists {shard['records']}")
+            if len(records) - first != shard["records"]:
+                raise DataError(f"{path}: holds {len(records) - first} "
+                                f"records, the manifest lists "
+                                f"{shard['records']}")
     if not records:
         raise DataError(f"score run under {scores_dir} holds zero records")
     return records
@@ -402,15 +408,34 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
 
 def run_split(scores_dir: str, token_budget: int, out_dir: str,
               score_field: str = "hks") -> dict:
-    """Threshold-split a scored run into high.jsonl / low.jsonl."""
+    """Threshold-split a scored run into high.jsonl / low.jsonl.
+
+    The records are parsed once to find the threshold; a second pass
+    then copies each record's score line verbatim to its part, checking
+    every shard's sha256 again as it streams.
+    """
     from .selection import threshold_split
     records = load_score_records(scores_dir)
     high, low, threshold = threshold_split(records, token_budget, score_field)
+    high_ids = {r.doc_id for r in high}
     out = Path(out_dir)
-    for name, part in (("high.jsonl", high), ("low.jsonl", low)):
-        with writing(out / name) as dest:
-            for r in part:
-                dest.write(r.to_json() + "\n")
+    position = 0
+    with writing(out / "high.jsonl") as high_dest, \
+            writing(out / "low.jsonl") as low_dest:
+        for path, shard in _listed_shards(Path(scores_dir)):
+            with verified_lines(path, shard["sha256"]) as lines:
+                for line in lines:
+                    if not line.strip():
+                        continue
+                    if position == len(records):
+                        raise DataError(f"{path}: holds more records than "
+                                        f"the first pass read")
+                    in_high = records[position].doc_id in high_ids
+                    (high_dest if in_high else low_dest).write(line + "\n")
+                    position += 1
+        if position != len(records):
+            raise DataError(f"{scores_dir}: holds {position} records, the "
+                            f"first pass read {len(records)}")
     summary = {
         "score_field": score_field,
         "token_budget": token_budget,

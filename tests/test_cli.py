@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import hks.selection
 from hks.cli import main
 from hks.files import file_sha256
 
@@ -153,6 +154,14 @@ def _pool_stats_out_under_file(root, corpus):
              "--out", str(blocker / "stats.json")], blocker, 3)
 
 
+# One document per field holding a \udXXX escape outside a surrogate pair.
+LONE_SURROGATE_DOCS = {
+    "id": {"id": "sur\ud800", "text": "jazz"},
+    "text": {"id": "t", "text": "\ud800 jazz"},
+    "meta": {"id": "m", "text": "jazz", "meta": {"k": "\udfff"}},
+}
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
@@ -200,6 +209,55 @@ class TestExitCodes:
         assert main(["score", "--pool", str(root / "pool.tsv"), "--corpus",
                      str(shard), "--out", str(root / "s"), "--strict"]) == 2
         assert list((root / "s").glob("scores-*")) == []
+
+    def test_shard_rewritten_between_split_passes(self, workspace, capsys,
+                                                   monkeypatch):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        shard = scores / "scores-00001.jsonl"
+        real = hks.selection.threshold_split
+
+        def rewrite_then_split(*args):
+            data = shard.read_bytes()
+            shard.write_bytes(data.replace(b'"doc-b"', b'"doc-z"'))
+            return real(*args)
+
+        monkeypatch.setattr(hks.selection, "threshold_split",
+                            rewrite_then_split)
+        capsys.readouterr()
+        assert main(["split", "--scores", str(scores), "--out",
+                     str(root / "split"), "--budget-tokens", "6"]) == 2
+        err = capsys.readouterr().err
+        assert f"{shard}: sha256" in err
+        for left in ("high.jsonl", "low.jsonl", "split.json", "*.tmp"):
+            assert list(root.rglob(left)) == []
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("field", sorted(LONE_SURROGATE_DOCS))
+    def test_lone_surrogate_escape_is_malformed(self, workspace, capsys,
+                                                field, strict):
+        root, _ = workspace
+        shard = root / "sur" / "shard.jsonl"
+        shard.parent.mkdir()
+        pair = {"id": "pair\U0001F600", "text": "jazz \U0001F600"}
+        shard.write_text(json.dumps(pair) + "\n"
+                         + json.dumps(LONE_SURROGATE_DOCS[field]) + "\n",
+                         encoding="utf-8")
+        argv = ["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                str(shard), "--out", str(root / "s")]
+        capsys.readouterr()
+        if strict:
+            assert main([*argv, "--strict"]) == 2
+            assert f"{shard}:2: unpaired surrogate" in capsys.readouterr().err
+            assert list(root.glob("s/scores-*")) == []
+            assert list(root.rglob("*.tmp")) == []
+            return
+        assert main(argv) == 0
+        stats = json.loads((root / "s" / "run_stats.json").read_text())
+        assert (stats["skipped_malformed"], stats["docs_scored"]) == (1, 1)
+        (line,) = (root / "s" / "scores-00000.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert json.loads(line)["id"] == "pair\U0001F600"
 
     def test_resume_with_changed_flags_is_data_error(self, workspace):
         root, corpus = workspace

@@ -12,6 +12,7 @@ from hks import DataError, SelectionSpec
 from hks.pipeline import (RunConfig, config_hash, file_sha256,
                           load_score_records, run_corr, run_fsearch, run_hist,
                           run_score, run_select, run_split)
+from hks.selection import threshold_split
 
 POOL_TSV = """\
 machine learning\tscience
@@ -29,6 +30,19 @@ DOC_B = {"id": "doc-b",
          "text": "Jazz, meditation, and the social contract.",
          "meta": {"subset": "web"}}
 DOC_C = {"id": "doc-c", "text": "Nothing relevant here at all."}
+
+# Ids and meta holding U+2028 and U+0085, which str.splitlines() splits
+# on and `hks score` writes raw, beside accented and CJK text.
+UNICODE_DOCS = [
+    {"id": "line\u2028sep", "text": "Machine learning and jazz.",
+     "meta": {"subset": "a\u0085b"}},
+    {"id": "café", "text": "Graph theory, graph theory and meditation.",
+     "meta": {"note": "東京\u2028"}},
+    {"id": "東京-\u0085", "text": "The social contract is jazz."},
+    {"id": "plain", "text": "Nothing matches here."},
+    {"id": "ünï\u2029", "text": "machine learning machine learning",
+     "meta": {"k": "é\u2028\u0085"}},
+]
 
 A_HKS = (3 / 9) * math.log1p(2 / 5)
 B_HKS = (3 / 6) * math.log1p(3 / 5)
@@ -309,6 +323,39 @@ class TestDownstream:
         low = [json.loads(s) for s in
                (root / "split" / "low.jsonl").read_text().splitlines()]
         assert [l["id"] for l in low] == ["doc-a", "doc-c"]
+
+    @pytest.mark.parametrize("share", [0, 0.3, 1])
+    def test_split_copies_score_lines(self, tmp_path, share):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
+        corpus = write_corpus(tmp_path, [UNICODE_DOCS[:3], UNICODE_DOCS[3:]])
+        out = tmp_path / "out"
+        run_score(RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                            corpus=corpus, out_dir=str(out)))
+        shards = "".join(p.read_text(encoding="utf-8")
+                         for p in sorted(out.glob("scores-*.jsonl")))
+        assert "\u2028" in shards and "\u0085" in shards
+        records = load_score_records(out)
+        budget = int(share * sum(r.n_p for r in records))
+        high, low, threshold = threshold_split(records, budget)
+        assert run_split(str(out), budget, str(tmp_path / "split"))[
+            "threshold"] == threshold
+        for name, part in (("high.jsonl", high), ("low.jsonl", low)):
+            expected = "".join(r.to_json() + "\n" for r in part)
+            assert (tmp_path / "split" / name).read_bytes() == \
+                expected.encode("utf-8")
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data[:-20],  # the last line no longer parses
+        lambda data: data.replace(b"doc-a", b"doc-\xff"),  # nor decodes
+        lambda data: data + data.replace(b"doc-a", b"doc-z"),  # one too many
+        lambda data: data + data.replace(b"doc-a", b"doc-b"),  # duplicate id
+    ], ids=["parse", "decode", "count", "duplicate"])
+    def test_changed_shard_is_named_as_changed(self, scored, edit):
+        _, config = scored
+        shard = Path(config.out_dir) / "scores-00000.jsonl"
+        shard.write_bytes(edit(shard.read_bytes()))
+        with pytest.raises(DataError, match=f"{shard}: sha256 .* differs"):
+            load_score_records(config.out_dir)
 
     def test_hist(self, scored):
         root, config = scored
