@@ -14,9 +14,9 @@ from .errors import (DataError, DegenerateDocumentError, EmptyPoolError,
                      UsageError)
 from .matcher import (Document, KnowledgeProfile, MatcherConfig, annotate,
                       build_automaton)
-from .metrics import (ScoreFunction, ScoreRecord, all_score_functions,
-                      coverage, density, domain_score, eval_score_function,
-                      hks_score, score_record)
+from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
+                      all_score_functions, coverage, density, domain_score,
+                      eval_score_function, hks_score, score_record)
 from .pool import DOMAINS, KnowledgeElement, KnowledgePool, load_pool
 from .selection import (SelectionSpec, gumbel_topk_sample, mix, select,
                         threshold_split, top_k)
@@ -28,11 +28,11 @@ __all__ = [
     "DOMAINS", "DataError", "DegenerateDocumentError", "Document",
     "EmptyPoolError", "HksError", "KnowledgeElement", "KnowledgePool",
     "KnowledgeProfile", "MatcherConfig", "PreferencePair", "ResourceError",
-    "ScoreFunction", "ScoreRecord", "SelectionSpec", "StratumExhaustedError",
-    "UsageError", "all_score_functions", "annotate", "bucket_distribution",
-    "build_automaton", "correlation_matrix", "coverage", "density",
-    "domain_score", "eval_score_function", "function_search",
-    "gumbel_topk_sample", "hks_score", "load_pool", "mix", "normalize",
-    "pairwise_function_correlation", "score_record", "select", "spearman",
-    "threshold_split", "top_k",
+    "ScoreFunction", "ScoreRecord", "ScoreTable", "SelectionSpec",
+    "StratumExhaustedError", "UsageError", "all_score_functions", "annotate",
+    "bucket_distribution", "build_automaton", "correlation_matrix",
+    "coverage", "density", "domain_score", "eval_score_function",
+    "function_search", "gumbel_topk_sample", "hks_score", "load_pool", "mix",
+    "normalize", "pairwise_function_correlation", "score_record", "select",
+    "spearman", "threshold_split", "top_k",
 ]

@@ -8,6 +8,7 @@ pairwise preference labels.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import logging
@@ -18,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .metrics import ScoreFunction, ScoreRecord, all_score_functions, eval_score_function
+from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
+                      all_score_functions, eval_score_function)
 
 log = logging.getLogger(__name__)
 
@@ -39,49 +41,57 @@ class BucketHistogram:
     counts: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        """Long-form CSV: group,bucket,lo,hi,count with groups sorted."""
+        """Long-form CSV: group,bucket,lo,hi,count with groups sorted,
+        quoted only where a field needs it."""
         buf = io.StringIO()
-        buf.write("group,bucket,lo,hi,count\n")
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(("group", "bucket", "lo", "hi", "count"))
         for group in sorted(self.counts):
             vec = self.counts[group]
             for b, count in enumerate(vec):
                 # Plain-float repr; numpy scalars stringify as np.float64(x).
-                buf.write(f"{group},{b},{float(self.edges[b])!r},"
-                          f"{float(self.edges[b + 1])!r},{int(count)}\n")
+                out.writerow((group, b, repr(float(self.edges[b])),
+                              repr(float(self.edges[b + 1])), int(count)))
         return buf.getvalue()
 
 
-def bucket_distribution(records: Sequence[ScoreRecord], metric: str,
-                        group_by: str, n_buckets: int) -> BucketHistogram:
+def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
+                        metric: str, group_by: str,
+                        n_buckets: int) -> BucketHistogram:
     """Histogram one metric per group over shared global edges.
 
     Edges are equal-width between the observed global min and max
     (widened by 0.5 either side when all values coincide, so edges stay
     strictly increasing). Records without the group key go to group
-    "unknown" with a warning.
+    "unknown" with a warning. A group value that is not a string is
+    labelled by its compact JSON text (true, ["x","y"]).
     """
     if n_buckets < 1:
         raise DataError(f"need at least 1 bucket, got {n_buckets}")
     if metric not in BUCKET_METRICS:
         raise DataError(f"unknown metric {metric!r}; expected one of "
                         f"{BUCKET_METRICS}")
-    if not records:
+    table = ScoreTable.from_records(records)
+    if not len(table):
         raise DataError("cannot bucket an empty record set")
 
+    scores = table.column(metric)
     values: dict[str, list[float]] = {}
     missing = 0
-    for rec in records:
-        group = (rec.meta or {}).get(group_by)
+    for meta, score in zip(table.meta, scores):
+        group = (meta or {}).get(group_by)
         if group is None:
             missing += 1
             group = "unknown"
-        values.setdefault(str(group), []).append(rec.score(metric))
+        elif not isinstance(group, str):
+            group = json.dumps(group, sort_keys=True, ensure_ascii=False,
+                               separators=(",", ":"))
+        values.setdefault(group, []).append(score)
     if missing:
         log.warning("%d records missing group key %r; routed to 'unknown'",
                     missing, group_by)
 
-    flat = [v for vec in values.values() for v in vec]
-    vmin, vmax = min(flat), max(flat)
+    vmin, vmax = min(scores), max(scores)
     if vmin == vmax:
         vmin, vmax = vmin - 0.5, vmax + 0.5
     edges = np.linspace(vmin, vmax, n_buckets + 1)

@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .errors import DataError, DegenerateDocumentError, EmptyPoolError
 from .matcher import KnowledgeProfile
@@ -129,23 +130,6 @@ class ScoreRecord:
     domains: dict[str, dict] = field(default_factory=dict)
     meta: dict | None = None
 
-    def score(self, score_field: str) -> float:
-        """The score column named by `score_field`: one of d, c, hks,
-        or a domain name (that domain's composite score)."""
-        if score_field == "hks":
-            return self.hks
-        if score_field == "d":
-            return self.d
-        if score_field == "c":
-            return self.c
-        if score_field in self.domains:
-            return self.domains[score_field]["score"]
-        available = ["hks", "d", "c", *sorted(self.domains)]
-        raise DataError(
-            f"record {self.doc_id!r} has no score field {score_field!r}; "
-            f"available: {', '.join(available)}"
-        )
-
     def to_json(self) -> str:
         obj = {
             "id": self.doc_id,
@@ -215,3 +199,171 @@ def score_record(profile: KnowledgeProfile, pool: KnowledgePool,
         domains=domains,
         meta=meta,
     )
+
+
+_RECORD_SCORES = ("d", "c", "hks")
+
+
+def _ids_ok(values: list) -> bool:
+    return set(map(type, values)) <= {str} and "" not in values
+
+
+def _counts_ok(values: list) -> bool:
+    return set(map(type, values)) <= {int} and min(values, default=1) >= 1
+
+
+def _scores_ok(values: list) -> bool:
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and all(map(math.isfinite, values)))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _metas_ok(values: list) -> bool:
+    return set(map(type, values)) <= {dict, type(None)}
+
+
+@dataclass
+class ScoreTable:
+    """Phase two's view of scored documents: one list per column, row i
+    holding the i-th record.
+
+    scores maps each score field (d, c, hks and every domain name) to
+    its column, each value kept exactly as `json.loads` returned it. A
+    None marks a row without that domain, which only `from_records` can
+    produce: a parsed table has the same domains on every row.
+    """
+
+    ids: list[str] = field(default_factory=list)
+    n_p: list[int] = field(default_factory=list)
+    scores: dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in _RECORD_SCORES})
+    meta: list[dict | None] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_records(cls, records: ScoreTable | Sequence[ScoreRecord],
+                     ) -> ScoreTable:
+        """The columns of a sequence of ScoreRecords; a ScoreTable is
+        returned as it is."""
+        if isinstance(records, ScoreTable):
+            return records
+        ids, n_p, d, c, hks, meta = [], [], [], [], [], []
+        domains: set[str] = set()
+        for r in records:
+            ids.append(r.doc_id)
+            n_p.append(r.n_p)
+            d.append(r.d)
+            c.append(r.c)
+            hks.append(r.hks)
+            meta.append(r.meta)
+            if r.domains:
+                domains.update(r.domains)
+        scores = {"d": d, "c": c, "hks": hks}
+        for name in sorted(domains):
+            scores[name] = [r.domains[name]["score"] if name in r.domains
+                            else None for r in records]
+        return cls(ids, n_p, scores, meta)
+
+    def column(self, score_field: str) -> list:
+        """The score column named by `score_field`: d, c, hks or a
+        domain name (that domain's composite score)."""
+        values = self.scores.get(score_field)
+        if values is not None and None not in values:
+            return values
+        if not self.ids:
+            return []
+        row = 0 if values is None else values.index(None)
+        available = ["hks", "d", "c", *sorted(
+            name for name, col in self.scores.items()
+            if name not in _RECORD_SCORES and col[row] is not None)]
+        raise DataError(
+            f"record {self.ids[row]!r} has no score field {score_field!r}; "
+            f"available: {', '.join(available)}"
+        )
+
+    def take(self, rows: Sequence[int]) -> ScoreTable:
+        """The rows at positions `rows`, in that order."""
+        return ScoreTable([self.ids[i] for i in rows],
+                          [self.n_p[i] for i in rows],
+                          {name: [col[i] for i in rows]
+                           for name, col in self.scores.items()},
+                          [self.meta[i] for i in rows])
+
+    def _first_domains(self, names, source, line_no: int) -> list:
+        """Add a column for each domain the table's first row names; on
+        any later row a different domain count is an error."""
+        if len(self.ids) > 1 or set(names) & set(self.scores):
+            raise DataError(f"{source}:{line_no}: domains differ from the "
+                            f"first record's")
+        for name in names:
+            self.scores[name] = []
+        return [(name, self.scores[name].append) for name in names]
+
+    def extend_json(self, lines: Iterable[str], source) -> int:
+        """Append the score record on each non-blank line of `lines`,
+        read from `source`; returns how many were appended.
+
+        Each line is parsed once and its fields go straight to the
+        columns; n_k and n_distinct must be present but are not kept. A
+        line that is not a score record, domains other than the first
+        row's, an id that is not a non-empty string, an n_p that is not
+        an integer >= 1, a score that is not a finite number and a meta
+        that is not an object are each a DataError naming `source` and
+        the line.
+        """
+        first = len(self.ids)
+        line_of: list[int] = []
+        add_id, add_n_p, add_meta = (self.ids.append, self.n_p.append,
+                                     self.meta.append)
+        add_d, add_c, add_hks = (self.scores[name].append
+                                 for name in _RECORD_SCORES)
+        domains = [(name, col.append) for name, col in self.scores.items()
+                   if name not in _RECORD_SCORES]
+        # json.loads without its whitespace scans: the line is stripped.
+        decode = json.JSONDecoder().raw_decode
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = decode(line)
+                if end != len(line):
+                    raise ValueError(f"extra data at column {end + 1}")
+                add_id(obj["id"])
+                add_n_p(obj["n_p"])
+                obj["n_k"], obj["n_distinct"]  # required, not kept
+                add_d(obj["d"])
+                add_c(obj["c"])
+                add_hks(obj["hks"])
+                entries = obj.get("domains", {})
+                if len(entries) != len(domains):
+                    domains = self._first_domains(entries, source, line_no)
+                for name, add in domains:
+                    add(entries[name]["score"])
+                add_meta(obj.get("meta"))
+            except KeyError as exc:
+                raise DataError(f"{source}:{line_no}: not a score record "
+                                f"(missing key {exc})") from exc
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise DataError(f"{source}:{line_no}: not a score record "
+                                f"({exc})") from exc
+            line_of.append(line_no)
+        # Whole columns are checked at once; a failing one is searched
+        # value by value for the line to name.
+        rules = [("id", self.ids, _ids_ok, "a non-empty string"),
+                 ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
+                 *((name if name in _RECORD_SCORES else
+                    f"domains.{name}.score", col, _scores_ok,
+                    "a finite number") for name, col in self.scores.items()),
+                 ("meta", self.meta, _metas_ok, "an object")]
+        for name, column, ok, what in rules:
+            values = column[first:]
+            if not ok(values):
+                row = next(k for k, v in enumerate(values) if not ok([v]))
+                raise DataError(f"{source}:{line_of[row]}: {name!r} is "
+                                f"not {what} ({values[row]!r})")
+        return len(line_of)

@@ -30,7 +30,7 @@ from .analysis import (PreferencePair, bucket_distribution, correlation_json,
 from .errors import DataError
 from .files import file_sha256, line_digest, reading, verified_lines, writing
 from .matcher import Automaton, Document, MatcherConfig, annotate, build_automaton
-from .metrics import ScoreRecord, score_record
+from .metrics import ScoreTable, score_record
 from .pool import KnowledgePool, PoolOptions, load_pool
 from .selection import SelectionSpec, select
 from .textnorm import class_table
@@ -318,43 +318,34 @@ def _listed_shards(scores_dir: Path) -> list[tuple[Path, dict]]:
     return [(scores_dir / shard["output"], shard) for shard in manifest[1]]
 
 
-def load_score_records(scores_dir: str | Path) -> list[ScoreRecord]:
-    """Every record of a scoring run's output directory.
+def load_score_records(scores_dir: str | Path) -> ScoreTable:
+    """Every record of a scoring run's output directory, as columns.
 
     Reads the shards its manifest lists, checking each one's sha256
     against the manifest's as it reads it. A missing manifest, a shard
     that changed since scoring, a record count other than the
-    manifest's, a line that is not a score record, a document id seen
-    twice (in one shard or across two) and a run with no records are
-    each a DataError naming the directory or the shard files involved.
+    manifest's, a line that is not a score record or holds a malformed
+    value (see ScoreTable.extend_json), a document id seen twice (in one
+    shard or across two) and a run with no records are each a DataError
+    naming the directory or the shard files involved.
     """
     scores_dir = Path(scores_dir)
-    records: list[ScoreRecord] = []
+    table = ScoreTable()
     shard_of: dict[str, Path] = {}
     for path, shard in _listed_shards(scores_dir):
-        first = len(records)
         with verified_lines(path, shard["sha256"]) as lines:
-            for line_no, line in enumerate(lines, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = ScoreRecord.from_json(line)
-                except (ValueError, TypeError, DataError) as exc:
-                    raise DataError(f"{path}:{line_no}: not a score record "
-                                    f"({exc})") from exc
-                if rec.doc_id in shard_of:
-                    raise DataError(f"duplicate document id {rec.doc_id!r} "
-                                    f"in {shard_of[rec.doc_id]} and {path}")
-                shard_of[rec.doc_id] = path
-                records.append(rec)
-            if len(records) - first != shard["records"]:
-                raise DataError(f"{path}: holds {len(records) - first} "
-                                f"records, the manifest lists "
-                                f"{shard['records']}")
-    if not records:
+            added = table.extend_json(lines, path)
+            for doc_id in table.ids[len(table) - added:]:
+                if doc_id in shard_of:
+                    raise DataError(f"duplicate document id {doc_id!r} "
+                                    f"in {shard_of[doc_id]} and {path}")
+                shard_of[doc_id] = path
+            if added != shard["records"]:
+                raise DataError(f"{path}: holds {added} records, the "
+                                f"manifest lists {shard['records']}")
+    if not len(table):
         raise DataError(f"score run under {scores_dir} holds zero records")
-    return records
+    return table
 
 
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
@@ -366,16 +357,16 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     document in selection order. With corpus_glob and emit_corpus set,
     the matching source documents are also copied out (corpus order).
     """
-    records = load_score_records(scores_dir)
-    result = select(records, spec)
-    by_id = {r.doc_id: r for r in records}
+    table = load_score_records(scores_dir)
+    result = select(table, spec)
+    row_of = dict(zip(table.ids, range(len(table))))
+    rows = [row_of[doc_id] for doc_id in result.selected_ids]
+    scores = table.column(spec.score_field) if rows else []
     out = Path(out_dir)
     with writing(out / "selected.jsonl") as dest:
-        for doc_id in result.selected_ids:
-            rec = by_id[doc_id]
+        for i in rows:
             dest.write(_canonical_json({
-                "id": doc_id, "n_p": rec.n_p,
-                "score": rec.score(spec.score_field),
+                "id": table.ids[i], "n_p": table.n_p[i], "score": scores[i],
             }) + "\n")
 
     summary = {
@@ -415,11 +406,13 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     every shard's sha256 again as it streams.
     """
     from .selection import threshold_split
-    records = load_score_records(scores_dir)
-    high, low, threshold = threshold_split(records, token_budget, score_field)
-    high_ids = {r.doc_id for r in high}
+    table = load_score_records(scores_dir)
+    high, low, threshold = threshold_split(table, token_budget, score_field)
+    # The high part is every record scoring >= threshold.
+    in_high = ([s >= threshold for s in table.column(score_field)]
+               if threshold is not None else [False] * len(table))
     out = Path(out_dir)
-    position = 0
+    row = 0
     with writing(out / "high.jsonl") as high_dest, \
             writing(out / "low.jsonl") as low_dest:
         for path, shard in _listed_shards(Path(scores_dir)):
@@ -427,23 +420,23 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
                 for line in lines:
                     if not line.strip():
                         continue
-                    if position == len(records):
+                    if row == len(table):
                         raise DataError(f"{path}: holds more records than "
                                         f"the first pass read")
-                    in_high = records[position].doc_id in high_ids
-                    (high_dest if in_high else low_dest).write(line + "\n")
-                    position += 1
-        if position != len(records):
-            raise DataError(f"{scores_dir}: holds {position} records, the "
-                            f"first pass read {len(records)}")
+                    dest = high_dest if in_high[row] else low_dest
+                    dest.write(line + "\n")
+                    row += 1
+        if row != len(table):
+            raise DataError(f"{scores_dir}: holds {row} records, the "
+                            f"first pass read {len(table)}")
     summary = {
         "score_field": score_field,
         "token_budget": token_budget,
         "threshold": threshold,
         "high_records": len(high),
-        "high_tokens": sum(r.n_p for r in high),
+        "high_tokens": sum(high.n_p),
         "low_records": len(low),
-        "low_tokens": sum(r.n_p for r in low),
+        "low_tokens": sum(low.n_p),
     }
     with writing(out / "split.json") as dest:
         dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -452,8 +445,8 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
 
 def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
-    records = load_score_records(scores_dir)
-    hist = bucket_distribution(records, metric, group_by, n_buckets)
+    table = load_score_records(scores_dir)
+    hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
         dest.write(hist.to_csv())
 
@@ -485,24 +478,21 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
     external JSONL. Documents missing any external value are dropped
     from all columns (inner join) with a warning.
     """
-    records = load_score_records(scores_dir)
+    table = load_score_records(scores_dir)
     ext = _load_ext_columns(ext_path) if ext_path else {}
 
-    def ext_value(rec: ScoreRecord, name: str) -> float | None:
-        row = ext.get(rec.doc_id)
-        return None if row is None else row.get(name)
-
-    kept = records
+    kept = table
     ext_names = [c.split(":", 1)[1] for c in columns if c.startswith("ext:")]
     if ext_names:
         if not ext_path:
             raise DataError("ext: columns require an external column file")
-        kept = [r for r in records
-                if all(ext_value(r, n) is not None for n in ext_names)]
-        dropped = len(records) - len(kept)
+        kept = table.take([i for i, doc_id in enumerate(table.ids)
+                           if all(ext.get(doc_id, {}).get(n) is not None
+                                  for n in ext_names)])
+        dropped = len(table) - len(kept)
         if dropped:
             log.warning("%d of %d records lack external columns; dropped "
-                        "from the correlation", dropped, len(records))
+                        "from the correlation", dropped, len(table))
     if len(kept) < 2:
         raise DataError("fewer than 2 records with all requested columns")
 
@@ -510,9 +500,9 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
     for col in columns:
         if col.startswith("ext:"):
             name = col.split(":", 1)[1]
-            data[col] = [ext_value(r, name) for r in kept]
+            data[col] = [ext[doc_id][name] for doc_id in kept.ids]
         else:
-            data[col] = [r.score(col) for r in kept]
+            data[col] = kept.column(col)
     result = correlation_matrix(data)
     with writing(out_path) as dest:
         dest.write(correlation_json(result) + "\n")

@@ -16,15 +16,21 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Union
 
 from .errors import DataError, StratumExhaustedError
-from .metrics import ScoreRecord
+from .metrics import ScoreRecord, ScoreTable
 
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("topk", "sample", "mix")
+_U64 = struct.Struct(">Q").unpack
+
+# Every strategy reads columns; callers holding records are adapted by
+# ScoreTable.from_records.
+Records = Union[ScoreTable, Sequence[ScoreRecord]]
 
 
 @dataclass(frozen=True)
@@ -86,61 +92,64 @@ def _hash_uniforms(doc_ids: Sequence[str], seed: int, *parts: str) -> list[float
     followed by every part and then the id, each UTF-8 encoded and
     preceded by its 8-byte big-endian length; the digest's top 53 bits,
     read big-endian, give u = (bits + 0.5) / 2**53. Everything before
-    the id is joined once per call.
+    the id is hashed once per call, and that hash state copied per id.
     """
-    prefix = seed.to_bytes(8, "big", signed=False)
+    head = hashlib.blake2b(seed.to_bytes(8, "big", signed=False),
+                           digest_size=8)
     for p in parts:
         raw = p.encode("utf-8")
-        prefix += len(raw).to_bytes(8, "big") + raw
+        head.update(len(raw).to_bytes(8, "big") + raw)
     out = []
     for doc_id in doc_ids:
         raw = doc_id.encode("utf-8")
-        digest = hashlib.blake2b(prefix + len(raw).to_bytes(8, "big") + raw,
-                                 digest_size=8).digest()
-        out.append(((int.from_bytes(digest, "big") >> 11) + 0.5) * 2.0**-53)
+        h = head.copy()
+        h.update(len(raw).to_bytes(8, "big") + raw)
+        out.append(((_U64(h.digest())[0] >> 11) + 0.5) * 2.0**-53)
     return out
 
 
-def _rank_take(records: Sequence[ScoreRecord], keys: Sequence[float],
-               budget: float, by_docs: bool) -> tuple[list[int], int]:
-    """Positions of the greedy prefix of records ranked by (key desc,
-    doc_id asc, input position) under a token (or, with by_docs, a
-    document) budget, and the tokens they hold; the crossing document is
-    kept whole rather than truncated."""
-    rank_key = [(-k, r.doc_id) for k, r in zip(keys, records)]
+def _rank_take(table: ScoreTable, keys: Sequence[float], budget: float,
+               by_docs: bool) -> tuple[list[int], int]:
+    """Rows of the greedy prefix of `table` ranked by (key desc, doc_id
+    asc, row) under a token (or, with by_docs, a document) budget, and
+    the tokens they hold; the crossing document is kept whole rather
+    than truncated."""
+    n_p = table.n_p
     taken: list[int] = []
     tokens = 0
-    # A stable sort: positions tied on (key, doc_id) keep input order.
-    for i in sorted(range(len(records)), key=rank_key.__getitem__):
+    # The row closes each sort key, so rows tied on (key, doc_id) keep
+    # input order.
+    for _, _, i in sorted(zip([-k for k in keys], table.ids, range(len(n_p)))):
         if (len(taken) if by_docs else tokens) >= budget:
             break
         taken.append(i)
-        tokens += records[i].n_p
+        tokens += n_p[i]
     return taken, tokens
 
 
-def top_k(records: Sequence[ScoreRecord], spec: SelectionSpec) -> SelectionResult:
+def top_k(records: Records, spec: SelectionSpec) -> SelectionResult:
     """Highest-scoring records under the budget.
 
     Ordering is (score desc, doc_id asc); the id tie-break makes the
     result independent of input order.
     """
-    scores = [r.score(spec.score_field) for r in records]
-    taken, tokens = _rank_take(records, scores, spec.budget, spec.by_docs)
-    if len(taken) == len(records) and records:
-        corpus = len(records) if spec.by_docs else tokens
+    table = ScoreTable.from_records(records)
+    scores = table.column(spec.score_field)
+    taken, tokens = _rank_take(table, scores, spec.budget, spec.by_docs)
+    if len(taken) == len(table) and taken:
+        corpus = len(table) if spec.by_docs else tokens
         if spec.budget > corpus:
             log.warning("budget %d exceeds corpus size %d; selecting all",
                         spec.budget, corpus)
     return SelectionResult(
-        selected_ids=[records[i].doc_id for i in taken],
+        selected_ids=[table.ids[i] for i in taken],
         total_tokens=tokens,
         threshold=scores[taken[-1]] if taken else None,
         seed_used=spec.seed,
     )
 
 
-def gumbel_topk_sample(records: Sequence[ScoreRecord],
+def gumbel_topk_sample(records: Records,
                        spec: SelectionSpec) -> SelectionResult:
     """Softmax sampling without replacement via the Gumbel top-k trick.
 
@@ -150,69 +159,76 @@ def gumbel_topk_sample(records: Sequence[ScoreRecord],
     With normalize on, scores are first min-max rescaled to [0, 1]
     (constant score vectors rescale to all zeros, i.e. uniform).
     """
-    scores = [r.score(spec.score_field) for r in records]
+    table = ScoreTable.from_records(records)
+    scores = table.column(spec.score_field)
     scaled = scores
     if spec.normalize and scores:
         lo, hi = min(scores), max(scores)
         span = hi - lo
-        scaled = [(s - lo) / span if span > 0 else 0.0 for s in scores]
+        scaled = ([(s - lo) / span for s in scores] if span > 0
+                  else [0.0] * len(scores))
     # Standard Gumbel noise -ln(-ln u).
-    uniforms = _hash_uniforms([r.doc_id for r in records], spec.seed)
-    keys = [s / spec.tau - math.log(-math.log(u))
-            for s, u in zip(scaled, uniforms)]
-    taken, tokens = _rank_take(records, keys, spec.budget, spec.by_docs)
+    uniforms = _hash_uniforms(table.ids, spec.seed)
+    ln, tau = math.log, spec.tau
+    keys = [s / tau - ln(-ln(u)) for s, u in zip(scaled, uniforms)]
+    taken, tokens = _rank_take(table, keys, spec.budget, spec.by_docs)
     return SelectionResult(
-        selected_ids=[records[i].doc_id for i in taken],
+        selected_ids=[table.ids[i] for i in taken],
         total_tokens=tokens,
         threshold=min(scores[i] for i in taken) if taken else None,
         seed_used=spec.seed,
     )
 
 
-def threshold_split(records: Sequence[ScoreRecord], token_budget: int,
-                    score_field: str = "hks",
-                    ) -> tuple[list[ScoreRecord], list[ScoreRecord], float | None]:
+def threshold_split(records: Records, token_budget: int,
+                    score_field: str = "hks") -> tuple[Records, Records,
+                                                       float | None]:
     """Split the corpus at the score of the lowest record inside the
     top `token_budget` tokens.
 
     Returns (high, low, threshold) where high holds every record with
     score >= threshold (ties at the threshold all land high) and low is
-    the complement; both preserve input order. Budget 0 puts everything
-    in low with no threshold. An empty low (the threshold is the lowest
-    score) is logged as a warning.
+    the complement; both preserve input order and are ScoreTables when
+    `records` is one, lists of its records otherwise. Budget 0 puts
+    everything in low with no threshold. An empty low (the threshold is
+    the lowest score) is logged as a warning.
     """
-    records = list(records)
+    table = ScoreTable.from_records(records)
     if token_budget < 0:
         raise DataError(f"token budget must be >= 0, got {token_budget}")
-    if not records or token_budget == 0:
-        return [], records, None
-    scores = [r.score(score_field) for r in records]
-    taken, _ = _rank_take(records, scores, token_budget, False)
-    threshold = scores[taken[-1]]
-    high = [r for r, s in zip(records, scores) if s >= threshold]
-    low = [r for r, s in zip(records, scores) if s < threshold]
-    if not low:
-        log.warning("split threshold %r is the corpus's lowest %s score; "
-                    "every record is high and the low stratum is empty",
-                    threshold, score_field)
-    return high, low, threshold
+    high: list[int] = []
+    low: Sequence[int] = range(len(table))
+    threshold = None
+    if len(table) and token_budget > 0:
+        scores = table.column(score_field)
+        taken, _ = _rank_take(table, scores, token_budget, False)
+        threshold = scores[taken[-1]]
+        high = [i for i, s in enumerate(scores) if s >= threshold]
+        low = [i for i, s in enumerate(scores) if s < threshold]
+        if not low:
+            log.warning("split threshold %r is the corpus's lowest %s "
+                        "score; every record is high and the low stratum "
+                        "is empty", threshold, score_field)
+    if table is records:
+        return table.take(high), table.take(low), threshold
+    return [records[i] for i in high], [records[i] for i in low], threshold
 
 
-def _sample_stratum(records: Sequence[ScoreRecord], target: float,
-                    label: str, seed: int) -> tuple[list[str], int]:
+def _sample_stratum(table: ScoreTable, target: float, label: str,
+                    seed: int) -> tuple[list[str], int]:
     """Ids of a uniformly ordered greedy draw of about `target` tokens."""
     if target <= 0:
         return [], 0
-    uniforms = _hash_uniforms([r.doc_id for r in records], seed, label)
+    uniforms = _hash_uniforms(table.ids, seed, label)
     # Key -u ranks by (u asc, doc_id asc).
-    taken, tokens = _rank_take(records, [-u for u in uniforms], target, False)
+    taken, tokens = _rank_take(table, [-u for u in uniforms], target, False)
     if tokens < target:
         raise StratumExhaustedError(label, int(math.ceil(target)), tokens)
-    return [records[i].doc_id for i in taken], tokens
+    return [table.ids[i] for i in taken], tokens
 
 
-def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
-        alpha: float, token_budget: int, seed: int) -> SelectionResult:
+def mix(high: Records, low: Records, alpha: float, token_budget: int,
+        seed: int) -> SelectionResult:
     """Merge uniform samples of alpha*budget high tokens and
     (1-alpha)*budget low tokens.
 
@@ -227,9 +243,10 @@ def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
     if token_budget < 0:
         raise DataError(f"token budget must be >= 0, got {token_budget}")
     high_ids, high_tokens = _sample_stratum(
-        high, alpha * token_budget, "high", seed)
+        ScoreTable.from_records(high), alpha * token_budget, "high", seed)
     low_ids, low_tokens = _sample_stratum(
-        low, (1.0 - alpha) * token_budget, "low", seed)
+        ScoreTable.from_records(low), (1.0 - alpha) * token_budget, "low",
+        seed)
     total = high_tokens + low_tokens
     realized = high_tokens / total if total > 0 else None
     return SelectionResult(
@@ -242,13 +259,14 @@ def mix(high: Sequence[ScoreRecord], low: Sequence[ScoreRecord],
     )
 
 
-def select(records: Sequence[ScoreRecord], spec: SelectionSpec) -> SelectionResult:
+def select(records: Records, spec: SelectionSpec) -> SelectionResult:
     """Dispatch on spec.strategy; mix needs spec.alpha and
     spec.split_budget (tokens defining the high/low threshold)."""
+    table = ScoreTable.from_records(records)
     if spec.strategy == "topk":
-        return top_k(records, spec)
+        return top_k(table, spec)
     if spec.strategy == "sample":
-        return gumbel_topk_sample(records, spec)
+        return gumbel_topk_sample(table, spec)
     if spec.alpha is None:
         raise DataError("mix strategy requires alpha")
     if spec.split_budget is None:
@@ -256,7 +274,7 @@ def select(records: Sequence[ScoreRecord], spec: SelectionSpec) -> SelectionResu
                         "(tokens defining the high/low threshold)")
     if spec.by_docs:
         raise DataError("mix strategy budgets tokens, not documents")
-    high, low, threshold = threshold_split(records, spec.split_budget,
+    high, low, threshold = threshold_split(table, spec.split_budget,
                                            spec.score_field)
     result = mix(high, low, spec.alpha, spec.budget, spec.seed)
     result.threshold = threshold

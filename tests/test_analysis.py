@@ -1,5 +1,6 @@
 """Histograms, rank correlation, and the scoring-function search."""
 
+import csv
 import math
 
 import numpy as np
@@ -129,6 +130,19 @@ class TestBucketDistribution:
             # lo/hi must round-trip as plain floats, not array reprs.
             _, _, lo, hi, _ = line.split(",")
             assert float(hi) > float(lo)
+
+    def test_csv_quotes_groups_and_labels_non_strings_as_json(self):
+        groups = ["web,news", ["x", "y"], True, 'say "hi"', "a"]
+        recs = [make_record(f"d{i}", 10, 0.25 * i, meta={"subset": g})
+                for i, g in enumerate(groups)]
+        text = bucket_distribution(recs, "hks", "subset", 2).to_csv()
+        rows = list(csv.reader(text.splitlines()))
+        assert all(len(row) == 5 for row in rows)
+        assert sorted({row[0] for row in rows[1:]}) == sorted(
+            ["web,news", '["x","y"]', "true", 'say "hi"', "a"])
+        # A plain string group is written bare, as before.
+        assert "\na,1,0.5,1.0,1\n" in text
+        assert '\n"web,news",0,' in text
 
     def test_validation(self):
         with pytest.raises(DataError):

@@ -8,8 +8,8 @@ import pytest
 
 from hks import (DataError, DegenerateDocumentError, Document, EmptyPoolError,
                  KnowledgeElement, KnowledgePool, KnowledgeProfile,
-                 ScoreFunction, ScoreRecord, all_score_functions, annotate,
-                 build_automaton, coverage, density, domain_score,
+                 ScoreFunction, ScoreRecord, ScoreTable, all_score_functions,
+                 annotate, build_automaton, coverage, density, domain_score,
                  eval_score_function, hks_score, score_record)
 
 
@@ -235,14 +235,6 @@ class TestScoreRecord:
         assert set(obj["domains"]) == {"science", "society", "culture",
                                        "art", "life"}
 
-    def test_score_field_dispatch(self):
-        rec = self.rec()
-        assert rec.score("hks") == rec.hks
-        assert rec.score("d") == rec.d
-        assert rec.score("science") == rec.domains["science"]["score"]
-        with pytest.raises(DataError, match="available"):
-            rec.score("ppl")
-
     def test_missing_key_rejected(self):
         with pytest.raises(DataError):
             ScoreRecord.from_json('{"id": "x"}')
@@ -255,3 +247,35 @@ class TestScoreRecord:
         assert rec.domains == {}
         assert rec.meta is None
         assert "meta" not in json.loads(rec.to_json())
+
+
+class TestScoreTable:
+    def test_score_field_dispatch(self):
+        rec = TestScoreRecord().rec()
+        table = ScoreTable.from_records([rec])
+        assert table.column("hks") == [rec.hks]
+        assert table.column("d") == [rec.d]
+        assert table.column("science") == [rec.domains["science"]["score"]]
+        with pytest.raises(DataError, match="available: hks, d, c, art, "
+                                            "culture, life, science"):
+            table.column("ppl")
+
+    def test_missing_domain_names_first_record_lacking_it(self):
+        rec = TestScoreRecord().rec()
+        bare = ScoreRecord(doc_id="bare", n_p=3, n_k=0, n_distinct=0,
+                           d=0.0, c=0.0, hks=0.0)
+        table = ScoreTable.from_records([rec, bare])
+        assert table.column("hks") == [rec.hks, 0.0]
+        with pytest.raises(DataError, match="record 'bare' has no score "
+                                            "field 'art'; available: hks, "
+                                            "d, c$"):
+            table.column("art")
+        assert ScoreTable.from_records([]).column("art") == []
+
+    def test_take_and_identity(self):
+        rec = TestScoreRecord().rec()
+        table = ScoreTable.from_records([rec])
+        assert ScoreTable.from_records(table) is table
+        part = table.take([0, 0])
+        assert part.ids == ["doc-1", "doc-1"] and part.meta == [rec.meta] * 2
+        assert len(table.take([])) == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hks import DataError, SelectionSpec
+from hks import DataError, ScoreRecord, SelectionSpec
 from hks.pipeline import (RunConfig, config_hash, file_sha256,
                           load_score_records, run_corr, run_fsearch, run_hist,
                           run_score, run_select, run_split)
@@ -58,6 +58,14 @@ def write_corpus(root: Path, shards) -> str:
     return str(corpus / "shard-*.jsonl")
 
 
+def scored_records(out_dir) -> list[ScoreRecord]:
+    """The records a scoring run wrote, in shard order; lines are split
+    on "\n" alone, since score lines hold U+2028 and U+0085 raw."""
+    return [ScoreRecord.from_json(line)
+            for path in sorted(Path(out_dir).glob("scores-*.jsonl"))
+            for line in path.read_text(encoding="utf-8").split("\n") if line]
+
+
 def toy_config(root: Path, **kw) -> RunConfig:
     pool_path = root / "pool.tsv"
     if not pool_path.exists():
@@ -81,7 +89,8 @@ class TestScoreRun:
     def test_hand_computed_records(self, tmp_path):
         config = toy_config(tmp_path)
         manifest = run_score(config)
-        records = {r.doc_id: r for r in load_score_records(config.out_dir)}
+        records = {r.doc_id: r
+                   for r in scored_records(config.out_dir)}
         assert set(records) == {"doc-a", "doc-b", "doc-c"}
 
         a = records["doc-a"]
@@ -194,8 +203,8 @@ class TestScoreRun:
                            corpus=str(tmp_path / "*.jsonl.gz"),
                            out_dir=str(tmp_path / "out"))
         run_score(config)
-        (rec,) = load_score_records(config.out_dir)
-        assert rec.doc_id == "doc-a" and rec.hks == A_HKS
+        table = load_score_records(config.out_dir)
+        assert table.ids == ["doc-a"] and table.column("hks") == [A_HKS]
 
     def test_no_matching_corpus(self, tmp_path):
         config = toy_config(tmp_path, corpus=str(tmp_path / "nope-*.jsonl"))
@@ -271,8 +280,8 @@ class TestScoreRun:
                            corpus=corpus, out_dir=str(tmp_path / "out"),
                            boundary=False)
         run_score(config)
-        (rec,) = load_score_records(config.out_dir)
-        assert rec.d == 2.0  # 4 occurrences over 2 tokens
+        assert load_score_records(config.out_dir).column("d") == [2.0]
+        # 4 occurrences over 2 tokens
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert stats["density_gt_1"] == 1
         assert (stats["span_patterns"], stats["substring_patterns"]) == (0, 1)
@@ -334,7 +343,7 @@ class TestDownstream:
         shards = "".join(p.read_text(encoding="utf-8")
                          for p in sorted(out.glob("scores-*.jsonl")))
         assert "\u2028" in shards and "\u0085" in shards
-        records = load_score_records(out)
+        records = scored_records(out)
         budget = int(share * sum(r.n_p for r in records))
         high, low, threshold = threshold_split(records, budget)
         assert run_split(str(out), budget, str(tmp_path / "split"))[
