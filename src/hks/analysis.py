@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .files import canonical_json
 from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
                       all_score_functions, eval_score_function)
 
@@ -84,8 +85,7 @@ def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
             missing += 1
             group = "unknown"
         elif not isinstance(group, str):
-            group = json.dumps(group, sort_keys=True, ensure_ascii=False,
-                               separators=(",", ":"))
+            group = canonical_json(group)
         values.setdefault(group, []).append(score)
     if missing:
         log.warning("%d records missing group key %r; routed to 'unknown'",

@@ -14,10 +14,11 @@ import sys
 
 from .errors import HksError, UsageError
 from .files import writing
-from .pool import DOMAINS, PoolOptions, load_pool, pool_stats
+from .analysis import BUCKET_METRICS
+from .pool import DOMAINS, load_pool, pool_stats
 from .pipeline import (RunConfig, run_corr, run_fsearch, run_hist, run_score,
                        run_select, run_split)
-from .selection import SelectionSpec
+from .selection import STRATEGIES, SelectionSpec
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--scores", required=True,
                           help="directory produced by `hks score`")
     p_select.add_argument("--out", required=True, help="output directory")
-    p_select.add_argument("--strategy", choices=("topk", "sample", "mix"),
+    p_select.add_argument("--strategy", choices=STRATEGIES,
                           default="topk")
     p_select.add_argument("--budget-tokens", type=_count,
                           help="token budget (sum of selected n_p)")
@@ -110,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "rescaled ones")
     p_select.add_argument("--emit-corpus",
                           help="also write the selected source documents here")
-    p_select.add_argument("--corpus",
-                          help="source corpus glob (needed with --emit-corpus)")
 
     p_split = sub.add_parser("split",
                              help="threshold-split a scored run into high/low",
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = an_sub.add_parser("hist", help="per-group score histogram CSV",
                                 parents=[common])
     p_hist.add_argument("--scores", required=True)
-    p_hist.add_argument("--metric", choices=("d", "c", "hks"), required=True)
+    p_hist.add_argument("--metric", choices=BUCKET_METRICS, required=True)
     p_hist.add_argument("--group-by", required=True,
                         help="document meta key to group on")
     p_hist.add_argument("--buckets", type=int, default=50)
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pool_stats(args) -> int:
-    pool = load_pool(args.pool, PoolOptions(strict=args.strict))
+    pool = load_pool(args.pool, strict=args.strict)
     payload = pool_stats(pool).to_json()
     if args.out:
         with writing(args.out) as out:
@@ -211,10 +210,7 @@ def _select_spec(args) -> SelectionSpec:
 
 
 def _cmd_select(args) -> int:
-    if args.emit_corpus and not args.corpus:
-        raise UsageError("--emit-corpus requires --corpus")
     summary = run_select(args.scores, _select_spec(args), args.out,
-                         corpus_glob=args.corpus,
                          emit_corpus=args.emit_corpus)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0

@@ -13,12 +13,17 @@ import contextlib
 import contextvars
 import gzip
 import hashlib
+import json
 import os
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from .errors import DataError, ResourceError
 
+# Sorted keys, raw UTF-8, no spaces: the one canonical form of score
+# records, the manifest, config hashes, selected.jsonl and group labels.
+canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                  separators=(",", ":")).encode
 
 # The lenient stream being read in this context; its `replaced` counts
 # the byte sequences its decoder replaced with U+FFFD.
@@ -84,17 +89,6 @@ def writing(path: str | Path) -> Iterator[TextIO]:
             tmp.unlink()
 
 
-def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()
-
-
 def _binary_lines(path: str | Path) -> Iterator[bytes]:
     """The lines of the file at `path`, split on b"\\n" only."""
     try:
@@ -105,11 +99,20 @@ def _binary_lines(path: str | Path) -> Iterator[bytes]:
 
 
 def line_digest(path: str | Path) -> tuple[str, int]:
-    """The sha256 and line count of the file at `path`, from one pass."""
+    """The sha256 and line count of the file at `path`, read in 1 MiB
+    chunks: its b"\\n" count, plus one for an unterminated last line."""
     h = hashlib.sha256()
     count = 0
-    for raw in _binary_lines(path):
-        h.update(raw)
+    last = b"\n"
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+                count += chunk.count(b"\n")
+                last = chunk
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    if not last.endswith(b"\n"):
         count += 1
     return h.hexdigest(), count
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DataError, DegenerateDocumentError, EmptyPoolError
+from .files import canonical_json
 from .matcher import KnowledgeProfile
 from .pool import DOMAINS, KnowledgePool
 
@@ -144,8 +145,7 @@ class ScoreRecord:
             obj["domains"] = self.domains
         if self.meta is not None:
             obj["meta"] = self.meta
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                          separators=(",", ":"))
+        return canonical_json(obj)
 
     @classmethod
     def from_json(cls, line: str) -> "ScoreRecord":
@@ -212,7 +212,7 @@ def _counts_ok(values: list) -> bool:
     return set(map(type, values)) <= {int} and min(values, default=1) >= 1
 
 
-def _scores_ok(values: list) -> bool:
+def finite_numbers(values: list) -> bool:
     try:
         return (set(map(type, values)) <= {int, float}
                 and all(map(math.isfinite, values)))
@@ -357,7 +357,7 @@ class ScoreTable:
         rules = [("id", self.ids, _ids_ok, "a non-empty string"),
                  ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
                  *((name if name in _RECORD_SCORES else
-                    f"domains.{name}.score", col, _scores_ok,
+                    f"domains.{name}.score", col, finite_numbers,
                     "a finite number") for name, col in self.scores.items()),
                  ("meta", self.meta, _metas_ok, "an object")]
         for name, column, ok, what in rules:

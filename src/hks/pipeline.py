@@ -23,15 +23,16 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .analysis import (PreferencePair, bucket_distribution, correlation_json,
                        correlation_matrix, function_search, function_search_csv)
 from .errors import DataError
-from .files import file_sha256, line_digest, reading, verified_lines, writing
+from .files import (canonical_json, line_digest, reading, verified_lines,
+                    writing)
 from .matcher import Automaton, Document, MatcherConfig, annotate, build_automaton
-from .metrics import ScoreTable, score_record
-from .pool import KnowledgePool, PoolOptions, load_pool
+from .metrics import ScoreTable, finite_numbers, score_record
+from .pool import KnowledgePool, load_pool
 from .selection import SelectionSpec, select
 from .textnorm import class_table
 
@@ -61,11 +62,6 @@ class RunConfig:
         return dict(sorted(asdict(self).items()))
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"))
-
-
 def _identity_config(config: RunConfig) -> dict:
     # Worker count never affects output bytes, so it is not identity.
     return {k: v for k, v in config.canonical().items() if k != "workers"}
@@ -73,7 +69,7 @@ def _identity_config(config: RunConfig) -> dict:
 
 def config_hash(config: RunConfig) -> str:
     payload = _identity_config(config)
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -81,7 +77,6 @@ class ShardOutcome:
     """Per-shard result; `records` and the output bytes are deterministic,
     the skip counters describe this run only."""
 
-    index: int
     input_path: str
     output_name: str
     sha256: str = ""
@@ -128,32 +123,43 @@ def _parse_doc(line: str, shard: str, line_no: int, seen_ids: set) -> Document:
     return Document(id=doc_id, text=text, meta=meta)
 
 
-def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
-    index, in_path, out_path = task
+def _documents(fh: TextIO, in_path: str, strict: bool
+               ) -> Iterator[tuple[int, str, Document | None]]:
+    """(line number, stripped line, document) for each non-blank line of
+    a corpus shard; the document is None for a malformed line or an id
+    repeated in the shard, which strict mode raises on instead."""
+    seen_ids: set[str] = set()
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = _parse_doc(line, in_path, line_no, seen_ids)
+        except (json.JSONDecodeError, DataError) as exc:
+            if strict:
+                if isinstance(exc, DataError):
+                    raise
+                raise DataError(f"{in_path}:{line_no}: invalid JSON "
+                                f"({exc})") from exc
+            log.debug("%s:%d: skipped malformed line (%s)",
+                      in_path, line_no, exc)
+            doc = None
+        yield line_no, line, doc
+
+
+def _score_shard(task: tuple[str, str]) -> ShardOutcome:
+    in_path, out_path = task
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
-    outcome = ShardOutcome(index=index, input_path=in_path,
+    outcome = ShardOutcome(input_path=in_path,
                            output_name=out.name, resumed=out.exists())
-    seen_ids: set[str] = set()
     if not outcome.resumed:
         with reading(in_path, config.strict) as fh, writing(out) as dest:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            for line_no, _, doc in _documents(fh, in_path, config.strict):
                 outcome.read += 1
-                try:
-                    doc = _parse_doc(line, in_path, line_no, seen_ids)
-                except (json.JSONDecodeError, DataError) as exc:
-                    if config.strict:
-                        if isinstance(exc, DataError):
-                            raise
-                        raise DataError(f"{in_path}:{line_no}: invalid JSON "
-                                        f"({exc})") from exc
+                if doc is None:
                     outcome.malformed += 1
-                    log.debug("%s:%d: skipped malformed line (%s)",
-                              in_path, line_no, exc)
                     continue
                 profile = annotate(doc, automaton)
                 if profile.n_p == 0:
@@ -173,16 +179,10 @@ def _score_shard(task: tuple[int, str, str]) -> ShardOutcome:
     return outcome
 
 
-def _resolve_shards(corpus_glob: str) -> list[str]:
-    paths = sorted(glob.glob(corpus_glob, recursive=True))
-    paths = [p for p in paths if os.path.isfile(p)]
-    return paths
-
-
 def _read_manifest(scores_dir: Path) -> tuple[dict, list[dict]] | None:
     """A scoring run's recorded identity ("config_hash", "pool.sha256")
-    and its shard entries ("output", "sha256", "records"), or None when
-    the directory has no manifest."""
+    and its shard entries ("input", "output", "sha256", "records"), or
+    None when the directory has no manifest."""
     path = scores_dir / MANIFEST_NAME
     if not path.exists():
         return None
@@ -191,7 +191,8 @@ def _read_manifest(scores_dir: Path) -> tuple[dict, list[dict]] | None:
             manifest = json.loads(fh.read())
         identity = {"config_hash": manifest["config_hash"],
                     "pool.sha256": manifest["pool"]["sha256"]}
-        shards = [{"output": str(shard["output"]),
+        shards = [{"input": str(shard["input"]),
+                   "output": str(shard["output"]),
                    "sha256": str(shard["sha256"]),
                    "records": int(shard["records"])}
                   for shard in manifest["shards"]]
@@ -213,9 +214,9 @@ def run_score(config: RunConfig) -> dict:
     started = time.monotonic()
     out_dir = Path(config.out_dir)
 
-    pool = load_pool(config.pool_path, PoolOptions(strict=config.strict))
+    pool = load_pool(config.pool_path, strict=config.strict)
     identity = {"config_hash": config_hash(config),
-                "pool.sha256": file_sha256(config.pool_path)}
+                "pool.sha256": line_digest(config.pool_path)[0]}
     pool_loaded = time.monotonic()
     old = _read_manifest(out_dir)
     recorded = old[0] if old else identity
@@ -232,11 +233,12 @@ def run_score(config: RunConfig) -> dict:
     automaton = build_automaton(pool, MatcherConfig(boundary=config.boundary))
     built_at = time.monotonic()
 
-    shards = _resolve_shards(config.corpus)
+    shards = [p for p in sorted(glob.glob(config.corpus, recursive=True))
+              if os.path.isfile(p)]
     if not shards:
         raise DataError(f"no corpus files match {config.corpus!r}")
 
-    tasks = [(i, path, str(out_dir / f"scores-{i:05d}.jsonl"))
+    tasks = [(path, str(out_dir / f"scores-{i:05d}.jsonl"))
              for i, path in enumerate(shards)]
     _G_AUTOMATON, _G_POOL, _G_CONFIG = automaton, pool, config
     workers = min(config.workers, len(tasks))
@@ -249,7 +251,6 @@ def run_score(config: RunConfig) -> dict:
             outcomes = [_score_shard(t) for t in tasks]
     finally:
         _G_AUTOMATON, _G_POOL, _G_CONFIG = None, None, None
-    outcomes.sort(key=lambda o: o.index)
     scored_at = time.monotonic()
     elapsed = scored_at - started
 
@@ -275,7 +276,7 @@ def run_score(config: RunConfig) -> dict:
         ],
     }
     with writing(out_dir / MANIFEST_NAME) as dest:
-        dest.write(_canonical_json(manifest) + "\n")
+        dest.write(canonical_json(manifest) + "\n")
 
     input_bytes = sum(os.path.getsize(p) for p in shards)
     read = sum(o.read for o in outcomes)
@@ -349,13 +350,13 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
 
 
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
-               corpus_glob: str | None = None,
                emit_corpus: str | None = None) -> dict:
     """Select from a scored run; writes selected.jsonl + selection.json.
 
     selected.jsonl has one {"id", "n_p", "score"} line per selected
-    document in selection order. With corpus_glob and emit_corpus set,
-    the matching source documents are also copied out (corpus order).
+    document in selection order. With emit_corpus set, the corpus line
+    `hks score` scored for each selected document is copied there too,
+    in corpus order, from the inputs the manifest lists.
     """
     table = load_score_records(scores_dir)
     result = select(table, spec)
@@ -365,35 +366,32 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     out = Path(out_dir)
     with writing(out / "selected.jsonl") as dest:
         for i in rows:
-            dest.write(_canonical_json({
+            dest.write(canonical_json({
                 "id": table.ids[i], "n_p": table.n_p[i], "score": scores[i],
             }) + "\n")
 
-    summary = {
-        "spec": dict(sorted(asdict(spec).items())),
-        **result.summary(),
-    }
+    summary = {"spec": asdict(spec), **result.summary()}
     with writing(out / "selection.json") as dest:
         dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
     if emit_corpus:
-        if not corpus_glob:
-            raise DataError("emitting the selected corpus requires the "
-                            "source corpus glob")
-        wanted = set(result.selected_ids)
+        # Records are in shard order, so each shard's input is read for
+        # the selected ids its score shard holds.
+        selected, end = set(result.selected_ids), 0
         with writing(emit_corpus) as dest:
-            for shard in _resolve_shards(corpus_glob):
-                with reading(shard, strict=False) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            obj = json.loads(line)
-                        except json.JSONDecodeError:
-                            continue
-                        if isinstance(obj, dict) and obj.get("id") in wanted:
+            for _, shard in _listed_shards(Path(scores_dir)):
+                start, end = end, end + shard["records"]
+                wanted = selected.intersection(table.ids[start:end])
+                in_path = shard["input"]
+                with reading(in_path, strict=False) as fh:
+                    for _, line, doc in _documents(fh, in_path, strict=False):
+                        if doc is not None and doc.id in wanted:
+                            wanted.remove(doc.id)
                             dest.write(line + "\n")
+                if wanted:
+                    raise DataError(f"{in_path}: no longer holds selected "
+                                    f"documents {sorted(wanted)}; it "
+                                    f"changed after scoring")
     return summary
 
 
@@ -451,8 +449,11 @@ def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
         dest.write(hist.to_csv())
 
 
-def _load_ext_columns(path: str) -> dict[str, dict[str, float]]:
-    """External baseline columns: JSONL of {"id": ..., <name>: value}."""
+def _load_ext_columns(path: str,
+                      names: Sequence[str]) -> dict[str, dict[str, float]]:
+    """External baseline columns: JSONL of {"id": ..., <name>: value}.
+    Of the requested `names`, a bool, NaN or ±Infinity value is a
+    DataError and a value that is not a number counts as missing."""
     table: dict[str, dict[str, float]] = {}
     with reading(path, strict=False) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -461,12 +462,18 @@ def _load_ext_columns(path: str) -> dict[str, dict[str, float]]:
                 continue
             try:
                 obj = json.loads(line)
-                table[obj["id"]] = {
-                    k: float(v) for k, v in obj.items()
-                    if k != "id" and isinstance(v, (int, float))}
+                doc_id = obj["id"]
+                table[doc_id] = row = {
+                    name: obj[name] for name in names
+                    if isinstance(obj.get(name), (int, float))}
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{line_no}: bad external column "
                                 f"row ({exc})") from exc
+            for name, value in row.items():
+                if not finite_numbers([value]):
+                    raise DataError(f"{path}:{line_no}: ext:{name} is "
+                                    f"{canonical_json(value)}, not a finite "
+                                    f"number")
     return table
 
 
@@ -479,10 +486,10 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
     from all columns (inner join) with a warning.
     """
     table = load_score_records(scores_dir)
-    ext = _load_ext_columns(ext_path) if ext_path else {}
+    ext_names = [c.split(":", 1)[1] for c in columns if c.startswith("ext:")]
+    ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
 
     kept = table
-    ext_names = [c.split(":", 1)[1] for c in columns if c.startswith("ext:")]
     if ext_names:
         if not ext_path:
             raise DataError("ext: columns require an external column file")

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import DataError, EmptyPoolError
-from .files import reading, writing
+from .files import reading
 from .textnorm import normalize
 
 log = logging.getLogger(__name__)
@@ -44,11 +44,6 @@ class KnowledgeElement:
     surface: str
     domain: str
     source: str = "unknown"
-
-
-@dataclass
-class PoolOptions:
-    strict: bool = False
 
 
 @dataclass
@@ -114,14 +109,13 @@ class KnowledgePool:
 
 
 def load_pool(source: str | Path | TextIO,
-              options: PoolOptions | None = None) -> KnowledgePool:
+              strict: bool = False) -> KnowledgePool:
     """Load a TSV element stream into a deduplicated pool.
 
     Lenient mode (default) counts and logs malformed or unknown-domain
     records and keeps going; strict mode raises on the first one. A pool
     with zero surviving elements is an error either way.
     """
-    options = options or PoolOptions()
     report = PoolLoadReport()
     surfaces: list[str] = []
     domains: list[int] = []
@@ -138,7 +132,7 @@ def load_pool(source: str | Path | TextIO,
             if len(parts) < 2:
                 report.malformed += 1
                 msg = f"pool line {lineno}: expected surface<TAB>domain, got {line!r}"
-                if options.strict:
+                if strict:
                     raise DataError(msg)
                 log.warning(msg)
                 continue
@@ -147,7 +141,7 @@ def load_pool(source: str | Path | TextIO,
             if domain not in _DOMAIN_ID:
                 report.unknown_domain += 1
                 msg = f"pool line {lineno}: unknown domain {domain!r}"
-                if options.strict:
+                if strict:
                     raise DataError(msg)
                 log.warning(msg)
                 continue
@@ -181,13 +175,6 @@ def load_pool(source: str | Path | TextIO,
         )
     return KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
                          np.asarray(sources, dtype=np.uint8), report=report)
-
-
-def dump_pool(pool: KnowledgePool, path: str | Path) -> None:
-    """Write the pool back out as TSV in insertion (first-seen) order."""
-    with writing(path) as out:
-        for el in pool.elements():
-            out.write(f"{el.surface}\t{el.domain}\t{el.source}\n")
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 
 import hks.selection
 from hks.cli import main
-from hks.files import file_sha256
+from hks.files import line_digest
 
 from test_pipeline import DOC_A, DOC_B, DOC_C, POOL_TSV, write_corpus
 
@@ -115,7 +115,7 @@ def _malformed_shard_in_manifest(root, corpus):
     shard = scores / "scores-00000.jsonl"
     shard.write_bytes(shard.read_bytes()[:-20])
     manifest = json.loads((scores / "manifest.json").read_text())
-    manifest["shards"][0]["sha256"] = file_sha256(shard)
+    manifest["shards"][0]["sha256"] = line_digest(shard)[0]
     (scores / "manifest.json").write_text(json.dumps(manifest))
     return _select_argv(root), f"{shard}:1", 2
 
@@ -430,10 +430,17 @@ class TestWalkthrough:
         line = (root / "scores" / "scores-00000.jsonl").read_text().splitlines()[0]
         assert "domains" not in json.loads(line)
 
-    def test_emit_corpus_requires_corpus(self, workspace):
-        root, corpus = workspace
-        assert run_score(root, corpus) == 0
-        assert main(["select", "--scores", str(root / "scores"),
-                     "--out", str(root / "sel"),
-                     "--budget-tokens", "15",
-                     "--emit-corpus", str(root / "picked.jsonl")]) == 1
+    def test_emit_corpus_reads_the_scored_shards(self, workspace,
+                                                  monkeypatch):
+        root, _ = workspace
+        # Inputs are read as `hks score` recorded them, relative to the
+        # directory it ran in.
+        monkeypatch.chdir(root)
+        assert main(["score", "--pool", "pool.tsv", "--corpus",
+                     "shards/*.jsonl", "--out", "scores"]) == 0
+        argv = ["select", "--scores", "scores", "--out", "sel",
+                "--budget-tokens", "15", "--emit-corpus", "picked.jsonl"]
+        assert main([*argv, "--corpus", "shards/*.jsonl"]) == 1
+        assert main(argv) == 0
+        assert (root / "picked.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(doc) + "\n" for doc in (DOC_A, DOC_B))

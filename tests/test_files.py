@@ -110,8 +110,17 @@ def test_missing_shard_is_resource_error(tmp_path):
             list(lines)
 
 
-@pytest.mark.parametrize("data", [b"", b"a\n", b"a\nb",
-                                  "a\u2028b\u0085c\n\n".encode("utf-8")])
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"a\n", b"a\nb", "a\u2028b\u0085c\n\n".encode("utf-8"),
+    # line_digest reads 1 MiB chunks.
+    pytest.param(b"x" * (MIB + 5) + b"\nlast\n", id="boundary-in-line"),
+    pytest.param(b"x" * (MIB - 1) + b"\n\nnext", id="boundary-on-newline"),
+    pytest.param(b"\n" * MIB, id="whole-chunk-of-newlines"),
+    pytest.param(b"a\n" * MIB + b"unterminated", id="unterminated-past-chunk"),
+])
 def test_line_digest(tmp_path, data):
     path, digest = _shard(tmp_path, data)
     assert line_digest(path) == (digest, len(data.splitlines()))

@@ -3,15 +3,17 @@
 import gzip
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from hks import DataError, ScoreRecord, SelectionSpec
-from hks.pipeline import (RunConfig, config_hash, file_sha256,
-                          load_score_records, run_corr, run_fsearch, run_hist,
-                          run_score, run_select, run_split)
+from hks.files import line_digest
+from hks.pipeline import (RunConfig, config_hash, load_score_records, run_corr,
+                          run_fsearch, run_hist, run_score, run_select,
+                          run_split)
 from hks.selection import threshold_split
 
 POOL_TSV = """\
@@ -123,7 +125,7 @@ class TestScoreRun:
     def test_manifest_contents(self, tmp_path):
         config = toy_config(tmp_path)
         manifest = run_score(config)
-        assert manifest["pool"]["sha256"] == file_sha256(config.pool_path)
+        assert manifest["pool"]["sha256"] == line_digest(config.pool_path)[0]
         assert manifest["pool"]["elements"] == 5
         assert manifest["pool"]["per_domain"] == {
             "art": 1, "culture": 0, "life": 1, "science": 2, "society": 1}
@@ -314,10 +316,42 @@ class TestDownstream:
         spec = SelectionSpec(strategy="topk", budget=15)
         emitted = root / "picked.jsonl"
         run_select(config.out_dir, spec, str(root / "sel"),
-                   corpus_glob=config.corpus, emit_corpus=str(emitted))
+                   emit_corpus=str(emitted))
         docs = [json.loads(s) for s in emitted.read_text().splitlines()]
         # Source documents come back in corpus order, untouched.
         assert docs == [DOC_A, DOC_B]
+
+    @pytest.mark.parametrize("shards", [
+        # The scorer skips the second doc-a as a duplicate.
+        [[DOC_A, {**DOC_A, "text": "jazz"}], [DOC_B]],
+        # The scorer skips the first doc-a, whose meta is not an object.
+        [[{**DOC_A, "meta": "enc"}, DOC_B], [DOC_A]],
+    ], ids=["duplicate", "bad-meta"])
+    def test_emit_corpus_copies_only_the_scored_line(self, tmp_path, shards):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
+        config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                           corpus=write_corpus(tmp_path, shards),
+                           out_dir=str(tmp_path / "out"))
+        run_score(config)
+        emitted = tmp_path / "picked.jsonl"
+        run_select(config.out_dir,
+                   SelectionSpec(strategy="topk", budget=2, by_docs=True),
+                   str(tmp_path / "sel"), emit_corpus=str(emitted))
+        scored = [doc for docs in shards for doc in docs
+                  if doc in (DOC_A, DOC_B)]
+        assert emitted.read_text(encoding="utf-8") == "".join(
+            json.dumps(doc) + "\n" for doc in scored)
+
+    def test_emit_corpus_names_a_missing_document(self, scored):
+        root, config = scored
+        shard = Path(config.corpus.replace("*", "001"))
+        shard.write_text(json.dumps({**DOC_B, "id": "doc-z"}) + "\n",
+                         encoding="utf-8")
+        emitted = root / "picked.jsonl"
+        with pytest.raises(DataError, match=re.escape(f"{shard}: ") + ".*'doc-b'"):
+            run_select(config.out_dir, SelectionSpec(strategy="topk", budget=15),
+                       str(root / "sel"), emit_corpus=str(emitted))
+        assert not emitted.exists()
 
     def test_split(self, scored):
         root, config = scored
@@ -400,6 +434,19 @@ class TestDownstream:
         names = result["columns"]
         i, j = names.index("hks"), names.index("ext:ppl")
         assert result["rho"][i][j] == -1.0
+
+    @pytest.mark.parametrize("value", ["NaN", "true", "Infinity",
+                                       "-Infinity"])
+    def test_corr_rejects_non_finite_ext_value(self, scored, value):
+        root, config = scored
+        ext = root / "ext.jsonl"
+        # Columns that were not requested are not inspected.
+        ext.write_text('{"id": "doc-a", "ppl": 12.0, "other": NaN}\n'
+                       f'{{"id": "doc-b", "ppl": {value}}}\n',
+                       encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{ext}:2: ext:ppl is {value},")):
+            run_corr(config.out_dir, ["hks", "ext:ppl"],
+                     str(root / "corr.json"), ext_path=str(ext))
 
     def test_fsearch(self, scored):
         root, _ = scored

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from hks import DataError, EmptyPoolError, ResourceError
-from hks.pool import (KnowledgeElement, KnowledgePool, PoolOptions, dump_pool,
-                      load_pool, pool_stats)
+from hks.pool import KnowledgeElement, KnowledgePool, load_pool, pool_stats
 
 from helpers import random_pool_elements
 
 
 def load_from_lines(lines, **opts):
-    return load_pool(io.StringIO("\n".join(lines) + "\n"),
-                     PoolOptions(**opts) if opts else None)
+    return load_pool(io.StringIO("\n".join(lines) + "\n"), **opts)
 
 
 class TestLoad:
@@ -127,22 +125,6 @@ class TestInvariants:
         for el in pool.elements():
             assert el.surface == normalize(el.surface)
             assert len(el.surface) >= 2
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        pool = load_from_lines([
-            "graph theory\tscience",
-            "jazz\tart\ttitle_keyword",
-            "数据\tscience",
-        ])
-        path = tmp_path / "out.tsv"
-        dump_pool(pool, path)
-        again = load_pool(path)
-        assert again.surfaces == pool.surfaces
-        assert list(again.elements()) == list(pool.elements())
-        # A second roundtrip changes nothing (already normalized).
-        path2 = tmp_path / "out2.tsv"
-        dump_pool(again, path2)
-        assert path.read_text() == path2.read_text()
 
 
 class TestStats:

@@ -13,7 +13,7 @@ from hks import (DataError, ScoreRecord, SelectionSpec, StratumExhaustedError,
                  bucket_distribution, correlation_matrix, select,
                  threshold_split)
 from hks.cli import main
-from hks.files import file_sha256
+from hks.files import line_digest
 from hks.pipeline import (load_score_records, run_corr, run_hist, run_select,
                           run_split)
 
@@ -33,7 +33,8 @@ def write_scores(root: Path, shards: list[list[str]]) -> Path:
     for i, lines in enumerate(shards):
         path = out / f"scores-{i:05d}.jsonl"
         path.write_bytes("".join(line + "\n" for line in lines).encode())
-        entries.append({"output": path.name, "sha256": file_sha256(path),
+        entries.append({"input": f"corpus-{i}.jsonl", "output": path.name,
+                        "sha256": line_digest(path)[0],
                         "records": len(lines)})
     manifest = {"config_hash": "0" * 64, "pool": {"sha256": "0" * 64},
                 "records": sum(e["records"] for e in entries),
