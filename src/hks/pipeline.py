@@ -363,20 +363,10 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     row_of = dict(zip(table.ids, range(len(table))))
     rows = [row_of[doc_id] for doc_id in result.selected_ids]
     scores = table.column(spec.score_field) if rows else []
-    out = Path(out_dir)
-    with writing(out / "selected.jsonl") as dest:
-        for i in rows:
-            dest.write(canonical_json({
-                "id": table.ids[i], "n_p": table.n_p[i], "score": scores[i],
-            }) + "\n")
-
-    summary = {"spec": asdict(spec), **result.summary()}
-    with writing(out / "selection.json") as dest:
-        dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
     if emit_corpus:
-        # Records are in shard order, so each shard's input is read for
-        # the selected ids its score shard holds.
+        # Written first, so that an input that fails leaves no selection
+        # behind. Records are in shard order, so each shard's input is
+        # read for the selected ids its score shard holds.
         selected, end = set(result.selected_ids), 0
         with writing(emit_corpus) as dest:
             for _, shard in _listed_shards(Path(scores_dir)):
@@ -392,6 +382,17 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
                     raise DataError(f"{in_path}: no longer holds selected "
                                     f"documents {sorted(wanted)}; it "
                                     f"changed after scoring")
+
+    out = Path(out_dir)
+    with writing(out / "selected.jsonl") as dest:
+        for i in rows:
+            dest.write(canonical_json({
+                "id": table.ids[i], "n_p": table.n_p[i], "score": scores[i],
+            }) + "\n")
+
+    summary = {"spec": asdict(spec), **result.summary()}
+    with writing(out / "selection.json") as dest:
+        dest.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 

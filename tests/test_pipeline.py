@@ -351,7 +351,7 @@ class TestDownstream:
         with pytest.raises(DataError, match=re.escape(f"{shard}: ") + ".*'doc-b'"):
             run_select(config.out_dir, SelectionSpec(strategy="topk", budget=15),
                        str(root / "sel"), emit_corpus=str(emitted))
-        assert not emitted.exists()
+        assert not emitted.exists() and not (root / "sel").exists()
 
     def test_split(self, scored):
         root, config = scored
