@@ -77,10 +77,9 @@ class MatcherConfig:
 class Automaton:
     """Immutable multi-pattern matcher built from a pool.
 
-    Pattern ids index the pool surfaces in sorted order and are shared
-    by both matching paths (see the module docstring): `span_pids` maps
-    each span-path surface to its id and `span_runs` lists the run counts
-    those surfaces have; `sub_pids` maps every other surface to its id,
+    Pattern ids are pool indices, shared by both matching paths (see
+    the module docstring): `span_pids` maps each span-path surface to
+    its id and `span_runs` lists the run counts those surfaces have; `sub_pids` maps every other surface to its id,
     and `sub_prefix` maps the first `sub_prefix_len` characters of those
     surfaces to the ascending lengths of the surfaces under that prefix.
     `sub_prefix_len` is the length of the shortest substring-path
@@ -104,8 +103,7 @@ class Automaton:
 
     def _build(self, pool: KnowledgePool) -> None:
         n_pat = pool.total
-        order = sorted(range(n_pat), key=pool.surfaces.__getitem__)
-        surfaces = [pool.surfaces[i] for i in order]
+        surfaces = pool.surfaces
         if any(not s for s in surfaces):
             raise DataError("empty surface in pool; automaton patterns need length >= 1")
 
@@ -113,9 +111,9 @@ class Automaton:
         pat_offsets = np.zeros(n_pat + 1, dtype=np.int64)
         np.cumsum(lens, out=pat_offsets[1:])
 
-        # Per-pattern metadata, indexed by sorted pattern id.
+        # Per-pattern metadata, indexed by pattern id.
         self.pat_len = lens.astype(np.int32)
-        self.pat_domain = pool.domain_ids[order].astype(np.uint8)
+        self.pat_domain = pool.domain_ids
         self.pat_surfaces = surfaces
         pat_boundary, runs = _split_paths(
             np.frombuffer("".join(surfaces).encode("utf-32-le"), dtype=np.uint32),

@@ -232,7 +232,10 @@ class ScoreTable:
     scores maps each score field (d, c, hks and every domain name) to
     its column, each value kept exactly as `json.loads` returned it. A
     None marks a row without that domain, which only `from_records` can
-    produce: a parsed table has the same domains on every row.
+    produce: a parsed table has the same domains on every row. shards
+    holds the path, manifest entry and row slice of each score shard
+    read, in row order; it is empty for a table built by `from_records`
+    or `take`.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -240,6 +243,7 @@ class ScoreTable:
     scores: dict[str, list] = field(
         default_factory=lambda: {name: [] for name in _RECORD_SCORES})
     meta: list[dict | None] = field(default_factory=list)
+    shards: list[tuple] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -304,8 +308,8 @@ class ScoreTable:
         return [(name, self.scores[name].append) for name in names]
 
     def extend_json(self, lines: Iterable[str], source) -> int:
-        """Append the score record on each non-blank line of `lines`,
-        read from `source`; returns how many were appended.
+        """Append the score record on each line of `lines`, read from
+        `source`; returns how many were appended.
 
         Each line is parsed once and its fields go straight to the
         columns; n_k and n_distinct must be present but are not kept. A
@@ -316,7 +320,6 @@ class ScoreTable:
         the line.
         """
         first = len(self.ids)
-        line_of: list[int] = []
         add_id, add_n_p, add_meta = (self.ids.append, self.n_p.append,
                                      self.meta.append)
         add_d, add_c, add_hks = (self.scores[name].append
@@ -327,8 +330,6 @@ class ScoreTable:
         decode = json.JSONDecoder().raw_decode
         for line_no, line in enumerate(lines, start=1):
             line = line.strip()
-            if not line:
-                continue
             try:
                 obj, end = decode(line)
                 if end != len(line):
@@ -351,9 +352,8 @@ class ScoreTable:
             except (ValueError, TypeError, AttributeError) as exc:
                 raise DataError(f"{source}:{line_no}: not a score record "
                                 f"({exc})") from exc
-            line_of.append(line_no)
         # Whole columns are checked at once; a failing one is searched
-        # value by value for the line to name.
+        # value by value for the row, whose line is the row offset + 1.
         rules = [("id", self.ids, _ids_ok, "a non-empty string"),
                  ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
                  *((name if name in _RECORD_SCORES else
@@ -364,6 +364,6 @@ class ScoreTable:
             values = column[first:]
             if not ok(values):
                 row = next(k for k, v in enumerate(values) if not ok([v]))
-                raise DataError(f"{source}:{line_of[row]}: {name!r} is "
+                raise DataError(f"{source}:{row + 1}: {name!r} is "
                                 f"not {what} ({values[row]!r})")
-        return len(line_of)
+        return len(self.ids) - first

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import itertools
 import json
 import logging
 import multiprocessing
@@ -106,9 +107,6 @@ def _parse_doc(line: str, shard: str, line_no: int, seen_ids: set) -> Document:
         raise DataError(f"{shard}:{line_no}: missing or empty 'id'")
     if not isinstance(text, str):
         raise DataError(f"{shard}:{line_no}: missing 'text'")
-    if doc_id in seen_ids:
-        raise DataError(f"{shard}:{line_no}: duplicate id {doc_id!r}")
-    seen_ids.add(doc_id)
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise DataError(f"{shard}:{line_no}: 'meta' is not an object")
@@ -120,6 +118,10 @@ def _parse_doc(line: str, shard: str, line_no: int, seen_ids: set) -> Document:
         except UnicodeEncodeError as exc:
             raise DataError(f"{shard}:{line_no}: unpaired surrogate "
                             f"escape ({exc.reason})") from exc
+    # Claimed last, so a malformed line never shadows a later valid one.
+    if doc_id in seen_ids:
+        raise DataError(f"{shard}:{line_no}: duplicate id {doc_id!r}")
+    seen_ids.add(doc_id)
     return Document(id=doc_id, text=text, meta=meta)
 
 
@@ -206,13 +208,20 @@ def run_score(config: RunConfig) -> dict:
 
     Existing output shards are kept as-is (crash resume); delete a shard
     file to force its regeneration. An existing manifest whose config
-    hash or pool checksum differs from this run's is refused with a
-    DataError before any shard is reused. The manifest and shard bytes
+    hash, pool checksum or list of corpus files differs from this run's
+    is refused with a DataError before any shard is reused. Files under
+    the out dir are never read as corpus. The manifest and shard bytes
     are identical whether a run was fresh, resumed, or parallel.
     """
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
     out_dir = Path(config.out_dir)
+    out_root = out_dir.resolve()
+    shards = [p for p in sorted(glob.glob(config.corpus, recursive=True))
+              if os.path.isfile(p)
+              and not Path(p).resolve().is_relative_to(out_root)]
+    if not shards:
+        raise DataError(f"no corpus files match {config.corpus!r}")
 
     pool = load_pool(config.pool_path, strict=config.strict)
     identity = {"config_hash": config_hash(config),
@@ -226,17 +235,19 @@ def run_score(config: RunConfig) -> dict:
                 f"{out_dir / MANIFEST_NAME}: {name} differs from this run "
                 f"({recorded[name]} != {value}); score into a new out dir "
                 f"or empty this one")
+    # Output shards pair with inputs by position.
+    listed = [shard["input"] for shard in old[1]] if old else shards
+    for i, (was, now) in enumerate(itertools.zip_longest(listed, shards)):
+        if was != now:
+            raise DataError(f"{out_dir / MANIFEST_NAME}: corpus file {i + 1} "
+                            f"was {was}, this run reads {now}; score into a "
+                            f"new out dir or empty this one")
     # Built once per process; warmed here so automaton_build_s times
     # the matcher alone.
     class_table()
     build_started = time.monotonic()
     automaton = build_automaton(pool, MatcherConfig(boundary=config.boundary))
     built_at = time.monotonic()
-
-    shards = [p for p in sorted(glob.glob(config.corpus, recursive=True))
-              if os.path.isfile(p)]
-    if not shards:
-        raise DataError(f"no corpus files match {config.corpus!r}")
 
     tasks = [(path, str(out_dir / f"scores-{i:05d}.jsonl"))
              for i, path in enumerate(shards)]
@@ -310,33 +321,29 @@ def run_score(config: RunConfig) -> dict:
     return manifest
 
 
-def _listed_shards(scores_dir: Path) -> list[tuple[Path, dict]]:
-    """The path and manifest entry of every shard a score run lists."""
+def load_score_records(scores_dir: str | Path) -> ScoreTable:
+    """Every record of a scoring run's output directory, as columns.
+
+    Reads the manifest once, then the shards it lists into the table's
+    rows and `shards`, checking each one's sha256 as it reads it. A
+    missing manifest, a shard that changed since scoring, a record count
+    other than the manifest's, a line that is not a score record or
+    holds a malformed value (see ScoreTable.extend_json), a document id
+    seen twice (in one shard or across two) and a run with no records
+    are each a DataError naming the directory or the shard files.
+    """
+    scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
     if manifest is None:
         raise DataError(f"{scores_dir}: no {MANIFEST_NAME}; phase two reads "
                         f"only the output directory of an `hks score` run")
-    return [(scores_dir / shard["output"], shard) for shard in manifest[1]]
-
-
-def load_score_records(scores_dir: str | Path) -> ScoreTable:
-    """Every record of a scoring run's output directory, as columns.
-
-    Reads the shards its manifest lists, checking each one's sha256
-    against the manifest's as it reads it. A missing manifest, a shard
-    that changed since scoring, a record count other than the
-    manifest's, a line that is not a score record or holds a malformed
-    value (see ScoreTable.extend_json), a document id seen twice (in one
-    shard or across two) and a run with no records are each a DataError
-    naming the directory or the shard files involved.
-    """
-    scores_dir = Path(scores_dir)
     table = ScoreTable()
     shard_of: dict[str, Path] = {}
-    for path, shard in _listed_shards(scores_dir):
+    for shard in manifest[1]:
+        path, start = scores_dir / shard["output"], len(table)
         with verified_lines(path, shard["sha256"]) as lines:
             added = table.extend_json(lines, path)
-            for doc_id in table.ids[len(table) - added:]:
+            for doc_id in table.ids[start:]:
                 if doc_id in shard_of:
                     raise DataError(f"duplicate document id {doc_id!r} "
                                     f"in {shard_of[doc_id]} and {path}")
@@ -344,6 +351,7 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
             if added != shard["records"]:
                 raise DataError(f"{path}: holds {added} records, the "
                                 f"manifest lists {shard['records']}")
+        table.shards.append((path, shard, slice(start, len(table))))
     if not len(table):
         raise DataError(f"score run under {scores_dir} holds zero records")
     return table
@@ -367,11 +375,10 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
         # Written first, so that an input that fails leaves no selection
         # behind. Records are in shard order, so each shard's input is
         # read for the selected ids its score shard holds.
-        selected, end = set(result.selected_ids), 0
+        selected = set(result.selected_ids)
         with writing(emit_corpus) as dest:
-            for _, shard in _listed_shards(Path(scores_dir)):
-                start, end = end, end + shard["records"]
-                wanted = selected.intersection(table.ids[start:end])
+            for _, shard, span in table.shards:
+                wanted = selected.intersection(table.ids[span])
                 in_path = shard["input"]
                 with reading(in_path, strict=False) as fh:
                     for _, line, doc in _documents(fh, in_path, strict=False):
@@ -401,8 +408,8 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     """Threshold-split a scored run into high.jsonl / low.jsonl.
 
     The records are parsed once to find the threshold; a second pass
-    then copies each record's score line verbatim to its part, checking
-    every shard's sha256 again as it streams.
+    then copies each record's score line verbatim to its part, routed by
+    its row, checking every shard's sha256 again as it streams.
     """
     from .selection import threshold_split
     table = load_score_records(scores_dir)
@@ -411,23 +418,13 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     in_high = ([s >= threshold for s in table.column(score_field)]
                if threshold is not None else [False] * len(table))
     out = Path(out_dir)
-    row = 0
     with writing(out / "high.jsonl") as high_dest, \
             writing(out / "low.jsonl") as low_dest:
-        for path, shard in _listed_shards(Path(scores_dir)):
+        for path, shard, span in table.shards:
+            # A shard whose line count changed fails its sha256 at the end.
             with verified_lines(path, shard["sha256"]) as lines:
-                for line in lines:
-                    if not line.strip():
-                        continue
-                    if row == len(table):
-                        raise DataError(f"{path}: holds more records than "
-                                        f"the first pass read")
-                    dest = high_dest if in_high[row] else low_dest
-                    dest.write(line + "\n")
-                    row += 1
-        if row != len(table):
-            raise DataError(f"{scores_dir}: holds {row} records, the "
-                            f"first pass read {len(table)}")
+                for line, is_high in zip(lines, in_high[span]):
+                    (high_dest if is_high else low_dest).write(line + "\n")
     summary = {
         "score_field": score_field,
         "token_budget": token_budget,

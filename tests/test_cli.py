@@ -9,7 +9,8 @@ import hks.selection
 from hks.cli import main
 from hks.files import line_digest
 
-from test_pipeline import DOC_A, DOC_B, DOC_C, POOL_TSV, write_corpus
+from test_pipeline import (DOC_A, DOC_B, DOC_C, POOL_TSV, snapshot,
+                           write_corpus)
 
 
 @pytest.fixture()
@@ -210,16 +211,20 @@ class TestExitCodes:
                      str(shard), "--out", str(root / "s"), "--strict"]) == 2
         assert list((root / "s").glob("scores-*")) == []
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b'"doc-b"', b'"doc-z"'),
+        lambda data: data + data.replace(b'"doc-b"', b'"doc-z"'),
+        lambda data: b"",  # the shard held one line
+    ], ids=["rewritten", "gains-a-line", "loses-a-line"])
     def test_shard_rewritten_between_split_passes(self, workspace, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, edit):
         root, corpus = workspace
         scores = _scored(root, corpus)
         shard = scores / "scores-00001.jsonl"
         real = hks.selection.threshold_split
 
         def rewrite_then_split(*args):
-            data = shard.read_bytes()
-            shard.write_bytes(data.replace(b'"doc-b"', b'"doc-z"'))
+            shard.write_bytes(edit(shard.read_bytes()))
             return real(*args)
 
         monkeypatch.setattr(hks.selection, "threshold_split",
@@ -429,6 +434,19 @@ class TestWalkthrough:
         assert run_score(root, corpus, "--no-boundary", "--no-domains") == 0
         line = (root / "scores" / "scores-00000.jsonl").read_text().splitlines()[0]
         assert "domains" not in json.loads(line)
+
+    def test_out_dir_inside_the_corpus_glob_is_not_corpus(self, workspace,
+                                                          monkeypatch):
+        root, _ = workspace
+        monkeypatch.chdir(root)
+        argv = ["score", "--pool", "pool.tsv", "--corpus",
+                "shards/**/*.jsonl", "--out", "shards/scores"]
+        assert main(argv) == 0
+        first = snapshot(root / "shards" / "scores")
+        assert len(json.loads(first["manifest.json"])["shards"]) == 3
+        # The rerun's glob also matches the score shards the first wrote.
+        assert main(argv) == 0
+        assert snapshot(root / "shards" / "scores") == first
 
     def test_emit_corpus_reads_the_scored_shards(self, workspace,
                                                   monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hks.pipeline
 from hks import DataError, ScoreRecord, SelectionSpec
 from hks.files import line_digest
 from hks.pipeline import (RunConfig, config_hash, load_score_records, run_corr,
@@ -195,6 +196,33 @@ class TestScoreRun:
         with pytest.raises(DataError, match="not a score manifest"):
             run_score(config)
 
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_resume_refuses_changed_corpus_files(self, tmp_path, change):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, doc in (("a", DOC_A), ("z", DOC_B)):
+            (data / f"{name}.jsonl").write_text(json.dumps(doc) + "\n",
+                                                encoding="utf-8")
+        config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                           corpus=str(data / "*.jsonl"),
+                           out_dir=str(tmp_path / "out"))
+        run_score(config)
+        first = snapshot(config.out_dir)
+        if change == "added":
+            (data / "b.jsonl").write_text(json.dumps(DOC_C) + "\n",
+                                          encoding="utf-8")
+            position, was, now = 2, data / "z.jsonl", data / "b.jsonl"
+        else:
+            (data / "a.jsonl").unlink()
+            position, was, now = 1, data / "a.jsonl", data / "z.jsonl"
+        manifest = Path(config.out_dir) / "manifest.json"
+        with pytest.raises(DataError, match=re.escape(
+                f"{manifest}: corpus file {position} was {was}, this run "
+                f"reads {now};")):
+            run_score(config)
+        assert snapshot(config.out_dir) == first
+
     def test_gzip_shards(self, tmp_path):
         pool_path = tmp_path / "pool.tsv"
         pool_path.write_text(POOL_TSV, encoding="utf-8")
@@ -326,7 +354,9 @@ class TestDownstream:
         [[DOC_A, {**DOC_A, "text": "jazz"}], [DOC_B]],
         # The scorer skips the first doc-a, whose meta is not an object.
         [[{**DOC_A, "meta": "enc"}, DOC_B], [DOC_A]],
-    ], ids=["duplicate", "bad-meta"])
+        # A skipped line does not claim its id for the shard.
+        [[{**DOC_A, "meta": "enc"}, DOC_A], [DOC_B]],
+    ], ids=["duplicate", "bad-meta", "bad-meta-then-valid"])
     def test_emit_corpus_copies_only_the_scored_line(self, tmp_path, shards):
         (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
         config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
@@ -352,6 +382,28 @@ class TestDownstream:
             run_select(config.out_dir, SelectionSpec(strategy="topk", budget=15),
                        str(root / "sel"), emit_corpus=str(emitted))
         assert not emitted.exists() and not (root / "sel").exists()
+
+    @pytest.mark.parametrize("command", ["select", "split", "hist", "corr"])
+    def test_phase_two_reads_the_manifest_once(self, scored, monkeypatch,
+                                               command):
+        root, config = scored
+        reads, real = [], hks.pipeline._read_manifest
+
+        def read_manifest(scores_dir):
+            reads.append(scores_dir)
+            return real(scores_dir)
+
+        monkeypatch.setattr(hks.pipeline, "_read_manifest", read_manifest)
+        out = config.out_dir
+        {"select": lambda: run_select(
+            out, SelectionSpec(strategy="topk", budget=15), str(root / "sel"),
+            emit_corpus=str(root / "picked.jsonl")),
+         "split": lambda: run_split(out, 6, str(root / "split")),
+         "hist": lambda: run_hist(out, "hks", "subset", 4,
+                                  str(root / "hist.csv")),
+         "corr": lambda: run_corr(out, ["d", "hks"], str(root / "corr.json")),
+         }[command]()
+        assert reads == [Path(out)]
 
     def test_split(self, scored):
         root, config = scored

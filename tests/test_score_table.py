@@ -230,6 +230,22 @@ def test_malformed_value_is_data_error_naming_its_line(tmp_path, capsys,
         load_score_records(scores)
 
 
+@pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "whitespace"])
+def test_blank_line_is_not_a_score_record(tmp_path, capsys, blank):
+    scores = write_scores(tmp_path, [[edited(id="doc-a"), blank,
+                                      edited(id="doc-c")]])
+    # A manifest counting two records, as if blank lines were skipped.
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["records"] = manifest["shards"][0]["records"] = 2
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["select", "--scores", str(scores), "--budget-docs", "1",
+                 "--out", str(tmp_path / "sel")]) == 2
+    assert (f"{scores / 'scores-00000.jsonl'}:2: not a score record"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sel").exists()
+
+
 def test_duplicate_id_within_a_shard_is_named(tmp_path):
     line = edited(id="doc-a")
     scores = write_scores(tmp_path, [[edited(id="doc-0")], [line, line]])
