@@ -42,7 +42,7 @@ def _count(value: str) -> int:
                 raise ValueError
             return int(f)
         return int(value)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: int(inf)
         raise argparse.ArgumentTypeError(f"not a whole number: {value!r}")
 
 

@@ -9,30 +9,22 @@ match when not flanked by word characters, so "art" never fires inside
 "start". Surfaces containing CJK characters, or with non-word edges,
 match as raw substrings: CJK text carries no word delimiters.
 
-Each surface takes one of two matching paths, fixed by its own text,
-and both are dictionary lookups of text slices (the FlashText idea,
-Singh 2017, arXiv:1711.00046):
-
-- Span path: a surface the boundary rule applies to can only match from
-  the start of a maximal run of non-CJK word characters to the end of a
-  run. These surfaces sit in one {surface: pattern id} dict, and a
-  document is matched by looking up each slice spanning k consecutive
-  runs, for every run count k that some such surface has.
-- Substring path: every other surface (CJK-bearing, non-word edges, or
-  any surface once the boundary rule is off) sits in a second
-  {surface: pattern id} dict. At each text position the slice as long
-  as the shortest such surface is looked up in a prefix index, which
-  lists the lengths of the surfaces starting with it; the slice of each
-  listed length that fits inside the text is then looked up in the dict.
-
-Both paths feed one list of (pattern id, end index) occurrences, from
-which the counts and `find_matches` are derived.
+Every surface takes one matching path, a hash join over codepoints
+(Karp & Rabin, IBM J. Res. Dev. 1987): surfaces are keyed by length and
+a polynomial hash of their codepoints mod 2^64. Each text window of each
+surface length is hashed from prefix sums; a flag table on the top hash
+bits drops most windows, and the rest are looked up among that length's
+sorted hashes. Every surface with an equal hash is checked against the
+window's codepoints, so a shared hash never miscounts, and the boundary
+rule reads the word flags beside the window. `annotate_all` matches a
+batch of documents as one codepoint array, with SEPARATOR between
+neighbours so that no window spans two documents.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +33,11 @@ from .pool import DOMAINS, KnowledgePool
 from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
                        token_count_from_classes)
 
-log = logging.getLogger(__name__)
+# Odd, so invertible mod 2^64; no output depends on its value.
+_BASE = 0x9E3779B97F4A7C15
+_INVERSE = pow(_BASE, -1, 1 << 64)
+# Beyond Unicode, so no surface holds it; its class is 0.
+SEPARATOR = 0x110000
 
 
 @dataclass
@@ -74,16 +70,18 @@ class MatcherConfig:
     boundary: bool = True
 
 
+def _powers(base: int, n: int) -> np.ndarray:
+    """base^1 .. base^n mod 2^64."""
+    return np.cumprod(np.full(n, base, dtype=np.uint64))
+
+
 class Automaton:
     """Immutable multi-pattern matcher built from a pool.
 
-    Pattern ids are pool indices, shared by both matching paths (see
-    the module docstring): `span_pids` maps each span-path surface to
-    its id and `span_runs` lists the run counts those surfaces have; `sub_pids` maps every other surface to its id,
-    and `sub_prefix` maps the first `sub_prefix_len` characters of those
-    surfaces to the ascending lengths of the surfaces under that prefix.
-    `sub_prefix_len` is the length of the shortest substring-path
-    surface. The two paths hold disjoint ids, so their counts add.
+    Pattern ids are pool indices; `bounded[p]` says whether the boundary
+    rule applies to pattern p. `_tables` holds, per surface length and
+    shortest first, (length, sorted hashes, their pattern ids, their
+    codepoint rows); `_filter` flags each top-bits value some hash has.
 
     Construction is deterministic for a given pool. Matching reads the
     instance and never writes it, so one instance may be shared across
@@ -102,128 +100,118 @@ class Automaton:
             ) from exc
 
     def _build(self, pool: KnowledgePool) -> None:
-        n_pat = pool.total
         surfaces = pool.surfaces
         if any(not s for s in surfaces):
             raise DataError("empty surface in pool; automaton patterns need length >= 1")
-
-        lens = np.fromiter((len(s) for s in surfaces), dtype=np.int64, count=n_pat)
-        pat_offsets = np.zeros(n_pat + 1, dtype=np.int64)
-        np.cumsum(lens, out=pat_offsets[1:])
-
-        # Per-pattern metadata, indexed by pattern id.
-        self.pat_len = lens.astype(np.int32)
+        lens = np.fromiter((len(s) for s in surfaces), dtype=np.int64,
+                           count=pool.total)
         self.pat_domain = pool.domain_ids
         self.pat_surfaces = surfaces
-        pat_boundary, runs = _split_paths(
-            np.frombuffer("".join(surfaces).encode("utf-32-le"), dtype=np.uint32),
-            pat_offsets, self.config.boundary)
-        span_ids = np.flatnonzero(pat_boundary)
-        self.span_pids = {surfaces[p]: p for p in span_ids.tolist()}
-        self.span_runs = sorted(set(runs[span_ids].tolist()))
+        self.bounded = np.zeros(pool.total, dtype=bool)
+        # 16 to 32 flags per surface, so few windows pass by chance.
+        bits = max(10, pool.total.bit_length() + 4)
+        self._shift = 64 - bits
+        self._filter = np.zeros(1 << bits, dtype=bool)
+        self._tables = []
+        powers = _powers(_BASE, int(lens.max()))
+        order = np.argsort(lens, kind="stable")
+        for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+            cps = encode_codepoints("".join([surfaces[i] for i in ids]))
+            # One row per surface, in the narrowest type that fits.
+            rows = cps.astype(np.min_scalar_type(int(cps.max()))).reshape(ids.size, -1)
+            del cps  # dropped early: temporaries set the build's peak memory
+            length = rows.shape[1]
+            keys = np.zeros(ids.size, dtype=np.uint64)
+            # Column by column: no temporary holds 8 bytes per codepoint.
+            for k in range(length):
+                keys += rows[:, k] * powers[k]
+            if self.config.boundary:
+                cls = class_table()[rows]
+                self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
+                                     & ~(cls & CJK).any(axis=1))
+                del cls  # likewise
+            self._filter[keys >> self._shift] = True
+            rank = np.argsort(keys, kind="stable")
+            self._tables.append((length, keys[rank], ids[rank], rows[rank]))
 
-        rest = np.flatnonzero(~pat_boundary).tolist()
-        self.sub_pids = {surfaces[p]: p for p in rest}
-        m = int(lens[rest].min()) if rest else 0
-        by_prefix: dict[str, set[int]] = {}
-        for s in self.sub_pids:
-            by_prefix.setdefault(s[:m], set()).add(len(s))
-        self.sub_prefix = {k: tuple(sorted(v)) for k, v in by_prefix.items()}
-        self.sub_prefix_len = m
-        log.debug("matcher built: %d span patterns, %d substring patterns, "
-                  "%d prefixes of length %d", span_ids.size, len(rest),
-                  len(self.sub_prefix), m)
-
-    def _hits(self, text: str, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every boundary-surviving occurrence as (pattern ids, end indices)."""
-        pids: list[int] = []
-        ends: list[int] = []
-        if self.span_runs:
-            # Edges of the maximal word runs alternate start, end.
-            word = np.zeros(cls.size + 2, dtype=np.int8)
-            word[1:-1] = cls == WORD
-            edges = np.flatnonzero(np.diff(word)).tolist()
-            starts, stops = edges[0::2], edges[1::2]
-            get = self.span_pids.get
-            for k in self.span_runs:
-                for s, e in zip(starts, stops[k - 1:]):
-                    pid = get(text[s:e])
-                    if pid is not None:
-                        pids.append(pid)
-                        ends.append(e - 1)
-        if self.sub_pids:
-            m = self.sub_prefix_len
-            n = len(text)
-            lookup = self.sub_prefix.get
-            get = self.sub_pids.get
-            for i in range(n - m + 1):
-                lengths = lookup(text[i:i + m])
-                if lengths is None:
-                    continue
-                for length in lengths:
-                    e = i + length
-                    # Past the end a slice is shorter than `length` and
-                    # may equal another surface, counted at its own length.
-                    if e > n:
-                        break
-                    pid = get(text[i:e])
-                    if pid is not None:
-                        pids.append(pid)
-                        ends.append(e - 1)
-        return np.asarray(pids, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+    def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every boundary-surviving occurrence in the codepoints `cps`
+        with classes `cls`, as (pattern ids, start indices)."""
+        n = cps.size
+        # prefix[i] sums cps[j] * B^(j + 2) over j < i, so the window
+        # [i, i + L) hashes to (prefix[i + L] - prefix[i]) * B^-(i + 1),
+        # the sum of its k-th codepoint times B^(k + 1), as its surface does.
+        prefix = np.zeros(n + 1, dtype=np.uint64)
+        np.cumsum(cps * _powers(_BASE, n + 1)[1:], out=prefix[1:])
+        unshift = _powers(_INVERSE, n + 1)
+        word = np.zeros(n + 2, dtype=bool)
+        word[1:-1] = cls == WORD
+        found = [(np.zeros(0, dtype=np.int64),) * 2]
+        for length, keys, ids, rows in self._tables:
+            if length > n:
+                break
+            h = (prefix[length:] - prefix[:-length]) * unshift[:-length]
+            at = np.flatnonzero(self._filter[h >> self._shift])
+            lo = np.searchsorted(keys, h[at], side="left")
+            n_eq = np.searchsorted(keys, h[at], side="right") - lo
+            # Every surface with an equal hash is a candidate.
+            at = np.repeat(at, n_eq)
+            cand = (np.repeat(lo + n_eq - np.cumsum(n_eq), n_eq)
+                    + np.arange(at.size))
+            same = (cps[at[:, None] + np.arange(length)] == rows[cand]).all(axis=1)
+            at, pids = at[same], ids[cand[same]]
+            # word[i + 1] flags text position i.
+            free = ~(self.bounded[pids] & (word[at] | word[at + length + 1]))
+            found.append((pids[free], at[free]))
+        pids, starts = zip(*found)
+        return np.concatenate(pids), np.concatenate(starts)
 
     def find_matches(self, text: str) -> list[tuple[int, str]]:
         """(start offset, surface) pairs in the normalized text, sorted."""
-        text = normalize(text)
-        pids, ends = self._hits(text, class_table()[encode_codepoints(text)])
-        starts = ends - self.pat_len[pids] + 1
-        found = [(int(s), self.pat_surfaces[p]) for s, p in zip(starts, pids)]
-        found.sort()
-        return found
-
-
-def _split_paths(pat_buf: np.ndarray, pat_offsets: np.ndarray,
-                 boundary: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per pattern: whether it takes the span path, and its word-run count.
-
-    pat_buf holds the patterns concatenated as codepoints; pattern i is
-    pat_buf[pat_offsets[i]:pat_offsets[i+1]].
-    """
-    cls_buf = class_table()[pat_buf]
-    starts = pat_offsets[:-1]
-    if boundary:
-        seg_or = np.bitwise_or.reduceat(cls_buf, starts)
-        pat_boundary = ((cls_buf[starts] == WORD) & (cls_buf[pat_offsets[1:] - 1] == WORD)
-                        & ((seg_or & CJK) == 0))
-    else:
-        pat_boundary = np.zeros(starts.size, dtype=bool)
-    # A run starts at a word character not preceded by one inside the
-    # same pattern.
-    word = cls_buf == WORD
-    prev = np.roll(word, 1)
-    prev[starts] = False
-    run_starts = np.flatnonzero(word & ~prev)
-    return pat_boundary, np.diff(np.searchsorted(run_starts, pat_offsets))
+        cps = encode_codepoints(normalize(text))
+        pids, starts = self._hits(cps, class_table()[cps])
+        return sorted(zip(starts.tolist(),
+                          [self.pat_surfaces[p] for p in pids.tolist()]))
 
 
 def build_automaton(pool: KnowledgePool, config: MatcherConfig | None = None) -> Automaton:
     return Automaton(pool, config)
 
 
-def _tally(pids: np.ndarray, pat_domain: np.ndarray) -> np.ndarray:
-    """Counts of the occurrences `pids`.
+def annotate_all(docs: Sequence[Document],
+                 automaton: Automaton) -> list[KnowledgeProfile]:
+    """Profiles of a batch of documents, in order; each equals what
+    `annotate` gives for that document alone.
 
-    In order: n_k, n_distinct, occurrences per domain, then distinct
-    surfaces per domain, domains in DOMAINS order.
+    The normalized texts are matched as one codepoint array, SEPARATOR
+    between neighbours, and the counts are tallied per document.
     """
-    counts = np.zeros(12, dtype=np.int64)
-    if pids.size:
-        uniq = np.unique(pids)
-        counts[0] = pids.size
-        counts[1] = uniq.size
-        counts[2:7] = np.bincount(pat_domain[pids], minlength=5)
-        counts[7:12] = np.bincount(pat_domain[uniq], minlength=5)
-    return counts
+    texts = [normalize(doc.text) for doc in docs]
+    sizes = np.array([len(t) + 1 for t in texts], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    cps = encode_codepoints("\0".join(texts)).copy()
+    cls = class_table()[cps]
+    n_p = [token_count_from_classes(cls[s:s + size - 1])
+           for s, size in zip(starts.tolist(), sizes.tolist())]
+    cps[starts[1:] - 1] = SEPARATOR
+    pids, at = automaton._hits(cps, cls)
+
+    def per_domain(doc: np.ndarray, pids: np.ndarray) -> list[list[int]]:
+        """Per document and domain, how many of the pairs it holds."""
+        keys = doc * len(DOMAINS) + automaton.pat_domain[pids]
+        return np.bincount(keys, minlength=len(docs) * len(DOMAINS)).reshape(
+            len(docs), len(DOMAINS)).tolist()
+
+    doc = np.searchsorted(starts, at, side="right") - 1
+    # Distinct surfaces: one per distinct (document, pattern id) pair.
+    n_pat = len(automaton.pat_surfaces)
+    pairs = np.unique(doc * n_pat + pids)
+    return [KnowledgeProfile(doc_id=d.id, n_p=tokens, n_k=sum(o),
+                             n_distinct=sum(u),
+                             per_domain=dict(zip(DOMAINS, zip(o, u))))
+            for d, tokens, o, u in zip(docs, n_p, per_domain(doc, pids),
+                                       per_domain(pairs // n_pat,
+                                                  pairs % n_pat))]
 
 
 def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
@@ -231,22 +219,7 @@ def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
 
     The document text is normalized here with the same rule applied to
     pool surfaces, which is what makes matching well-defined. Empty or
-    matchless text yields the zero profile.
+    matchless text yields the zero profile. A batch of one for
+    `annotate_all`, which serves many documents at far less cost each.
     """
-    text = normalize(doc.text)
-    cps = encode_codepoints(text)
-    cls = class_table()[cps]
-    n_p = token_count_from_classes(cls)
-
-    pids, _ = automaton._hits(text, cls)
-    counts = _tally(pids, automaton.pat_domain)
-
-    per_domain = {name: (int(counts[2 + i]), int(counts[7 + i]))
-                  for i, name in enumerate(DOMAINS)}
-    return KnowledgeProfile(
-        doc_id=doc.id,
-        n_p=int(n_p),
-        n_k=int(counts[0]),
-        n_distinct=int(counts[1]),
-        per_domain=per_domain,
-    )
+    return annotate_all([doc], automaton)[0]

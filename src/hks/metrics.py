@@ -68,7 +68,7 @@ def domain_score(profile: KnowledgeProfile, pool: KnowledgePool,
     occ, distinct = profile.per_domain.get(domain, (0, 0))
     d_m = occ / profile.n_p
     c_m = distinct / n_km
-    return d_m, c_m, d_m * math.log1p(c_m)
+    return d_m, c_m, hks_score(d_m, c_m)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,11 @@ _U64 = struct.Struct(">Q").unpack
 Records = Union[ScoreTable, Sequence[ScoreRecord]]
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:  # hashed as 8 unsigned bytes
+        raise DataError(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SelectionSpec:
     """Knobs for one selection run.
@@ -56,8 +61,9 @@ class SelectionSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown strategy {self.strategy!r}")
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails too
             raise DataError(f"tau must be > 0, got {self.tau}")
+        _check_seed(self.seed)
         if self.budget < 0:
             raise DataError(f"budget must be >= 0, got {self.budget}")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -242,6 +248,7 @@ def mix(high: Records, low: Records, alpha: float, token_budget: int,
         raise DataError(f"alpha must be in [0, 1], got {alpha}")
     if token_budget < 0:
         raise DataError(f"token budget must be >= 0, got {token_budget}")
+    _check_seed(seed)
     high_ids, high_tokens = _sample_stratum(
         ScoreTable.from_records(high), alpha * token_budget, "high", seed)
     low_ids, low_tokens = _sample_stratum(

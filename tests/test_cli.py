@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import hks.pipeline
 import hks.selection
 from hks.cli import main
 from hks.files import line_digest
@@ -301,6 +302,38 @@ class TestExitCodes:
     def test_non_integer_budget_rejected(self, tmp_path):
         assert main(["split", "--scores", str(tmp_path),
                      "--out", str(tmp_path), "--budget-tokens", "1.5"]) == 1
+
+    def test_infinite_budget_rejected(self, tmp_path, capsys):
+        # 1e400 parses as float infinity, which has no integer value.
+        assert main(["split", "--scores", str(tmp_path),
+                     "--out", str(tmp_path), "--budget-tokens", "1e400"]) == 1
+        assert "not a whole number: '1e400'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--strategy", "sample", "--seed", "-1"], "seed"),
+        (["--strategy", "sample", "--seed", str(2**64)], "seed"),
+        (["--strategy", "mix", "--alpha", "0.5", "--split-budget-tokens",
+          "6", "--seed", "-1"], "seed"),
+        (["--strategy", "mix", "--alpha", "0.5", "--split-budget-tokens",
+          "6", "--seed", str(2**64)], "seed"),
+        (["--strategy", "sample", "--tau", "nan"], "tau"),
+    ], ids=["sample-seed-negative", "sample-seed-2**64", "mix-seed-negative",
+            "mix-seed-2**64", "tau-nan"])
+    def test_bad_seed_or_tau_is_data_error(self, workspace, capsys,
+                                           monkeypatch, flags, named):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+
+        def no_read(*args):
+            raise AssertionError("a score shard was read")
+
+        monkeypatch.setattr(hks.pipeline, "load_score_records", no_read)
+        capsys.readouterr()
+        assert main(["select", "--scores", str(scores), "--out",
+                     str(root / "sel"), "--budget-tokens", "10",
+                     *flags]) == 2
+        assert f"hks: error: {named} must be" in capsys.readouterr().err
+        assert not (root / "sel").exists()
 
     def test_bad_workers_flag(self, workspace):
         root, corpus = workspace

@@ -5,15 +5,15 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hks import (Document, EmptyPoolError, KnowledgeElement, KnowledgePool,
-                 MatcherConfig, annotate, build_automaton)
+                 MatcherConfig, annotate, annotate_all, build_automaton)
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
                      occurrence_counts, random_pool_elements, random_text,
-                     ref_normalize)
+                     ref_normalize, ref_token_count)
 
 
 def make_pool(pairs):
@@ -128,7 +128,6 @@ class TestSubstringPath:
         # it must not be counted a second time.
         auto = build_automaton(make_pool(self.ELEMENTS),
                                MatcherConfig(boundary=boundary))
-        assert auto.sub_prefix_len == 1
         occurrences = naive_occurrences(text, self.ELEMENTS, boundary)
         prof = annotate(Document("x", text), auto)
         assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
@@ -138,8 +137,6 @@ class TestSubstringPath:
     def test_single_char_prefix_beside_span_surfaces(self):
         elements = [("+", "science"), ("c++", "art"), ("a-b", "life")]
         auto = build_automaton(make_pool(elements))
-        assert auto.sub_prefix_len == 1
-        assert set(auto.span_pids) == {"a-b"}
         text = "c++ a-b+ +c++"
         assert auto.find_matches(text) == naive_occurrences(text, elements)
         assert profile_of(text, elements).n_k == 9
@@ -221,6 +218,64 @@ class TestDifferential:
         assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
             naive_match_counts(text, elements, boundary)
         assert auto.find_matches(text) == occurrences
+
+
+class TestBatch:
+    """annotate_all against the naive scan of each document alone: no
+    match may cross from one document of a batch into the next."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(elements=_pools, texts=st.lists(_texts, max_size=6),
+           boundary=st.booleans())
+    @example(elements=[("ab", "science"), ("bb", "art"), ("据数", "life"),
+                       ("b", "society")],
+             texts=["ab", "", "b", "b", "数据", "数", "b"], boundary=True)
+    # The join must not read as U+0000, which a surface may hold.
+    @example(elements=[("a\x00b", "art")], texts=["a", "b", "a\x00b"],
+             boundary=False)
+    def test_batch_matches_naive_per_document(self, elements, texts,
+                                              boundary):
+        auto = build_automaton(make_pool(elements),
+                               MatcherConfig(boundary=boundary))
+        profiles = annotate_all(
+            [Document(str(i), t) for i, t in enumerate(texts)], auto)
+        assert [(p.doc_id, p.n_p, (p.n_k, p.n_distinct, p.per_domain))
+                for p in profiles] == \
+            [(str(i), ref_token_count(ref_normalize(t)),
+              naive_match_counts(t, elements, boundary))
+             for i, t in enumerate(texts)]
+
+
+def _thue_morse(n: int, zero: str, one: str) -> str:
+    return "".join(one if bin(i).count("1") % 2 else zero for i in range(n))
+
+
+class TestHashCollision:
+    """The length-1024 Thue-Morse word over {a, b} and its complement
+    have equal polynomial hashes mod 2^64 under any odd base."""
+
+    WORD = _thue_morse(1024, "a", "b")
+    COMPLEMENT = _thue_morse(1024, "b", "a")
+    ELEMENTS = [(WORD, "science"), (COMPLEMENT, "art")]
+
+    def test_the_surfaces_share_a_hash(self):
+        auto = build_automaton(make_pool(self.ELEMENTS))
+        ((length, keys, _, _),) = auto._tables
+        assert length == 1024 and keys[0] == keys[1]
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    @pytest.mark.parametrize("text", [
+        WORD, COMPLEMENT, f"{WORD} {COMPLEMENT}", f"{COMPLEMENT}.{WORD}",
+        f"{WORD} x {WORD}", WORD + COMPLEMENT, "ab" * 600,
+    ], ids=["word", "complement", "both", "both-reversed", "word-twice",
+            "joined", "neither"])
+    def test_each_surface_counted_exactly(self, text, boundary):
+        prof = profile_of(text, self.ELEMENTS, boundary=boundary)
+        assert (prof.n_k, prof.n_distinct, prof.per_domain) == \
+            naive_match_counts(text, self.ELEMENTS, boundary)
+        if " " in text:
+            assert prof.per_domain["science"][0] == text.count(self.WORD)
+            assert prof.per_domain["art"][0] == text.count(self.COMPLEMENT)
 
 
 class TestAdditivity:

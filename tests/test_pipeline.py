@@ -167,7 +167,7 @@ class TestScoreRun:
         stats = json.loads((out / "run_stats.json").read_text())
         assert stats["resumed_shards"] == 2
         # Every toy surface is word-bounded, so none takes the substring path.
-        assert stats["span_patterns"] + stats["substring_patterns"] == 5
+        assert stats["bounded_patterns"] + stats["substring_patterns"] == 5
         assert stats["substring_patterns"] == 0
         # Throughput covers only the one shard this run scored.
         assert stats["docs_read"] > 0
@@ -303,6 +303,46 @@ class TestScoreRun:
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert stats["skipped_degenerate"] == 1
 
+    @pytest.mark.parametrize("batch_chars", [1, 2**30])
+    def test_batch_size_never_changes_bytes(self, tmp_path, caplog,
+                                            monkeypatch, batch_chars):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV + "東京\tculture\n",
+                                           encoding="utf-8")
+        texts = [d["text"] for d in [DOC_A, DOC_B, DOC_C, *UNICODE_DOCS]]
+        # Over 2**16 characters, so the default size makes several batches.
+        docs = [{"id": f"d{i}", "text": texts[i % len(texts)]}
+                for i in range(2500)]
+        docs[700:700] = [{"id": "none", "text": "!!! ..."},
+                         {"id": "empty", "text": ""}]
+        corpus = write_corpus(tmp_path, [docs, UNICODE_DOCS])
+        shard = Path(corpus).parent / "shard-000.jsonl"
+        shard.write_text(shard.read_text(encoding="utf-8") + "{not json\n"
+                         + json.dumps(DOC_A) + "\n", encoding="utf-8")
+        config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                           corpus=corpus, out_dir=str(tmp_path / "out"))
+        stats_path = Path(config.out_dir) / "run_stats.json"
+        counters = ("docs_read", "docs_scored", "skipped_malformed",
+                    "skipped_degenerate", "density_gt_1")
+
+        def run():
+            shutil.rmtree(config.out_dir, ignore_errors=True)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="hks.pipeline"):
+                run_score(config)
+            stats = json.loads(stats_path.read_text())
+            return (snapshot(config.out_dir),
+                    [stats[k] for k in counters],
+                    [r.getMessage() for r in caplog.records
+                     if "no tokens" in r.getMessage()])
+
+        default = run()
+        monkeypatch.setattr(hks.pipeline, "BATCH_CHARS", batch_chars)
+        assert run() == default
+        assert default[1] == [2509, 2506, 1, 2, 0]
+        assert default[2] == [
+            f"{shard}:{line}: document {doc_id!r} has no tokens; excluded"
+            for line, doc_id in [(701, "none"), (702, "empty")]]
+
     def test_density_above_one_counted(self, tmp_path):
         (tmp_path / "pool.tsv").write_text("ab\tscience\n", encoding="utf-8")
         corpus = write_corpus(tmp_path, [[{"id": "d", "text": "abab abab"}]])
@@ -314,7 +354,7 @@ class TestScoreRun:
         # 4 occurrences over 2 tokens
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert stats["density_gt_1"] == 1
-        assert (stats["span_patterns"], stats["substring_patterns"]) == (0, 1)
+        assert (stats["bounded_patterns"], stats["substring_patterns"]) == (0, 1)
 
 
 @pytest.fixture()

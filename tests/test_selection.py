@@ -360,6 +360,20 @@ class TestDispatch:
             SelectionSpec(budget=-1)
         with pytest.raises(DataError):
             SelectionSpec(alpha=1.2)
+        for tau in (math.nan, -math.inf):
+            with pytest.raises(DataError, match="tau"):
+                SelectionSpec(tau=tau)
+        assert SelectionSpec(tau=math.inf).tau == math.inf
+        for seed in (-1, 2**64):
+            with pytest.raises(DataError, match="seed"):
+                SelectionSpec(seed=seed)
+        assert SelectionSpec(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_mix_rejects_seed_outside_8_bytes(self, seed):
+        recs = records_from([1.0, 2.0])
+        with pytest.raises(DataError, match="seed"):
+            mix(recs, recs, 0.5, 1, seed)
 
 
 # Ids mix ASCII, accented and CJK text, so UTF-8 key bytes and code-point
