@@ -35,7 +35,7 @@ from .files import (canonical_json, line_digest, reading, verified_lines,
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
 from .metrics import ScoreTable, finite_numbers, score_record
-from .pool import KnowledgePool, load_pool
+from .pool import DOMAINS, KnowledgePool, load_pool
 from .selection import SelectionSpec, select
 from .textnorm import class_table
 
@@ -91,7 +91,6 @@ class ShardOutcome:
     degenerate: int = 0
     density_gt_1: int = 0
     replaced: int = 0
-    resumed: bool = False
 
 
 # Worker state inherited through fork; set once in the parent before
@@ -158,8 +157,7 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
-    outcome = ShardOutcome(input_path=in_path,
-                           output_name=out.name, resumed=out.exists())
+    outcome = ShardOutcome(input_path=in_path, output_name=out.name)
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
         docs = [doc for _, doc in batch]
@@ -176,31 +174,54 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
                 outcome.density_gt_1 += 1
             dest.write(rec.to_json() + "\n")
 
-    if not outcome.resumed:
-        with reading(in_path, config.strict) as fh, writing(out) as dest:
-            batch: list[tuple[int, Document]] = []
-            chars = 0
-            for line_no, _, doc in _documents(fh, in_path, config.strict):
-                outcome.read += 1
-                if doc is None:
-                    outcome.malformed += 1
-                    continue
-                batch.append((line_no, doc))
-                chars += len(doc.text)
-                if chars >= BATCH_CHARS:
-                    score_batch(batch, dest)
-                    batch, chars = [], 0
-            score_batch(batch, dest)
-            outcome.replaced = fh.replaced
-    # Fresh and resumed shards alike are described by the file on disk.
+    with reading(in_path, config.strict) as fh, writing(out) as dest:
+        batch: list[tuple[int, Document]] = []
+        chars = 0
+        for line_no, _, doc in _documents(fh, in_path, config.strict):
+            outcome.read += 1
+            if doc is None:
+                outcome.malformed += 1
+                continue
+            batch.append((line_no, doc))
+            chars += len(doc.text)
+            if chars >= BATCH_CHARS:
+                score_batch(batch, dest)
+                batch, chars = [], 0
+        score_batch(batch, dest)
+        outcome.replaced = fh.replaced
     outcome.sha256, outcome.records = line_digest(out)
     return outcome
 
 
-def _read_manifest(scores_dir: Path) -> tuple[dict, list[dict]] | None:
-    """A scoring run's recorded identity ("config_hash", "pool.sha256")
-    and its shard entries ("input", "output", "sha256", "records"), or
-    None when the directory has no manifest."""
+def _reused_shards(shards: list[str], outputs: list[Path],
+                   recorded: list[dict] | None) -> dict[int, ShardOutcome]:
+    """The outputs this run keeps, by input position. With a
+    manifest from an earlier run (`recorded`, one entry per input), an
+    output is kept only while its sha256 and record count equal its
+    entry's; without one (a run that crashed before writing it), every
+    output on disk is kept, paired with its input by position. Each
+    output is hashed once, here."""
+    kept: dict[int, ShardOutcome] = {}
+    for i, (in_path, out) in enumerate(zip(shards, outputs)):
+        if not out.exists():
+            continue
+        sha256, records = line_digest(out)
+        if recorded is not None and (sha256, records) != (
+                recorded[i]["sha256"], recorded[i]["records"]):
+            log.warning("%s: differs from its %s entry; scoring it again",
+                        out, MANIFEST_NAME)
+            continue
+        kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
+                               sha256=sha256, records=records)
+    return kept
+
+
+def _read_manifest(scores_dir: Path, with_totals: bool = False
+                   ) -> tuple[dict, list[dict], dict | None] | None:
+    """A scoring run's recorded identity ("config_hash", "pool.sha256"),
+    its shard entries ("input", "output", "sha256", "records") and, with
+    `with_totals`, its pool totals ("elements", "per_domain"), or None
+    when the directory has no manifest."""
     path = scores_dir / MANIFEST_NAME
     if not path.exists():
         return None
@@ -214,20 +235,35 @@ def _read_manifest(scores_dir: Path) -> tuple[dict, list[dict]] | None:
                    "sha256": str(shard["sha256"]),
                    "records": int(shard["records"])}
                   for shard in manifest["shards"]]
-    except (ValueError, KeyError, TypeError) as exc:
+        totals = None
+        if with_totals:
+            totals = {"elements": manifest["pool"]["elements"],
+                      "per_domain": manifest["pool"]["per_domain"]}
+            per_domain = totals["per_domain"]
+            counts = [totals["elements"], *per_domain.values()]
+            if (sorted(per_domain) != sorted(DOMAINS)
+                    or not all(type(n) is int and n >= 0 for n in counts)
+                    or sum(counts[1:]) != counts[0]):
+                raise ValueError(f"pool totals {canonical_json(totals)}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
-    return identity, shards
+    return identity, shards, totals
 
 
 def run_score(config: RunConfig) -> dict:
     """Score every document in the corpus; returns the manifest dict.
 
-    Existing output shards are kept as-is (crash resume); delete a shard
-    file to force its regeneration. An existing manifest whose config
-    hash, pool checksum or list of corpus files differs from this run's
-    is refused with a DataError before any shard is reused. Files under
-    the out dir are never read as corpus. The manifest and shard bytes
-    are identical whether a run was fresh, resumed, or parallel.
+    Existing output shards are kept (crash resume) while they still hash
+    to their entry in the out dir's manifest, or, with no manifest, as
+    they are; any other shard is scored again. Delete a shard file to
+    force its regeneration. An existing manifest whose config hash, pool
+    checksum or list of corpus files differs from this run's is refused
+    with a DataError before any shard is reused. A run that keeps every
+    shard of a manifest loads no pool and builds no matcher: the pool
+    totals come from that manifest, written from a pool with the same
+    checksum under the same config. Files under the out dir are never
+    read as corpus. The manifest and shard bytes are identical whether a
+    run was fresh, resumed, or parallel.
     """
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
@@ -239,11 +275,9 @@ def run_score(config: RunConfig) -> dict:
     if not shards:
         raise DataError(f"no corpus files match {config.corpus!r}")
 
-    pool = load_pool(config.pool_path, strict=config.strict)
     identity = {"config_hash": config_hash(config),
                 "pool.sha256": line_digest(config.pool_path)[0]}
-    pool_loaded = time.monotonic()
-    old = _read_manifest(out_dir)
+    old = _read_manifest(out_dir, with_totals=True)
     recorded = old[0] if old else identity
     for name, value in identity.items():
         if recorded[name] != value:
@@ -258,28 +292,46 @@ def run_score(config: RunConfig) -> dict:
             raise DataError(f"{out_dir / MANIFEST_NAME}: corpus file {i + 1} "
                             f"was {was}, this run reads {now}; score into a "
                             f"new out dir or empty this one")
-    # Built once per process; warmed here so automaton_build_s times
-    # the matcher alone.
-    class_table()
-    build_started = time.monotonic()
-    automaton = build_automaton(pool, MatcherConfig(boundary=config.boundary))
+    outputs = [out_dir / f"scores-{i:05d}.jsonl" for i in range(len(shards))]
+    kept = _reused_shards(shards, outputs, old[1] if old else None)
+    tasks = [(path, str(out)) for i, (path, out)
+             in enumerate(zip(shards, outputs)) if i not in kept]
+    pool = None
+    if tasks or not old:
+        pool = load_pool(config.pool_path, strict=config.strict)
+        totals = {"elements": pool.total,
+                  "per_domain": {d: int(n) for d, n in
+                                 sorted(pool.per_domain_total.items())}}
+    else:
+        # Written after loading a pool of this sha256 under this
+        # config_hash, so they are this pool's totals.
+        totals = old[2]
+    pool_loaded = build_started = time.monotonic()
+    automaton = None
+    if tasks:
+        # Built once per process; warmed here so automaton_build_s
+        # times the matcher alone.
+        class_table()
+        build_started = time.monotonic()
+        automaton = build_automaton(pool, MatcherConfig(boundary=config.boundary))
     built_at = time.monotonic()
 
-    tasks = [(path, str(out_dir / f"scores-{i:05d}.jsonl"))
-             for i, path in enumerate(shards)]
     _G_AUTOMATON, _G_POOL, _G_CONFIG = automaton, pool, config
     workers = min(config.workers, len(tasks))
     try:
         if workers > 1:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=workers) as procs:
-                outcomes = procs.map(_score_shard, tasks, chunksize=1)
+                scored = procs.map(_score_shard, tasks, chunksize=1)
         else:
-            outcomes = [_score_shard(t) for t in tasks]
+            scored = [_score_shard(t) for t in tasks]
     finally:
         _G_AUTOMATON, _G_POOL, _G_CONFIG = None, None, None
     scored_at = time.monotonic()
     elapsed = scored_at - started
+    fresh = iter(scored)
+    outcomes = [kept[i] if i in kept else next(fresh)
+                for i in range(len(shards))]
 
     total_records = sum(o.records for o in outcomes)
     if total_records == 0:
@@ -291,9 +343,7 @@ def run_score(config: RunConfig) -> dict:
         "pool": {
             "path": config.pool_path,
             "sha256": identity["pool.sha256"],
-            "elements": pool.total,
-            "per_domain": {d: int(n) for d, n in
-                           sorted(pool.per_domain_total.items())},
+            **totals,
         },
         "records": total_records,
         "shards": [
@@ -308,15 +358,15 @@ def run_score(config: RunConfig) -> dict:
     input_bytes = sum(os.path.getsize(p) for p in shards)
     read = sum(o.read for o in outcomes)
     # Throughput covers the shards scored by this run, not resumed ones.
-    read_bytes = sum(os.path.getsize(o.input_path) for o in outcomes
-                     if not o.resumed)
+    read_bytes = sum(os.path.getsize(o.input_path) for o in scored)
     scoring_s = scored_at - built_at
+    bounded = int(automaton.bounded.sum()) if automaton else None
     stats = {
         "elapsed_s": round(elapsed, 3),
         "pool_load_s": round(pool_loaded - started, 3),
         "automaton_build_s": round(built_at - build_started, 3),
-        "bounded_patterns": int(automaton.bounded.sum()),
-        "substring_patterns": pool.total - int(automaton.bounded.sum()),
+        "bounded_patterns": bounded,
+        "substring_patterns": pool.total - bounded if automaton else None,
         "workers": workers,
         "input_bytes": input_bytes,
         "docs_read": read,
@@ -327,8 +377,8 @@ def run_score(config: RunConfig) -> dict:
         "skipped_degenerate": sum(o.degenerate for o in outcomes),
         "density_gt_1": sum(o.density_gt_1 for o in outcomes),
         "replaced_sequences": sum(o.replaced for o in outcomes),
-        "resumed_shards": sum(1 for o in outcomes if o.resumed),
-        "pool_load": pool.report.to_dict() if pool.report else None,
+        "resumed_shards": len(kept),
+        "pool_load": pool.report.to_dict() if pool and pool.report else None,
     }
     with writing(out_dir / STATS_NAME) as dest:
         dest.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")

@@ -116,21 +116,23 @@ def load_pool(source: str | Path | TextIO,
     records and keeps going; strict mode raises on the first one. A pool
     with zero surviving elements is an error either way.
     """
-    report = PoolLoadReport()
     surfaces: list[str] = []
-    domains: list[int] = []
-    sources: list[int] = []
+    # One byte per kept element; numpy views them without a copy.
+    domains = bytearray()
+    sources = bytearray()
     index: dict[str, int] = {}
+    read = dropped_short = dropped_duplicate = 0
+    domain_conflicts = unknown_domain = malformed = 0
 
     with reading(source) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            report.read += 1
+            read += 1
             parts = line.split("\t")
             if len(parts) < 2:
-                report.malformed += 1
+                malformed += 1
                 msg = f"pool line {lineno}: expected surface<TAB>domain, got {line!r}"
                 if strict:
                     raise DataError(msg)
@@ -138,43 +140,44 @@ def load_pool(source: str | Path | TextIO,
                 continue
             raw_surface, domain = parts[0], parts[1].strip()
             source_tag = parts[2].strip() if len(parts) > 2 and parts[2].strip() else "unknown"
-            if domain not in _DOMAIN_ID:
-                report.unknown_domain += 1
+            domain_id = _DOMAIN_ID.get(domain)
+            if domain_id is None:
+                unknown_domain += 1
                 msg = f"pool line {lineno}: unknown domain {domain!r}"
                 if strict:
                     raise DataError(msg)
                 log.warning(msg)
                 continue
-            if source_tag not in _SOURCE_ID:
-                source_tag = "unknown"
             surface = normalize(raw_surface)
             if len(surface) < MIN_SURFACE_CHARS:
-                report.dropped_short += 1
+                dropped_short += 1
                 continue
             prev = index.get(surface)
             if prev is not None:
-                report.dropped_duplicate += 1
-                if domains[prev] != _DOMAIN_ID[domain]:
-                    report.domain_conflicts += 1
+                dropped_duplicate += 1
+                if domains[prev] != domain_id:
+                    domain_conflicts += 1
                 continue
             index[surface] = len(surfaces)
             surfaces.append(surface)
-            domains.append(_DOMAIN_ID[domain])
-            sources.append(_SOURCE_ID[source_tag])
+            domains.append(domain_id)
+            sources.append(_SOURCE_ID.get(source_tag, _SOURCE_ID["unknown"]))
 
-    report.kept = len(surfaces)
+    report = PoolLoadReport(
+        read=read, kept=len(surfaces), dropped_short=dropped_short,
+        dropped_duplicate=dropped_duplicate, domain_conflicts=domain_conflicts,
+        unknown_domain=unknown_domain, malformed=malformed)
     if not surfaces:
         raise EmptyPoolError("no elements survived filtering; pool is empty")
-    if report.dropped_short or report.dropped_duplicate or report.unknown_domain or report.malformed:
+    if dropped_short or dropped_duplicate or unknown_domain or malformed:
         log.info(
             "pool load: kept %d of %d (short=%d dup=%d conflicts=%d "
             "unknown_domain=%d malformed=%d)",
-            report.kept, report.read, report.dropped_short,
-            report.dropped_duplicate, report.domain_conflicts,
-            report.unknown_domain, report.malformed,
+            report.kept, read, dropped_short, dropped_duplicate,
+            domain_conflicts, unknown_domain, malformed,
         )
-    return KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
-                         np.asarray(sources, dtype=np.uint8), report=report)
+    return KnowledgePool(surfaces, np.frombuffer(domains, dtype=np.uint8),
+                         np.frombuffer(sources, dtype=np.uint8), report=report)
 
 
 @dataclass

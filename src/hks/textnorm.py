@@ -37,6 +37,9 @@ _CJK_RANGES = (
 _WORD_CATEGORIES = ("Lu", "Ll", "Lt", "Lm", "Lo", "Nd", "Nl", "No",
                     "Mn", "Mc", "Me", "Pc")
 
+# Codepoints classified per step of the class-table build; divides
+# sys.maxunicode + 1.
+_CHUNK = 1 << 16
 _class_table: np.ndarray | None = None
 
 
@@ -67,22 +70,33 @@ def char_class(ch: str) -> int:
 def class_table() -> np.ndarray:
     """uint8 class table indexed by codepoint, built lazily once.
 
-    ~1.1M unicodedata lookups; takes well under a second and is shared
-    by every document annotated in the process.
+    Categories are read _CHUNK codepoints at a time as one string of
+    two-letter names, viewed as uint16 codes and mapped through a
+    lookup over every code, which bounds the build's working memory.
+    Shared by every document annotated in the process.
     """
     global _class_table
     if _class_table is None:
+        word = np.zeros(1 << 16, dtype=np.uint8)
+        word[_category_codes("".join(_WORD_CATEGORIES))] = WORD
         table = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
-        cats = np.array(
-            [unicodedata.category(chr(cp)) in _WORD_CATEGORIES
-             for cp in range(sys.maxunicode + 1)],
-            dtype=bool,
-        )
-        table[cats] |= WORD
+        for lo in range(0, sys.maxunicode + 1, _CHUNK):
+            names = "".join(map(unicodedata.category,
+                                map(chr, range(lo, lo + _CHUNK))))
+            classes = word[_category_codes(names)]
+            # Chunks with no word character (most planes above 3) are
+            # left unwritten, so their zero pages are never touched.
+            if classes.any():
+                table[lo:lo + _CHUNK] = classes
         for lo, hi in _CJK_RANGES:
             table[lo:hi + 1] |= CJK
         _class_table = table
     return _class_table
+
+
+def _category_codes(names: str) -> np.ndarray:
+    """One uint16 code per two-letter category name in `names`."""
+    return np.frombuffer(names.encode("ascii"), dtype=np.uint16)
 
 
 def encode_codepoints(text: str) -> np.ndarray:

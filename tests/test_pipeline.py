@@ -223,6 +223,80 @@ class TestScoreRun:
             run_score(config)
         assert snapshot(config.out_dir) == first
 
+    def test_rerun_scoring_nothing_loads_no_pool(self, tmp_path, monkeypatch):
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rerun that scores nothing called this")
+
+        monkeypatch.setattr(hks.pipeline, "load_pool", refuse)
+        monkeypatch.setattr(hks.pipeline, "build_automaton", refuse)
+        run_score(config)
+        assert snapshot(config.out_dir) == first
+        stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
+        assert stats["resumed_shards"] == 3
+        assert stats["automaton_build_s"] == 0
+        assert (stats["bounded_patterns"], stats["substring_patterns"],
+                stats["pool_load"]) == (None, None, None)
+
+    @pytest.mark.parametrize("manifest", ["kept", "deleted"])
+    def test_deleted_shard_loads_and_builds(self, tmp_path, monkeypatch,
+                                            manifest):
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        calls = []
+        for name in ("load_pool", "build_automaton"):
+            real = getattr(hks.pipeline, name)
+            monkeypatch.setattr(
+                hks.pipeline, name,
+                lambda *a, name=name, real=real, **kw:
+                    calls.append(name) or real(*a, **kw))
+        out = Path(config.out_dir)
+        (out / "scores-00001.jsonl").unlink()
+        if manifest == "deleted":
+            (out / "manifest.json").unlink()
+        run_score(config)
+        assert calls == ["load_pool", "build_automaton"]
+        assert snapshot(config.out_dir) == first
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edit", ["rewritten", "truncated", "emptied"])
+    def test_edited_shard_is_scored_again(self, tmp_path, caplog, edit,
+                                          workers):
+        config = toy_config(tmp_path, workers=workers)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        shard = Path(config.out_dir) / "scores-00000.jsonl"
+        data = shard.read_bytes()
+        shard.write_bytes({
+            "rewritten": data.replace(b'"n_p":9', b'"n_p":8', 1),
+            "truncated": data[:len(data) // 2],
+            "emptied": b"",
+        }[edit])
+        assert shard.read_bytes() != data
+        with caplog.at_level("WARNING", logger="hks.pipeline"):
+            run_score(config)
+        assert snapshot(config.out_dir) == first
+        assert any(str(shard) in r.getMessage() for r in caplog.records)
+        stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (2, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("elements", "5"), ("elements", True), ("elements", 6),
+        ("per_domain", {"art": 5}), ("per_domain", [5])])
+    def test_malformed_pool_totals_are_refused(self, tmp_path, field, value):
+        config = toy_config(tmp_path)
+        run_score(config)
+        path = Path(config.out_dir) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["pool"][field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="not a score manifest"):
+            run_score(config)
+
     def test_gzip_shards(self, tmp_path):
         pool_path = tmp_path / "pool.tsv"
         pool_path.write_text(POOL_TSV, encoding="utf-8")

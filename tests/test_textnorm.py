@@ -79,6 +79,17 @@ class TestCharClass:
             ch = chr(int(cp))
             assert table[int(cp)] == char_class(ch)
 
+    def test_table_equals_scalar_on_every_codepoint(self):
+        # Exhaustive, so it covers both sides of every 2**16-codepoint
+        # step of the build (0xFFFF is unassigned, 0x10000 a letter).
+        table = class_table()
+        assert table.shape == (0x110000,) and table.dtype == np.uint8
+        scalar = np.fromiter((char_class(chr(cp)) for cp in range(0x110000)),
+                             dtype=np.uint8, count=0x110000)
+        wrong = np.flatnonzero(table != scalar)
+        assert not wrong.size, [hex(cp) for cp in wrong[:10]]
+        assert (table[0xFFFF], table[0x10000]) == (0, WORD)
+
 
 class TestTokenCount:
     def test_latin_words(self):
