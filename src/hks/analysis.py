@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DataError
 from .files import canonical_json
 from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
-                      all_score_functions, eval_score_function)
+                      all_score_functions, eval_score_function,
+                      finite_numbers)
 
 log = logging.getLogger(__name__)
 
@@ -164,14 +165,20 @@ class PreferencePair:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferencePair":
+        """The pair a parsed JSON object describes, values kept as parsed:
+        each d, c and the label must be a finite number (not a bool), and
+        each d and c >= 0."""
         try:
-            return cls(
-                a=(float(obj["a"]["d"]), float(obj["a"]["c"])),
-                b=(float(obj["b"]["d"]), float(obj["b"]["c"])),
-                label=float(obj["label"]),
-            )
+            a = (obj["a"]["d"], obj["a"]["c"])
+            b = (obj["b"]["d"], obj["b"]["c"])
+            label = obj["label"]
         except KeyError as exc:
             raise DataError(f"preference pair missing key {exc}") from exc
+        if not (finite_numbers([*a, *b, label]) and min(*a, *b) >= 0):
+            raise DataError(f"d and c must be finite numbers >= 0 and the "
+                            f"label a finite number; got a={a}, b={b}, "
+                            f"label={label!r}")
+        return cls(a=a, b=b, label=label)
 
 
 def pairwise_function_correlation(pairs: Sequence[PreferencePair],

@@ -193,77 +193,103 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
     return outcome
 
 
-def _reused_shards(shards: list[str], outputs: list[Path],
-                   recorded: list[dict] | None) -> dict[int, ShardOutcome]:
-    """The outputs this run keeps, by input position. With a
-    manifest from an earlier run (`recorded`, one entry per input), an
-    output is kept only while its sha256 and record count equal its
-    entry's; without one (a run that crashed before writing it), every
-    output on disk is kept, paired with its input by position. Each
-    output is hashed once, here."""
-    kept: dict[int, ShardOutcome] = {}
-    for i, (in_path, out) in enumerate(zip(shards, outputs)):
-        if not out.exists():
-            continue
-        sha256, records = line_digest(out)
-        if recorded is not None and (sha256, records) != (
-                recorded[i]["sha256"], recorded[i]["records"]):
-            log.warning("%s: differs from its %s entry; scoring it again",
-                        out, MANIFEST_NAME)
-            continue
-        kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
-                               sha256=sha256, records=records)
-    return kept
-
-
-def _read_manifest(scores_dir: Path, with_totals: bool = False
-                   ) -> tuple[dict, list[dict], dict | None] | None:
-    """A scoring run's recorded identity ("config_hash", "pool.sha256"),
-    its shard entries ("input", "output", "sha256", "records") and, with
-    `with_totals`, its pool totals ("elements", "per_domain"), or None
-    when the directory has no manifest."""
+def _read_manifest(scores_dir: Path) -> dict | None:
+    """The manifest of a scoring run's output directory as parsed, or
+    None when the directory has none. What callers trust is checked and
+    nothing is coerced: "config_hash" and "pool.sha256" are present, and
+    "shards" is a list of objects whose "input" is a string, "output" a
+    file name in the directory (neither holding a NUL), "sha256" a
+    string and "records" an int >= 0. Any other manifest is a
+    DataError."""
     path = scores_dir / MANIFEST_NAME
     if not path.exists():
         return None
     try:
         with reading(path) as fh:
             manifest = json.loads(fh.read())
-        identity = {"config_hash": manifest["config_hash"],
-                    "pool.sha256": manifest["pool"]["sha256"]}
-        shards = [{"input": str(shard["input"]),
-                   "output": str(shard["output"]),
-                   "sha256": str(shard["sha256"]),
-                   "records": int(shard["records"])}
-                  for shard in manifest["shards"]]
-        totals = None
-        if with_totals:
-            totals = {"elements": manifest["pool"]["elements"],
-                      "per_domain": manifest["pool"]["per_domain"]}
-            per_domain = totals["per_domain"]
-            counts = [totals["elements"], *per_domain.values()]
-            if (sorted(per_domain) != sorted(DOMAINS)
-                    or not all(type(n) is int and n >= 0 for n in counts)
-                    or sum(counts[1:]) != counts[0]):
-                raise ValueError(f"pool totals {canonical_json(totals)}")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        manifest["config_hash"], manifest["pool"]["sha256"]  # required
+        if not isinstance(manifest["shards"], list):
+            raise TypeError("shards is not a list")
+        for shard in manifest["shards"]:
+            out, records = shard["output"], shard["records"]
+            if not (isinstance(shard["input"], str) and isinstance(out, str)
+                    and "\0" not in shard["input"] + out
+                    and out not in ("", ".", "..")
+                    and os.path.basename(out) == out
+                    and isinstance(shard["sha256"], str)
+                    and type(records) is int and records >= 0):
+                raise ValueError(f"shard entry {shard!r}")
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
-    return identity, shards, totals
+    return manifest
+
+
+def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
+            shards: list[str], outputs: list[Path]
+            ) -> tuple[dict[int, ShardOutcome], dict | None]:
+    """The outputs a run into `out_dir` keeps, by input position, and the
+    manifest's pool totals when it keeps every output the manifest lists
+    (None when the pool must be loaded). A manifest whose config_hash,
+    pool sha256 or list of corpus files differs from this run's is a
+    DataError before anything is kept, and so are totals to be copied
+    that are not ints >= 0 for exactly the five domains summing to
+    "elements". With a manifest, an output is kept only while its sha256
+    and record count equal its entry's; without one (a run that crashed
+    before writing it), every output on disk is kept, paired with its
+    input by position."""
+    path = out_dir / MANIFEST_NAME
+    manifest = _read_manifest(out_dir)
+    if manifest is not None:
+        for name, was, now in (
+                ("config_hash", manifest["config_hash"], run_hash),
+                ("pool.sha256", manifest["pool"]["sha256"], pool_sha256)):
+            if was != now:
+                raise DataError(
+                    f"{path}: {name} differs from this run ({was} != {now}); "
+                    f"score into a new out dir or empty this one")
+        # Output shards pair with inputs by position.
+        inputs = (entry["input"] for entry in manifest["shards"])
+        for i, (was, now) in enumerate(itertools.zip_longest(inputs, shards)):
+            if was != now:
+                raise DataError(f"{path}: corpus file {i + 1} was {was}, "
+                                f"this run reads {now}; score into a new "
+                                f"out dir or empty this one")
+    kept: dict[int, ShardOutcome] = {}
+    for i, (in_path, out) in enumerate(zip(shards, outputs)):
+        if not out.exists():
+            continue
+        sha256, records = line_digest(out)
+        entry = manifest["shards"][i] if manifest else None
+        if entry and (sha256, records) != (entry["sha256"], entry["records"]):
+            log.warning("%s: differs from its %s entry; scoring it again",
+                        out, MANIFEST_NAME)
+            continue
+        kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
+                               sha256=sha256, records=records)
+    if manifest is None or len(kept) < len(shards):
+        return kept, None
+    # Written after loading a pool of this sha256 under this config_hash,
+    # so they are this pool's totals; phase two never reads them.
+    totals = {k: manifest["pool"].get(k) for k in ("elements", "per_domain")}
+    per_domain = totals["per_domain"]
+    if not (isinstance(per_domain, dict)
+            and sorted(per_domain) == sorted(DOMAINS)
+            and all(type(n) is int and n >= 0
+                    for n in (totals["elements"], *per_domain.values()))
+            and sum(per_domain.values()) == totals["elements"]):
+        raise DataError(f"{path}: not a score manifest (pool totals "
+                        f"{canonical_json(totals)})")
+    return kept, totals
 
 
 def run_score(config: RunConfig) -> dict:
     """Score every document in the corpus; returns the manifest dict.
 
-    Existing output shards are kept (crash resume) while they still hash
-    to their entry in the out dir's manifest, or, with no manifest, as
-    they are; any other shard is scored again. Delete a shard file to
-    force its regeneration. An existing manifest whose config hash, pool
-    checksum or list of corpus files differs from this run's is refused
-    with a DataError before any shard is reused. A run that keeps every
-    shard of a manifest loads no pool and builds no matcher: the pool
-    totals come from that manifest, written from a pool with the same
-    checksum under the same config. Files under the out dir are never
-    read as corpus. The manifest and shard bytes are identical whether a
-    run was fresh, resumed, or parallel.
+    Outputs of an earlier run into the out dir are kept as `_resume`
+    decides and every other shard is scored; a run that keeps them all
+    loads no pool and builds no matcher. Files under the out dir are
+    never read as corpus. The manifest and shard bytes are identical
+    whether a run was fresh, resumed, or parallel.
     """
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
@@ -275,37 +301,18 @@ def run_score(config: RunConfig) -> dict:
     if not shards:
         raise DataError(f"no corpus files match {config.corpus!r}")
 
-    identity = {"config_hash": config_hash(config),
-                "pool.sha256": line_digest(config.pool_path)[0]}
-    old = _read_manifest(out_dir, with_totals=True)
-    recorded = old[0] if old else identity
-    for name, value in identity.items():
-        if recorded[name] != value:
-            raise DataError(
-                f"{out_dir / MANIFEST_NAME}: {name} differs from this run "
-                f"({recorded[name]} != {value}); score into a new out dir "
-                f"or empty this one")
-    # Output shards pair with inputs by position.
-    listed = [shard["input"] for shard in old[1]] if old else shards
-    for i, (was, now) in enumerate(itertools.zip_longest(listed, shards)):
-        if was != now:
-            raise DataError(f"{out_dir / MANIFEST_NAME}: corpus file {i + 1} "
-                            f"was {was}, this run reads {now}; score into a "
-                            f"new out dir or empty this one")
+    run_hash = config_hash(config)
+    pool_sha256 = line_digest(config.pool_path)[0]
     outputs = [out_dir / f"scores-{i:05d}.jsonl" for i in range(len(shards))]
-    kept = _reused_shards(shards, outputs, old[1] if old else None)
+    kept, totals = _resume(out_dir, run_hash, pool_sha256, shards, outputs)
     tasks = [(path, str(out)) for i, (path, out)
              in enumerate(zip(shards, outputs)) if i not in kept]
     pool = None
-    if tasks or not old:
+    if totals is None:
         pool = load_pool(config.pool_path, strict=config.strict)
         totals = {"elements": pool.total,
                   "per_domain": {d: int(n) for d, n in
                                  sorted(pool.per_domain_total.items())}}
-    else:
-        # Written after loading a pool of this sha256 under this
-        # config_hash, so they are this pool's totals.
-        totals = old[2]
     pool_loaded = build_started = time.monotonic()
     automaton = None
     if tasks:
@@ -339,10 +346,10 @@ def run_score(config: RunConfig) -> dict:
     manifest = {
         "version": 1,
         "config": _identity_config(config),
-        "config_hash": identity["config_hash"],
+        "config_hash": run_hash,
         "pool": {
             "path": config.pool_path,
-            "sha256": identity["pool.sha256"],
+            "sha256": pool_sha256,
             **totals,
         },
         "records": total_records,
@@ -405,7 +412,7 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
                         f"only the output directory of an `hks score` run")
     table = ScoreTable()
     shard_of: dict[str, Path] = {}
-    for shard in manifest[1]:
+    for shard in manifest["shards"]:
         path, start = scores_dir / shard["output"], len(table)
         with verified_lines(path, shard["sha256"]) as lines:
             added = table.extend_json(lines, path)
@@ -438,6 +445,13 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     rows = [row_of[doc_id] for doc_id in result.selected_ids]
     scores = table.column(spec.score_field) if rows else []
     if emit_corpus:
+        run_files = {p.resolve() for path, shard, _ in table.shards
+                     for p in (path, Path(shard["input"]))}
+        if Path(emit_corpus).resolve() in run_files | {
+                (Path(scores_dir) / MANIFEST_NAME).resolve()}:
+            raise DataError(f"{emit_corpus}: is the manifest, a score shard "
+                            f"or a corpus input of the score run under "
+                            f"{scores_dir}; emit the corpus elsewhere")
         # Written first, so that an input that fails leaves no selection
         # behind. Records are in shard order, so each shard's input is
         # read for the selected ids its score shard holds.
@@ -516,9 +530,11 @@ def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
 def _load_ext_columns(path: str,
                       names: Sequence[str]) -> dict[str, dict[str, float]]:
     """External baseline columns: JSONL of {"id": ..., <name>: value}.
-    Of the requested `names`, a bool, NaN or ±Infinity value is a
-    DataError and a value that is not a number counts as missing."""
+    An id on two lines is a DataError naming both; of the requested
+    `names`, a bool, NaN or ±Infinity value is a DataError and a value
+    that is not a number counts as missing."""
     table: dict[str, dict[str, float]] = {}
+    line_of: dict[str, int] = {}
     with reading(path, strict=False) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -527,12 +543,16 @@ def _load_ext_columns(path: str,
             try:
                 obj = json.loads(line)
                 doc_id = obj["id"]
+                first = line_of.setdefault(doc_id, line_no)
                 table[doc_id] = row = {
                     name: obj[name] for name in names
                     if isinstance(obj.get(name), (int, float))}
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{line_no}: bad external column "
                                 f"row ({exc})") from exc
+            if first != line_no:
+                raise DataError(f"{path}:{line_no}: duplicate id {doc_id!r}, "
+                                f"first on line {first}")
             for name, value in row.items():
                 if not finite_numbers([value]):
                     raise DataError(f"{path}:{line_no}: ext:{name} is "
@@ -549,14 +569,13 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
     external JSONL. Documents missing any external value are dropped
     from all columns (inner join) with a warning.
     """
-    table = load_score_records(scores_dir)
     ext_names = [c.split(":", 1)[1] for c in columns if c.startswith("ext:")]
+    if ext_names and not ext_path:
+        raise DataError("ext: columns require an external column file")
+    table = load_score_records(scores_dir)
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
-
     kept = table
     if ext_names:
-        if not ext_path:
-            raise DataError("ext: columns require an external column file")
         kept = table.take([i for i, doc_id in enumerate(table.ids)
                            if all(ext.get(doc_id, {}).get(n) is not None
                                   for n in ext_names)])

@@ -10,8 +10,8 @@ import hks.selection
 from hks.cli import main
 from hks.files import line_digest
 
-from test_pipeline import (DOC_A, DOC_B, DOC_C, POOL_TSV, snapshot,
-                           write_corpus)
+from test_pipeline import (DOC_A, DOC_B, DOC_C, POOL_TSV, files_under,
+                           snapshot, write_corpus)
 
 
 @pytest.fixture()
@@ -334,6 +334,72 @@ class TestExitCodes:
                      *flags]) == 2
         assert f"hks: error: {named} must be" in capsys.readouterr().err
         assert not (root / "sel").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("records", 2.9), ("records", "1"), ("records", True),
+        ("sha256", 7), ("input", 7), ("input", "a\0b"), ("output", "../x"),
+        ("output", "/x"), ("output", "scores-00000.jsonl\0")])
+    @pytest.mark.parametrize("command", ["select", "split", "score"])
+    def test_manifest_shard_entry_is_checked_not_coerced(
+            self, workspace, capsys, command, field, value):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        manifest = scores / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["shards"][0][field] = value
+        manifest.write_text(json.dumps(data))
+        before = files_under(root)
+        capsys.readouterr()
+        assert main({
+            "select": _select_argv(root),
+            "split": ["split", "--scores", str(scores), "--out",
+                      str(root / "split"), "--budget-tokens", "6"],
+            "score": ["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                      corpus, "--out", str(scores)],
+        }[command]) == 2
+        assert (f"hks: error: {manifest}: not a score manifest"
+                in capsys.readouterr().err)
+        assert files_under(root) == before
+
+    @pytest.mark.parametrize("side, key, value", [
+        ("a", "d", True), ("a", "c", "0.5"), ("a", "c", "inf"),
+        ("a", "c", -5), ("b", "d", -0.5), ("b", "c", 1e400),
+        ("b", "d", float("nan")), ("label", None, "1"),
+        ("label", None, float("nan"))])
+    def test_malformed_preference_pair_is_data_error(self, tmp_path, capsys,
+                                                     side, key, value):
+        pair = {"a": {"d": 0.1, "c": 0.2}, "b": {"d": 0.3, "c": 0.4},
+                "label": 1.0}
+        bad = json.loads(json.dumps(pair))
+        if key is None:
+            bad[side] = value
+        else:
+            bad[side][key] = value
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps(pair) + "\n" + json.dumps(bad) + "\n",
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "fsearch", "--pairs", str(pairs),
+                     "--out", str(tmp_path / "fs.csv")]) == 2
+        assert (f"hks: error: {pairs}:2: not a preference pair"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fs.csv").exists()
+
+    def test_ext_column_without_ext_file_reads_no_shard(
+            self, workspace, capsys, monkeypatch):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+
+        def no_read(*args):
+            raise AssertionError("a score shard was read")
+
+        monkeypatch.setattr(hks.pipeline, "load_score_records", no_read)
+        capsys.readouterr()
+        assert main(["analyze", "corr", "--scores", str(scores), "--columns",
+                     "d,ext:ppl", "--out", str(root / "corr.json")]) == 2
+        assert ("hks: error: ext: columns require an external column file"
+                in capsys.readouterr().err)
+        assert not (root / "corr.json").exists()
 
     def test_bad_workers_flag(self, workspace):
         root, corpus = workspace

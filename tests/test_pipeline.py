@@ -80,6 +80,11 @@ def toy_config(root: Path, **kw) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def files_under(root: Path) -> dict[Path, bytes]:
+    """Bytes of every file under `root`."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def snapshot(out_dir: str) -> dict[str, bytes]:
     """Bytes of every deterministic output (run_stats.json excluded)."""
     out = Path(out_dir)
@@ -497,6 +502,35 @@ class TestDownstream:
                        str(root / "sel"), emit_corpus=str(emitted))
         assert not emitted.exists() and not (root / "sel").exists()
 
+    @pytest.mark.parametrize("target", ["input", "manifest", "shard"])
+    def test_emit_corpus_refuses_a_file_of_the_run(self, scored, target):
+        root, config = scored
+        out = Path(config.out_dir)
+        emitted = {
+            # Spelled otherwise than the manifest's input path.
+            "input": root / "shards" / ".." / "shards" / "shard-000.jsonl",
+            "manifest": out / "manifest.json",
+            "shard": out / "scores-00001.jsonl",
+        }[target]
+        before = files_under(root)
+        with pytest.raises(DataError, match=re.escape(f"{emitted}: ")):
+            run_select(config.out_dir, SelectionSpec(strategy="topk", budget=15),
+                       str(root / "sel"), emit_corpus=str(emitted))
+        assert files_under(root) == before
+
+    def test_run_with_zero_records_is_refused(self, tmp_path):
+        (tmp_path / "pool.tsv").write_text(POOL_TSV, encoding="utf-8")
+        config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                           corpus=write_corpus(
+                               tmp_path, [[{"id": "blank", "text": ""}], []]),
+                           out_dir=str(tmp_path / "out"))
+        run_score(config)
+        manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
+        assert [s["records"] for s in manifest["shards"]] == [0, 0]
+        with pytest.raises(DataError, match="holds zero records"):
+            run_split(config.out_dir, 6, str(tmp_path / "split"))
+        assert not (tmp_path / "split").exists()
+
     @pytest.mark.parametrize("command", ["select", "split", "hist", "corr"])
     def test_phase_two_reads_the_manifest_once(self, scored, monkeypatch,
                                                command):
@@ -613,6 +647,18 @@ class TestDownstream:
         with pytest.raises(DataError, match=re.escape(f"{ext}:2: ext:ppl is {value},")):
             run_corr(config.out_dir, ["hks", "ext:ppl"],
                      str(root / "corr.json"), ext_path=str(ext))
+
+    def test_corr_rejects_a_repeated_ext_id(self, scored):
+        root, config = scored
+        ext = root / "ext.jsonl"
+        ext.write_text('{"id": "doc-a", "ppl": 12.0}\n\n'
+                       '{"id": "doc-b", "ppl": 5.0}\n'
+                       '{"id": "doc-a", "ppl": 3.0}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"{ext}:4: duplicate id 'doc-a', first on line 1")):
+            run_corr(config.out_dir, ["hks", "ext:ppl"],
+                     str(root / "corr.json"), ext_path=str(ext))
+        assert not (root / "corr.json").exists()
 
     def test_fsearch(self, scored):
         root, _ = scored

@@ -210,10 +210,12 @@ def edited(**changes) -> str:
     (edited(meta="web"), "'meta' is not an object"),
     (edited(domains=DROP), "domains differ from the first record's"),
     (edited(n_k=DROP), "not a score record (missing key 'n_k')"),
+    (edited() + " {}", "not a score record (extra data at column "
+                       f"{len(edited()) + 1})"),
 ], ids=["id-int", "id-empty", "id-list", "n_p-str", "n_p-bool", "n_p-zero",
         "n_p-float", "hks-nan", "d-inf", "c-str", "hks-bool", "hks-null",
         "hks-huge-int", "domain-nan", "meta-list", "meta-str",
-        "domains-missing", "n_k-missing"])
+        "domains-missing", "n_k-missing", "trailing-data"])
 def test_malformed_value_is_data_error_naming_its_line(tmp_path, capsys,
                                                        line, message):
     first = edited(id="doc-a")

@@ -230,6 +230,10 @@ class TestThresholdSplit:
             select(recs, spec)
         assert exc.value.stratum == "low"
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(DataError, match="token budget must be >= 0"):
+            threshold_split(records_from([1.0, 2.0]), -1)
+
     def test_ties_at_threshold_go_high(self):
         recs = records_from([5.0, 3.0, 3.0, 1.0], n_p=[5, 5, 5, 5])
         high, low, threshold = threshold_split(recs, 10)
@@ -317,6 +321,11 @@ class TestMix:
     def test_bad_alpha_rejected(self):
         with pytest.raises(DataError):
             mix([], [], 1.5, 100, seed=0)
+
+    def test_negative_budget_rejected(self):
+        recs = records_from([1.0, 2.0])
+        with pytest.raises(DataError, match="token budget must be >= 0"):
+            mix(recs, recs, 0.5, -1, seed=0)
 
 
 class TestDispatch:
