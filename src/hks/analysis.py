@@ -20,13 +20,11 @@ import numpy as np
 
 from .errors import DataError
 from .files import canonical_json
-from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
+from .metrics import (RECORD_SCORES, ScoreFunction, ScoreRecord, ScoreTable,
                       all_score_functions, eval_score_function,
                       finite_numbers)
 
 log = logging.getLogger(__name__)
-
-BUCKET_METRICS = ("d", "c", "hks")
 
 
 @dataclass
@@ -70,9 +68,9 @@ def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
     """
     if n_buckets < 1:
         raise DataError(f"need at least 1 bucket, got {n_buckets}")
-    if metric not in BUCKET_METRICS:
+    if metric not in RECORD_SCORES:
         raise DataError(f"unknown metric {metric!r}; expected one of "
-                        f"{BUCKET_METRICS}")
+                        f"{RECORD_SCORES}")
     table = ScoreTable.from_records(records)
     if not len(table):
         raise DataError("cannot bucket an empty record set")
@@ -103,13 +101,14 @@ def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
     return BucketHistogram(metric=metric, edges=edges, counts=counts)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean of their positions."""
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """1-based ranks with ties assigned the mean of their positions, and
+    whether any value is tied."""
     _, inverse, counts = np.unique(values, return_inverse=True,
                                    return_counts=True)
     # A tie group of size k ending at 1-based position u ranks u - (k-1)/2.
     upper = np.cumsum(counts)
-    return (upper - (counts - 1) / 2.0)[inverse]
+    return (upper - (counts - 1) / 2.0)[inverse], counts.size != values.size
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -131,18 +130,15 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DataError("constant score vector; rank correlation undefined")
 
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    x_tied = np.unique(x).size != n
-    y_tied = np.unique(y).size != n
+    rx, x_tied = _average_ranks(x)
+    ry, y_tied = _average_ranks(y)
     if not x_tied and not y_tied:
-        # sum(diff^2) <= n*(n^2-1)/3, which fits int64 up to n ~ 3e6.
-        if n <= 1_500_000:
-            diff = rx.astype(np.int64) - ry.astype(np.int64)
-            sd = int(np.dot(diff, diff))
-        else:
-            diff = rx - ry
-            sd = float(np.dot(diff, diff))
+        diff = rx.astype(np.int64) - ry.astype(np.int64)
+        # Each diff^2 is at most (n-1)^2, so a block of `step` of them
+        # sums within int64; the block sums add as Python ints.
+        step = max(1, (2**63 - 1) // (n - 1) ** 2)
+        sd = sum(int(np.dot(block, block))
+                 for block in np.split(diff, range(step, n, step)))
         return 1.0 - 6.0 * sd / (n * (n * n - 1))
     rx -= rx.mean()
     ry -= ry.mean()

@@ -14,7 +14,7 @@ import sys
 
 from .errors import HksError, UsageError
 from .files import writing
-from .analysis import BUCKET_METRICS
+from .metrics import RECORD_SCORES
 from .pool import DOMAINS, load_pool, pool_stats
 from .pipeline import (RunConfig, run_corr, run_fsearch, run_hist, run_score,
                        run_select, run_split)
@@ -22,7 +22,7 @@ from .selection import STRATEGIES, SelectionSpec
 
 log = logging.getLogger(__name__)
 
-SCORE_FIELDS = ("hks", "d", "c", *DOMAINS)
+SCORE_FIELDS = (*RECORD_SCORES, *DOMAINS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out", required=True, help="output directory")
     p_select.add_argument("--strategy", choices=STRATEGIES,
                           default="topk")
-    p_select.add_argument("--budget-tokens", type=_count,
-                          help="token budget (sum of selected n_p)")
-    p_select.add_argument("--budget-docs", type=_count,
-                          help="document-count budget")
+    budget = p_select.add_mutually_exclusive_group(required=True)
+    budget.add_argument("--budget-tokens", type=_count,
+                        help="token budget (sum of selected n_p)")
+    budget.add_argument("--budget-docs", type=_count,
+                        help="document-count budget")
     p_select.add_argument("--tau", type=float, default=2.0,
                           help="softmax temperature for sampling")
     p_select.add_argument("--alpha", type=float,
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = an_sub.add_parser("hist", help="per-group score histogram CSV",
                                 parents=[common])
     p_hist.add_argument("--scores", required=True)
-    p_hist.add_argument("--metric", choices=BUCKET_METRICS, required=True)
+    p_hist.add_argument("--metric", choices=RECORD_SCORES, required=True)
     p_hist.add_argument("--group-by", required=True,
                         help="document meta key to group on")
     p_hist.add_argument("--buckets", type=int, default=50)
@@ -184,10 +185,6 @@ def _cmd_score(args) -> int:
 
 
 def _select_spec(args) -> SelectionSpec:
-    if args.budget_tokens is not None and args.budget_docs is not None:
-        raise UsageError("use either --budget-tokens or --budget-docs, not both")
-    if args.budget_tokens is None and args.budget_docs is None:
-        raise UsageError("a budget is required: --budget-tokens or --budget-docs")
     if args.strategy == "mix":
         if args.alpha is None:
             raise UsageError("mix strategy requires --alpha")

@@ -27,7 +27,13 @@ from .pool import DOMAINS, KnowledgePool
 
 log = logging.getLogger(__name__)
 
-FUNC_KINDS = ("identity", "sin", "ln1p")
+# Each component of f(d) * g(c) by kind: its function and its label.
+_COMPONENTS = {"identity": (lambda x: x, "{}"),
+               "sin": (math.sin, "sin({})"),
+               "ln1p": (math.log1p, "ln({}+1)")}
+FUNC_KINDS = tuple(_COMPONENTS)
+# The score fields of every record, in the order they are offered.
+RECORD_SCORES = ("hks", "d", "c")
 
 
 def density(profile: KnowledgeProfile) -> float:
@@ -87,23 +93,13 @@ class ScoreFunction:
 
     @property
     def name(self) -> str:
-        parts = {"identity": "{v}", "sin": "sin({v})", "ln1p": "ln({v}+1)"}
-        f = parts[self.f_kind].format(v="d")
-        g = parts[self.g_kind].format(v="c")
-        return f"{f}*{g}"
-
-
-def _eval_component(kind: str, x: float) -> float:
-    if kind == "identity":
-        return x
-    if kind == "sin":
-        return math.sin(x)
-    return math.log1p(x)
+        return (f"{_COMPONENTS[self.f_kind][1].format('d')}*"
+                f"{_COMPONENTS[self.g_kind][1].format('c')}")
 
 
 def eval_score_function(sf: ScoreFunction, d: float, c: float) -> float:
     """f(d) * g(c). d is passed raw even when > 1 (overlap semantics)."""
-    return _eval_component(sf.f_kind, d) * _eval_component(sf.g_kind, c)
+    return _COMPONENTS[sf.f_kind][0](d) * _COMPONENTS[sf.g_kind][0](c)
 
 
 def all_score_functions() -> list[ScoreFunction]:
@@ -201,9 +197,6 @@ def score_record(profile: KnowledgeProfile, pool: KnowledgePool,
     )
 
 
-_RECORD_SCORES = ("d", "c", "hks")
-
-
 def _ids_ok(values: list) -> bool:
     return set(map(type, values)) <= {str} and "" not in values
 
@@ -241,7 +234,7 @@ class ScoreTable:
     ids: list[str] = field(default_factory=list)
     n_p: list[int] = field(default_factory=list)
     scores: dict[str, list] = field(
-        default_factory=lambda: {name: [] for name in _RECORD_SCORES})
+        default_factory=lambda: {name: [] for name in RECORD_SCORES})
     meta: list[dict | None] = field(default_factory=list)
     shards: list[tuple] = field(default_factory=list)
 
@@ -281,9 +274,9 @@ class ScoreTable:
         if not self.ids:
             return []
         row = 0 if values is None else values.index(None)
-        available = ["hks", "d", "c", *sorted(
+        available = [*RECORD_SCORES, *sorted(
             name for name, col in self.scores.items()
-            if name not in _RECORD_SCORES and col[row] is not None)]
+            if name not in RECORD_SCORES and col[row] is not None)]
         raise DataError(
             f"record {self.ids[row]!r} has no score field {score_field!r}; "
             f"available: {', '.join(available)}"
@@ -322,10 +315,10 @@ class ScoreTable:
         first = len(self.ids)
         add_id, add_n_p, add_meta = (self.ids.append, self.n_p.append,
                                      self.meta.append)
-        add_d, add_c, add_hks = (self.scores[name].append
-                                 for name in _RECORD_SCORES)
+        add_hks, add_d, add_c = (self.scores[name].append
+                                 for name in RECORD_SCORES)
         domains = [(name, col.append) for name, col in self.scores.items()
-                   if name not in _RECORD_SCORES]
+                   if name not in RECORD_SCORES]
         # json.loads without its whitespace scans: the line is stripped.
         decode = json.JSONDecoder().raw_decode
         for line_no, line in enumerate(lines, start=1):
@@ -356,7 +349,7 @@ class ScoreTable:
         # value by value for the row, whose line is the row offset + 1.
         rules = [("id", self.ids, _ids_ok, "a non-empty string"),
                  ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
-                 *((name if name in _RECORD_SCORES else
+                 *((name if name in RECORD_SCORES else
                     f"domains.{name}.score", col, finite_numbers,
                     "a finite number") for name, col in self.scores.items()),
                  ("meta", self.meta, _metas_ok, "an object")]

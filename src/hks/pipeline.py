@@ -310,9 +310,7 @@ def run_score(config: RunConfig) -> dict:
     pool = None
     if totals is None:
         pool = load_pool(config.pool_path, strict=config.strict)
-        totals = {"elements": pool.total,
-                  "per_domain": {d: int(n) for d, n in
-                                 sorted(pool.per_domain_total.items())}}
+        totals = {"elements": pool.total, "per_domain": pool.per_domain_total}
     pool_loaded = build_started = time.monotonic()
     automaton = None
     if tasks:
@@ -488,23 +486,23 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     """Threshold-split a scored run into high.jsonl / low.jsonl.
 
     The records are parsed once to find the threshold; a second pass
-    then copies each record's score line verbatim to its part, routed by
-    its row, checking every shard's sha256 again as it streams.
+    then copies each record's score line verbatim to the part
+    `threshold_split` put its id in, checking every shard's sha256 again
+    as it streams.
     """
     from .selection import threshold_split
     table = load_score_records(scores_dir)
     high, low, threshold = threshold_split(table, token_budget, score_field)
-    # The high part is every record scoring >= threshold.
-    in_high = ([s >= threshold for s in table.column(score_field)]
-               if threshold is not None else [False] * len(table))
+    high_ids = set(high.ids)
     out = Path(out_dir)
     with writing(out / "high.jsonl") as high_dest, \
             writing(out / "low.jsonl") as low_dest:
         for path, shard, span in table.shards:
             # A shard whose line count changed fails its sha256 at the end.
             with verified_lines(path, shard["sha256"]) as lines:
-                for line, is_high in zip(lines, in_high[span]):
-                    (high_dest if is_high else low_dest).write(line + "\n")
+                for line, doc_id in zip(lines, table.ids[span]):
+                    dest = high_dest if doc_id in high_ids else low_dest
+                    dest.write(line + "\n")
     summary = {
         "score_field": score_field,
         "token_budget": token_budget,
