@@ -55,6 +55,15 @@ class BucketHistogram:
         return buf.getvalue()
 
 
+def check_histogram(metric: str, n_buckets: int) -> None:
+    """Refuse a histogram request that no record set could satisfy."""
+    if n_buckets < 1:
+        raise DataError(f"need at least 1 bucket, got {n_buckets}")
+    if metric not in RECORD_SCORES:
+        raise DataError(f"unknown metric {metric!r}; expected one of "
+                        f"{RECORD_SCORES}")
+
+
 def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
                         metric: str, group_by: str,
                         n_buckets: int) -> BucketHistogram:
@@ -66,11 +75,7 @@ def bucket_distribution(records: ScoreTable | Sequence[ScoreRecord],
     "unknown" with a warning. A group value that is not a string is
     labelled by its compact JSON text (true, ["x","y"]).
     """
-    if n_buckets < 1:
-        raise DataError(f"need at least 1 bucket, got {n_buckets}")
-    if metric not in RECORD_SCORES:
-        raise DataError(f"unknown metric {metric!r}; expected one of "
-                        f"{RECORD_SCORES}")
+    check_histogram(metric, n_buckets)
     table = ScoreTable.from_records(records)
     if not len(table):
         raise DataError("cannot bucket an empty record set")
@@ -134,11 +139,9 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     ry, y_tied = _average_ranks(y)
     if not x_tied and not y_tied:
         diff = rx.astype(np.int64) - ry.astype(np.int64)
-        # Each diff^2 is at most (n-1)^2, so a block of `step` of them
-        # sums within int64; the block sums add as Python ints.
+        # `step` squares of at most (n-1)^2 each sum within int64.
         step = max(1, (2**63 - 1) // (n - 1) ** 2)
-        sd = sum(int(np.dot(block, block))
-                 for block in np.split(diff, range(step, n, step)))
+        sd = sum(int(b @ b) for b in np.split(diff, range(step, n, step)))
         return 1.0 - 6.0 * sd / (n * (n * n - 1))
     rx -= rx.mean()
     ry -= ry.mean()
@@ -185,23 +188,25 @@ def pairwise_function_correlation(pairs: Sequence[PreferencePair],
 
     Scores are min-max normalized over every text in the pair set before
     the softmax (per-pair normalization as an option), so the softmax
-    sees comparable magnitudes across scoring functions.
+    sees comparable magnitudes across scoring functions. A score or a
+    min-max span beyond float range is a DataError.
     """
     if len(pairs) < 2:
         raise DataError(f"need at least 2 preference pairs, got {len(pairs)}")
-    raw = np.array(
-        [[eval_score_function(sf, *p.a), eval_score_function(sf, *p.b)]
-         for p in pairs],
-        dtype=np.float64,
-    )
-    if per_pair_normalize:
-        lo = raw.min(axis=1, keepdims=True)
-        span = raw.max(axis=1, keepdims=True) - lo
-        span[span == 0] = 1.0
-        norm = (raw - lo) / span
-    else:
-        lo, hi = raw.min(), raw.max()
-        norm = (raw - lo) / (hi - lo) if hi > lo else np.zeros_like(raw)
+    scores = [(eval_score_function(sf, *p.a), eval_score_function(sf, *p.b))
+              for p in pairs]
+    # Python arithmetic overflows to inf without numpy's warning, and a
+    # score beyond float range makes its span inf, nan or a huge int.
+    spans = ([abs(a - b) for a, b in scores] if per_pair_normalize
+             else [max(map(max, scores)) - min(map(min, scores))])
+    if not finite_numbers(spans):
+        raise DataError(f"formula {sf.name} gives a score, or a min-max "
+                        f"span of scores, beyond float range")
+    raw = np.array(scores, dtype=np.float64)
+    axis = 1 if per_pair_normalize else None
+    lo = raw.min(axis=axis, keepdims=True)
+    span = raw.max(axis=axis, keepdims=True) - lo
+    norm = (raw - lo) / np.where(span > 0, span, 1.0)
     p_b = 1.0 / (1.0 + np.exp(norm[:, 0] - norm[:, 1]))
     labels = [p.label for p in pairs]
     return spearman(p_b, labels)
@@ -240,12 +245,10 @@ def correlation_matrix(columns: dict[str, Sequence[float]]) -> dict:
     names = sorted(columns)
     if len(names) < 2:
         raise DataError("need at least 2 columns to correlate")
-    matrix = []
-    for a in names:
-        row = []
-        for b in names:
-            row.append(1.0 if a == b else spearman(columns[a], columns[b]))
-        matrix.append(row)
+    matrix = [[1.0] * len(names) for _ in names]
+    for i, a in enumerate(names):
+        for j, b in enumerate(names[:i]):  # rho is symmetric
+            matrix[i][j] = matrix[j][i] = spearman(columns[a], columns[b])
     return {"columns": names, "rho": matrix}
 
 

@@ -14,15 +14,13 @@ import sys
 
 from .errors import HksError, UsageError
 from .files import writing
-from .metrics import RECORD_SCORES
-from .pool import DOMAINS, load_pool, pool_stats
+from .metrics import RECORD_SCORES, SCORE_FIELDS
+from .pool import load_pool, pool_stats
 from .pipeline import (RunConfig, run_corr, run_fsearch, run_hist, run_score,
                        run_select, run_split)
 from .selection import STRATEGIES, SelectionSpec
 
 log = logging.getLogger(__name__)
-
-SCORE_FIELDS = (*RECORD_SCORES, *DOMAINS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     common.add_argument("-q", "--quiet", action="store_true",
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("--scores", required=True,
+                        help="directory produced by `hks score`")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_pool = sub.add_parser("pool", help="pool utilities")
@@ -88,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip per-domain score columns")
 
     p_select = sub.add_parser("select", help="select documents from a scored run",
-                              parents=[common])
-    p_select.add_argument("--scores", required=True,
-                          help="directory produced by `hks score`")
+                              parents=[common, scored])
     p_select.add_argument("--out", required=True, help="output directory")
     p_select.add_argument("--strategy", choices=STRATEGIES,
                           default="topk")
@@ -115,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_split = sub.add_parser("split",
                              help="threshold-split a scored run into high/low",
-                             parents=[common])
-    p_split.add_argument("--scores", required=True)
+                             parents=[common, scored])
     p_split.add_argument("--out", required=True)
     p_split.add_argument("--budget-tokens", type=_count, required=True,
                          help="token budget of the high prefix")
@@ -126,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_sub = p_an.add_subparsers(dest="analyze_command", required=True,
                                  parser_class=_Parser)
     p_hist = an_sub.add_parser("hist", help="per-group score histogram CSV",
-                                parents=[common])
-    p_hist.add_argument("--scores", required=True)
+                                parents=[common, scored])
     p_hist.add_argument("--metric", choices=RECORD_SCORES, required=True)
     p_hist.add_argument("--group-by", required=True,
                         help="document meta key to group on")
@@ -136,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corr = an_sub.add_parser("corr",
                                help="pairwise rank correlation between columns",
-                               parents=[common])
-    p_corr.add_argument("--scores", required=True)
+                               parents=[common, scored])
     p_corr.add_argument("--columns", required=True,
                         help="comma list: d,c,hks, domain names, ext:<name>")
     p_corr.add_argument("--ext",

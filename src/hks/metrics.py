@@ -32,8 +32,10 @@ _COMPONENTS = {"identity": (lambda x: x, "{}"),
                "sin": (math.sin, "sin({})"),
                "ln1p": (math.log1p, "ln({}+1)")}
 FUNC_KINDS = tuple(_COMPONENTS)
-# The score fields of every record, in the order they are offered.
+# The score fields of every record, in the order they are offered, and
+# every name a score column can have.
 RECORD_SCORES = ("hks", "d", "c")
+SCORE_FIELDS = (*RECORD_SCORES, *DOMAINS)
 
 
 def density(profile: KnowledgeProfile) -> float:
@@ -315,8 +317,7 @@ class ScoreTable:
         first = len(self.ids)
         add_id, add_n_p, add_meta = (self.ids.append, self.n_p.append,
                                      self.meta.append)
-        add_hks, add_d, add_c = (self.scores[name].append
-                                 for name in RECORD_SCORES)
+        scores = [(name, self.scores[name].append) for name in RECORD_SCORES]
         domains = [(name, col.append) for name, col in self.scores.items()
                    if name not in RECORD_SCORES]
         # json.loads without its whitespace scans: the line is stripped.
@@ -330,9 +331,8 @@ class ScoreTable:
                 add_id(obj["id"])
                 add_n_p(obj["n_p"])
                 obj["n_k"], obj["n_distinct"]  # required, not kept
-                add_d(obj["d"])
-                add_c(obj["c"])
-                add_hks(obj["hks"])
+                for name, add in scores:
+                    add(obj[name])
                 entries = obj.get("domains", {})
                 if len(entries) != len(domains):
                     domains = self._first_domains(entries, source, line_no)

@@ -26,17 +26,18 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from .analysis import (PreferencePair, bucket_distribution, correlation_json,
-                       correlation_matrix, function_search, function_search_csv)
+from .analysis import (PreferencePair, bucket_distribution, check_histogram,
+                       correlation_json, correlation_matrix, function_search,
+                       function_search_csv)
 from .errors import DataError
 from .files import (canonical_json, line_digest, reading, verified_lines,
                     writing)
 # perfbench/spans.py traces `annotate` here by name.
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
-from .metrics import ScoreTable, finite_numbers, score_record
+from .metrics import SCORE_FIELDS, ScoreTable, finite_numbers, score_record
 from .pool import DOMAINS, KnowledgePool, load_pool
-from .selection import SelectionSpec, select
+from .selection import SelectionSpec, check_budget, select
 from .textnorm import class_table
 
 log = logging.getLogger(__name__)
@@ -491,6 +492,7 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     as it streams.
     """
     from .selection import threshold_split
+    check_budget(token_budget)
     table = load_score_records(scores_dir)
     high, low, threshold = threshold_split(table, token_budget, score_field)
     high_ids = set(high.ids)
@@ -519,6 +521,7 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
 
 def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
+    check_histogram(metric, n_buckets)
     table = load_score_records(scores_dir)
     hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
@@ -570,6 +573,10 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
     ext_names = [c.split(":", 1)[1] for c in columns if c.startswith("ext:")]
     if ext_names and not ext_path:
         raise DataError("ext: columns require an external column file")
+    for col in columns:
+        if not col.startswith("ext:") and col not in SCORE_FIELDS:
+            raise DataError(f"no score field {col!r}; available: "
+                            f"{', '.join(SCORE_FIELDS)}, ext:<name>")
     table = load_score_records(scores_dir)
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table
@@ -615,7 +622,10 @@ def load_pairs(path: str) -> list[PreferencePair]:
 def run_fsearch(pairs_path: str, out_path: str,
                 per_pair_normalize: bool = False) -> list:
     pairs = load_pairs(pairs_path)
-    rows = function_search(pairs, per_pair_normalize)
+    try:
+        rows = function_search(pairs, per_pair_normalize)
+    except DataError as exc:
+        raise DataError(f"{pairs_path}: {exc}") from exc
     with writing(out_path) as dest:
         dest.write(function_search_csv(rows))
     return rows

@@ -38,6 +38,11 @@ def _check_seed(seed: int) -> None:
         raise DataError(f"seed must be in [0, 2**64), got {seed}")
 
 
+def check_budget(budget: int, name: str = "token budget") -> None:
+    if budget < 0:
+        raise DataError(f"{name} must be >= 0, got {budget}")
+
+
 @dataclass(frozen=True)
 class SelectionSpec:
     """Knobs for one selection run.
@@ -45,7 +50,8 @@ class SelectionSpec:
     budget counts tokens (sum of selected n_p) unless by_docs is set.
     tau is the softmax temperature for sampling. normalize min-max
     rescales scores to [0, 1] before the softmax; disable it to divide
-    raw scores by tau instead (selection probabilities differ).
+    raw scores by tau instead (selection probabilities differ). mix
+    needs alpha, split_budget and a token budget.
     """
 
     strategy: str = "topk"
@@ -64,10 +70,19 @@ class SelectionSpec:
         if not self.tau > 0:  # NaN fails too
             raise DataError(f"tau must be > 0, got {self.tau}")
         _check_seed(self.seed)
-        if self.budget < 0:
-            raise DataError(f"budget must be >= 0, got {self.budget}")
+        check_budget(self.budget, "budget")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise DataError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.split_budget is not None:
+            check_budget(self.split_budget, "split budget")
+        if self.strategy == "mix":
+            if self.alpha is None:
+                raise DataError("mix strategy requires alpha")
+            if self.split_budget is None:
+                raise DataError("mix strategy requires a split budget "
+                                "(tokens defining the high/low threshold)")
+            if self.by_docs:
+                raise DataError("mix strategy budgets tokens, not documents")
 
 
 @dataclass
@@ -200,8 +215,7 @@ def threshold_split(records: Records, token_budget: int,
     the lowest score) is logged as a warning.
     """
     table = ScoreTable.from_records(records)
-    if token_budget < 0:
-        raise DataError(f"token budget must be >= 0, got {token_budget}")
+    check_budget(token_budget)
     high: list[int] = []
     low: Sequence[int] = range(len(table))
     threshold = None
@@ -246,8 +260,7 @@ def mix(high: Records, low: Records, alpha: float, token_budget: int,
     """
     if not 0.0 <= alpha <= 1.0:
         raise DataError(f"alpha must be in [0, 1], got {alpha}")
-    if token_budget < 0:
-        raise DataError(f"token budget must be >= 0, got {token_budget}")
+    check_budget(token_budget)
     _check_seed(seed)
     high_ids, high_tokens = _sample_stratum(
         ScoreTable.from_records(high), alpha * token_budget, "high", seed)
@@ -274,13 +287,6 @@ def select(records: Records, spec: SelectionSpec) -> SelectionResult:
         return top_k(table, spec)
     if spec.strategy == "sample":
         return gumbel_topk_sample(table, spec)
-    if spec.alpha is None:
-        raise DataError("mix strategy requires alpha")
-    if spec.split_budget is None:
-        raise DataError("mix strategy requires a split budget "
-                        "(tokens defining the high/low threshold)")
-    if spec.by_docs:
-        raise DataError("mix strategy budgets tokens, not documents")
     high, low, threshold = threshold_split(table, spec.split_budget,
                                            spec.score_field)
     result = mix(high, low, spec.alpha, spec.budget, spec.seed)

@@ -265,3 +265,14 @@ class TestCorrelationMatrix:
     def test_needs_two_columns(self):
         with pytest.raises(DataError):
             correlation_matrix({"a": [1.0, 2.0]})
+
+
+def test_spearman_sum_stays_exact_beyond_float_precision():
+    # At n = 1.6M the squared rank differences sum past 2**53, where a
+    # float sum rounds; the tie-free form must still use the exact sum.
+    n = 1_600_000
+    rng = np.random.default_rng(3)
+    x, y = rng.permutation(n), rng.permutation(n)
+    sd = sum((a - b) * (a - b) for a, b in zip(x.tolist(), y.tolist()))
+    assert spearman(x.astype(float), y.astype(float)) == (
+        1.0 - 6.0 * sd / (n * (n * n - 1)))

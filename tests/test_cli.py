@@ -561,3 +561,68 @@ class TestWalkthrough:
         assert main(argv) == 0
         assert (root / "picked.jsonl").read_text(encoding="utf-8") == "".join(
             json.dumps(doc) + "\n" for doc in (DOC_A, DOC_B))
+
+
+def _no_read(*args):
+    raise AssertionError("a score shard was read")
+
+
+class TestArgumentErrorsReadNoShard:
+    """A refused argument stops a phase-two command before it reads any
+    score shard."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--out", "split", "--budget-tokens", "-1"],
+         "token budget must be >= 0, got -1"),
+        (["analyze", "hist", "--metric", "d", "--group-by", "subset",
+          "--buckets", "0", "--out", "h.csv"],
+         "need at least 1 bucket, got 0"),
+        (["analyze", "corr", "--columns", "d,bogus", "--out", "corr.json"],
+         "no score field 'bogus'; available: hks, d, c, science, society, "
+         "culture, art, life, ext:<name>"),
+    ], ids=["split-negative-budget", "hist-zero-buckets", "corr-bogus-column"])
+    def test_refused_before_load(self, workspace, capsys, monkeypatch,
+                                 argv, message):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        monkeypatch.setattr(hks.pipeline, "load_score_records", _no_read)
+        monkeypatch.chdir(root)
+        capsys.readouterr()
+        assert main([*argv, "--scores", str(scores)]) == 2
+        assert f"hks: error: {message}" in capsys.readouterr().err
+        assert files_under(root / "scores").keys() == {
+            scores / name for name in ("manifest.json", "run_stats.json",
+                                       "scores-00000.jsonl",
+                                       "scores-00001.jsonl",
+                                       "scores-00002.jsonl")}
+        assert not any(root.glob(argv[argv.index("--out") + 1]))
+
+
+# Each case leaves every candidate score finite but one: d*c of the first
+# pair overflows; in the second case sin(d)*c spans -3.8e307 to 1.5e308.
+OVERFLOWING_PAIRS = {
+    "score": {"a": {"d": 1e300, "c": 1e300}, "b": {"d": 0.1, "c": 0.2}},
+    "span": {"a": {"d": 4.71, "c": 3.8e307}, "b": {"d": 1, "c": 1.79e308}},
+}
+
+
+@pytest.mark.parametrize("normalize", [[], ["--per-pair-normalize"]],
+                         ids=["global", "per-pair"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_PAIRS))
+def test_fsearch_out_of_range_pairs_are_data_error(tmp_path, capsys, case,
+                                                   normalize):
+    pairs = tmp_path / "pairs.jsonl"
+    rows = [{**OVERFLOWING_PAIRS[case], "label": 1.0},
+            {"a": {"d": 0.3, "c": 0.1}, "b": {"d": 0.1, "c": 0.2},
+             "label": 0.0},
+            {"a": {"d": 0.2, "c": 0.3}, "b": {"d": 0.5, "c": 0.4},
+             "label": 0.5}]
+    pairs.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "fsearch", "--pairs", str(pairs), "--out",
+                 str(tmp_path / "fs.csv"), *normalize]) == 2
+    err = capsys.readouterr().err
+    assert f"hks: error: {pairs}: formula " in err
+    assert "beyond float range" in err
+    assert not (tmp_path / "fs.csv").exists()

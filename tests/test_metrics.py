@@ -279,3 +279,31 @@ class TestScoreTable:
         part = table.take([0, 0])
         assert part.ids == ["doc-1", "doc-1"] and part.meta == [rec.meta] * 2
         assert len(table.take([])) == 0
+
+
+# (f, g, name, f(0.25) * g(0.5), f(3.5) * g(2)) for every candidate, in
+# all_score_functions() order; d = 3.5 exceeds 1 as overlaps allow.
+CANDIDATES = [
+    ("identity", "identity", "d*c", 0.125, 7.0),
+    ("identity", "sin", "d*sin(c)", 0.11985638465105075, 3.182540993889886),
+    ("identity", "ln1p", "d*ln(c+1)", 0.1013662770270411, 3.8451430103383837),
+    ("sin", "identity", "sin(d)*c", 0.12370197962726147, -0.7015664553792397),
+    ("sin", "sin", "sin(d)*sin(c)", 0.11861177641841196,
+     -0.31896628631177854),
+    ("sin", "ln1p", "sin(d)*ln(c+1)", 0.10031367308552304,
+     -0.38537476459847986),
+    ("ln1p", "identity", "ln(d+1)*c", 0.11157177565710488, 3.0081547935525483),
+    ("ln1p", "sin", "ln(d+1)*sin(c)", 0.10698071727486963, 1.367653706635336),
+    ("ln1p", "ln1p", "ln(d+1)*ln(c+1)", 0.09047692415725579,
+     1.652397911206355),
+]
+
+
+def test_candidates_keep_their_names_and_values():
+    fns = all_score_functions()
+    assert [(sf.f_kind, sf.g_kind) for sf in fns] == [
+        row[:2] for row in CANDIDATES]
+    for sf, (_, _, name, low, high) in zip(fns, CANDIDATES):
+        assert sf.name == name
+        assert eval_score_function(sf, 0.25, 0.5) == low
+        assert eval_score_function(sf, 3.5, 2) == high

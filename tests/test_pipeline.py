@@ -683,3 +683,20 @@ class TestDownstream:
     def test_missing_scores_dir(self, tmp_path):
         with pytest.raises(DataError):
             run_split(str(tmp_path / "nowhere"), 10, str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize("spec, named", [
+    (dict(strategy="mix", budget=10, split_budget=6), "alpha"),
+    (dict(strategy="mix", budget=10, alpha=0.5), "split budget"),
+], ids=["no-alpha", "no-split-budget"])
+def test_run_select_refuses_incomplete_mix_before_reading(scored, monkeypatch,
+                                                          spec, named):
+    root, config = scored
+
+    def no_read(*args):
+        raise AssertionError("a score shard was read")
+
+    monkeypatch.setattr(hks.pipeline, "load_score_records", no_read)
+    with pytest.raises(DataError, match=f"mix strategy requires.* {named}"):
+        run_select(config.out_dir, SelectionSpec(**spec), str(root / "sel"))
+    assert not (root / "sel").exists()
