@@ -4,7 +4,8 @@ input that does not decode a DataError. An OSError raised in a `with`
 body is claimed by the innermost `reading` or `writing` around it, except
 a failed gzip CRC or length check, which is always the reader's. Score
 shards are read back through `verified_lines`, which checks each one's
-sha256 against the manifest as it streams the shard."""
+sha256 against the manifest as it streams the shard, and their column
+files through `verified_bytes`."""
 
 from __future__ import annotations
 
@@ -117,6 +118,25 @@ def line_digest(path: str | Path) -> tuple[str, int]:
     return h.hexdigest(), count
 
 
+def check_sha256(path: str | Path, digest: str, sha256: str) -> None:
+    """A DataError naming the file at `path` unless `digest`, the sha256
+    of its bytes, is the manifest's `sha256`."""
+    if digest != sha256:
+        raise DataError(f"{path}: sha256 {digest} differs from the "
+                        f"manifest's {sha256}; the shard changed after "
+                        f"scoring")
+
+
+def verified_bytes(path: str | Path, sha256: str) -> bytes:
+    """The bytes of the file at `path`, which must hash to `sha256`."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    check_sha256(path, hashlib.sha256(data).hexdigest(), sha256)
+    return data
+
+
 @contextlib.contextmanager
 def verified_lines(path: str | Path, sha256: str) -> Iterator[Iterator[str]]:
     """Yield an iterator over the lines of the score shard at `path`:
@@ -139,24 +159,15 @@ def verified_lines(path: str | Path, sha256: str) -> Iterator[Iterator[str]]:
                                 f"({exc})") from exc
             yield line
 
-    def changed() -> DataError | None:
+    def check() -> None:
         for raw in raws:
             h.update(raw)
-        digest = h.hexdigest()
-        if digest == sha256:
-            return None
-        return DataError(f"{path}: sha256 {digest} differs from the "
-                         f"manifest's {sha256}; the shard changed after "
-                         f"scoring")
+        check_sha256(path, h.hexdigest(), sha256)
 
     with contextlib.closing(_binary_lines(path)) as raws:
         try:
             yield lines()
         except DataError as exc:
-            error = changed()
-            if error is None:
-                raise
-            raise error from exc
-        error = changed()
-        if error is not None:
-            raise error
+            check()
+            raise
+        check()

@@ -38,13 +38,18 @@ RECORD_SCORES = ("hks", "d", "c")
 SCORE_FIELDS = (*RECORD_SCORES, *DOMAINS)
 
 
-def density(profile: KnowledgeProfile) -> float:
-    """Occurrences per token, n_k / n_p. May exceed 1 under overlaps."""
+def _tokens(profile: KnowledgeProfile) -> int:
+    """n_p of a profiled document; one without tokens cannot be scored."""
     if profile.n_p <= 0:
         raise DegenerateDocumentError(
             f"document {profile.doc_id!r} has no tokens; cannot score"
         )
-    return profile.n_k / profile.n_p
+    return profile.n_p
+
+
+def density(profile: KnowledgeProfile) -> float:
+    """Occurrences per token, n_k / n_p. May exceed 1 under overlaps."""
+    return profile.n_k / _tokens(profile)
 
 
 def coverage(profile: KnowledgeProfile, pool: KnowledgePool) -> float:
@@ -69,12 +74,8 @@ def domain_score(profile: KnowledgeProfile, pool: KnowledgePool,
     n_km = pool.per_domain_total.get(domain, 0)
     if n_km <= 0:
         raise EmptyPoolError(f"pool has no elements in domain {domain!r}")
-    if profile.n_p <= 0:
-        raise DegenerateDocumentError(
-            f"document {profile.doc_id!r} has no tokens; cannot score"
-        )
     occ, distinct = profile.per_domain.get(domain, (0, 0))
-    d_m = occ / profile.n_p
+    d_m = occ / _tokens(profile)
     c_m = distinct / n_km
     return d_m, c_m, hks_score(d_m, c_m)
 
@@ -345,8 +346,70 @@ class ScoreTable:
             except (ValueError, TypeError, AttributeError) as exc:
                 raise DataError(f"{source}:{line_no}: not a score record "
                                 f"({exc})") from exc
+        return self._check_rows(first, source)
+
+    def append(self, rec: ScoreRecord) -> None:
+        """Add `rec` as the last row; its domains must be those of every
+        row before it."""
+        self.ids.append(rec.doc_id)
+        self.n_p.append(rec.n_p)
+        for name in RECORD_SCORES:
+            self.scores[name].append(getattr(rec, name))
+        for name, entry in rec.domains.items():
+            self.scores.setdefault(name, []).append(entry["score"])
+        self.meta.append(rec.meta)
+
+    def columns_json(self, shard_sha256: str) -> str:
+        """The column file of a score shard holding this table's rows,
+        whose sha256 is `shard_sha256`: one canonical JSON object of
+        "shard_sha256", "id", "n_p", "meta", each record score and
+        "domains" (domain name -> score column)."""
+        return canonical_json({
+            "shard_sha256": shard_sha256, "id": self.ids, "n_p": self.n_p,
+            "meta": self.meta, "domains": {
+                name: col for name, col in self.scores.items()
+                if name not in RECORD_SCORES},
+            **{name: self.scores[name] for name in RECORD_SCORES}})
+
+    def extend_columns(self, columns: dict, source) -> int:
+        """Append the rows of a parsed column file (see `columns_json`)
+        read from `source`; returns how many were appended. Its values
+        pass the checks of `extend_json`, and a row numbered k is named
+        `source:k`. Columns of unequal lengths and domains other than
+        the table's are a DataError naming `source`."""
+        first = len(self.ids)
+        try:
+            rows, domains = columns["id"], columns["domains"]
+            if rows and not first:
+                for name in domains:
+                    self.scores.setdefault(name, [])
+            names = [name for name in self.scores if name not in RECORD_SCORES]
+            if rows and set(domains) != set(names):
+                raise ValueError("domains differ from the first record's")
+            pairs = [(self.ids, rows), (self.n_p, columns["n_p"]),
+                     (self.meta, columns["meta"]),
+                     *((self.scores[name], columns[name])
+                       for name in RECORD_SCORES),
+                     *((self.scores[name], domains[name])
+                       for name in names if rows)]
+            if any(type(new) is not list or len(new) != len(rows)
+                   for _, new in pairs):
+                raise ValueError("columns differ in length")
+        except KeyError as exc:
+            raise DataError(f"{source}: not a column file (missing key "
+                            f"{exc})") from exc
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{source}: not a column file ({exc})") from exc
+        for col, new in pairs:
+            col.extend(new)
+        return self._check_rows(first, source)
+
+    def _check_rows(self, first: int, source) -> int:
+        """The number of rows from `first` on, once each of their columns
+        is checked; a value that fails is a DataError naming `source` and
+        its row, counted from 1 at `first`."""
         # Whole columns are checked at once; a failing one is searched
-        # value by value for the row, whose line is the row offset + 1.
+        # value by value for the row.
         rules = [("id", self.ids, _ids_ok, "a non-empty string"),
                  ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
                  *((name if name in RECORD_SCORES else

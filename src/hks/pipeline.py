@@ -2,10 +2,11 @@
 
 Scoring reads a glob of JSONL shards (optionally gzipped), annotates
 every document against the pool automaton, and writes one score shard
-per input shard plus a manifest. The manifest is a pure function of
-(pool bytes, corpus bytes, config): checksums and counts only, no
-timings. Wall-clock diagnostics go to a separate run_stats.json sidecar
-so reruns and crash-resumed runs stay byte-identical.
+per input shard, with its column file beside it, plus a manifest. The
+manifest is a pure function of (pool bytes, corpus bytes, config):
+checksums and counts only, no timings. Wall-clock diagnostics go to a
+separate run_stats.json sidecar so reruns and crash-resumed runs stay
+byte-identical.
 
 Parallelism is per input shard over forked workers sharing the
 immutable parent automaton; each shard's output order is its input
@@ -30,8 +31,8 @@ from .analysis import (PreferencePair, bucket_distribution, check_histogram,
                        correlation_json, correlation_matrix, function_search,
                        function_search_csv)
 from .errors import DataError
-from .files import (canonical_json, line_digest, reading, verified_lines,
-                    writing)
+from .files import (canonical_json, check_sha256, line_digest, reading,
+                    verified_bytes, verified_lines, writing)
 # perfbench/spans.py traces `annotate` here by name.
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
@@ -44,6 +45,8 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "run_stats.json"
+# Replaces ".jsonl" in a score shard's name to name its column file.
+COLUMNS_SUFFIX = ".columns.json"
 # Characters of document text matched per annotate_all call.
 BATCH_CHARS = 1 << 16
 
@@ -87,6 +90,7 @@ class ShardOutcome:
     output_name: str
     sha256: str = ""
     records: int = 0
+    columns_sha256: str = ""
     read: int = 0
     malformed: int = 0
     degenerate: int = 0
@@ -153,12 +157,24 @@ def _documents(fh: TextIO, in_path: str, strict: bool
         yield line_no, line, doc
 
 
+def write_columns(path: str | Path, table: ScoreTable,
+                  shard_sha256: str) -> str:
+    """Write the column file of the score shard whose records `table`
+    holds and whose sha256 is `shard_sha256` to `path`; returns the
+    file's sha256. Phase two reads the shard's columns from it when the
+    manifest lists both (see `load_score_records`)."""
+    with writing(path) as dest:
+        dest.write(table.columns_json(shard_sha256) + "\n")
+    return line_digest(path)[0]
+
+
 def _score_shard(task: tuple[str, str]) -> ShardOutcome:
     in_path, out_path = task
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
     outcome = ShardOutcome(input_path=in_path, output_name=out.name)
+    columns = ScoreTable()
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
         docs = [doc for _, doc in batch]
@@ -174,6 +190,7 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
             if rec.d > 1:
                 outcome.density_gt_1 += 1
             dest.write(rec.to_json() + "\n")
+            columns.append(rec)
 
     with reading(in_path, config.strict) as fh, writing(out) as dest:
         batch: list[tuple[int, Document]] = []
@@ -191,6 +208,8 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
         score_batch(batch, dest)
         outcome.replaced = fh.replaced
     outcome.sha256, outcome.records = line_digest(out)
+    outcome.columns_sha256 = write_columns(
+        out.with_suffix(COLUMNS_SUFFIX), columns, outcome.sha256)
     return outcome
 
 
@@ -200,11 +219,19 @@ def _read_manifest(scores_dir: Path) -> dict | None:
     nothing is coerced: "config_hash" and "pool.sha256" are present, and
     "shards" is a list of objects whose "input" is a string, "output" a
     file name in the directory (neither holding a NUL), "sha256" a
-    string and "records" an int >= 0. Any other manifest is a
+    string and "records" an int >= 0; an entry that lists a column file
+    gives its name under "columns", by the rule of "output", and its
+    sha256 under "columns_sha256", a string. Any other manifest is a
     DataError."""
     path = scores_dir / MANIFEST_NAME
     if not path.exists():
         return None
+
+    def file_name(name) -> bool:
+        return (isinstance(name, str) and "\0" not in name
+                and name not in ("", ".", "..")
+                and os.path.basename(name) == name)
+
     try:
         with reading(path) as fh:
             manifest = json.loads(fh.read())
@@ -212,17 +239,39 @@ def _read_manifest(scores_dir: Path) -> dict | None:
         if not isinstance(manifest["shards"], list):
             raise TypeError("shards is not a list")
         for shard in manifest["shards"]:
-            out, records = shard["output"], shard["records"]
-            if not (isinstance(shard["input"], str) and isinstance(out, str)
-                    and "\0" not in shard["input"] + out
-                    and out not in ("", ".", "..")
-                    and os.path.basename(out) == out
+            records = shard["records"]
+            if not (isinstance(shard["input"], str)
+                    and "\0" not in shard["input"]
+                    and file_name(shard["output"])
                     and isinstance(shard["sha256"], str)
-                    and type(records) is int and records >= 0):
+                    and type(records) is int and records >= 0
+                    and ("columns" not in shard
+                         or file_name(shard["columns"])
+                         and isinstance(shard["columns_sha256"], str))):
                 raise ValueError(f"shard entry {shard!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
     return manifest
+
+
+def _kept_columns(path: Path, entry: dict | None,
+                  shard_sha256: str) -> str | None:
+    """The sha256 of the column file at `path` when a rerun may keep it
+    beside the score shard whose sha256 is `shard_sha256`: the shard's
+    manifest `entry` lists it by name and sha256, or, with no manifest,
+    the file names `shard_sha256`. None when it may not."""
+    if not path.is_file():
+        return None
+    digest = line_digest(path)[0]
+    if entry is not None:
+        listed = (entry.get("columns"), entry.get("columns_sha256"))
+        return digest if listed == (path.name, digest) else None
+    try:
+        with reading(path) as fh:
+            named = json.loads(fh.read()).get("shard_sha256")
+    except (DataError, ValueError, AttributeError):
+        return None
+    return digest if named == shard_sha256 else None
 
 
 def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
@@ -235,9 +284,10 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
     DataError before anything is kept, and so are totals to be copied
     that are not ints >= 0 for exactly the five domains summing to
     "elements". With a manifest, an output is kept only while its sha256
-    and record count equal its entry's; without one (a run that crashed
-    before writing it), every output on disk is kept, paired with its
-    input by position."""
+    and record count equal its entry's and its column file is the one
+    the entry lists, by name and sha256; without one (a run that crashed
+    before writing it), every output on disk whose column file names its
+    sha256 is kept, paired with its input by position."""
     path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
     if manifest is not None:
@@ -265,8 +315,15 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
             log.warning("%s: differs from its %s entry; scoring it again",
                         out, MANIFEST_NAME)
             continue
+        columns_sha256 = _kept_columns(out.with_suffix(COLUMNS_SUFFIX),
+                                       entry, sha256)
+        if columns_sha256 is None:
+            log.warning("%s: its column file is missing or stale; scoring "
+                        "it again", out)
+            continue
         kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
-                               sha256=sha256, records=records)
+                               sha256=sha256, records=records,
+                               columns_sha256=columns_sha256)
     if manifest is None or len(kept) < len(shards):
         return kept, None
     # Written after loading a pool of this sha256 under this config_hash,
@@ -343,7 +400,7 @@ def run_score(config: RunConfig) -> dict:
     if total_records == 0:
         log.warning("corpus produced zero scored documents")
     manifest = {
-        "version": 1,
+        "version": 2,
         "config": _identity_config(config),
         "config_hash": run_hash,
         "pool": {
@@ -354,7 +411,9 @@ def run_score(config: RunConfig) -> dict:
         "records": total_records,
         "shards": [
             {"input": o.input_path, "output": o.output_name,
-             "sha256": o.sha256, "records": o.records}
+             "sha256": o.sha256, "records": o.records,
+             "columns": Path(o.output_name).with_suffix(COLUMNS_SUFFIX).name,
+             "columns_sha256": o.columns_sha256}
             for o in outcomes
         ],
     }
@@ -393,16 +452,41 @@ def run_score(config: RunConfig) -> dict:
     return manifest
 
 
+def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
+    """The parsed column file the manifest `shard` entry lists, or None
+    when it lists none or the file names a shard sha256 other than the
+    entry's. A listed file whose bytes do not hash to the listed sha256
+    is a DataError naming it, and so is one that is not a JSON object."""
+    if "columns" not in shard:
+        return None
+    path = scores_dir / shard["columns"]
+    data = verified_bytes(path, shard["columns_sha256"])
+    try:
+        columns = json.loads(data)
+        named = columns["shard_sha256"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a column file ({exc!r})") from exc
+    if named != shard["sha256"]:
+        log.debug("%s: names shard sha256 %s, not %s; parsing %s", path,
+                  named, shard["sha256"], shard["output"])
+        return None
+    return columns
+
+
 def load_score_records(scores_dir: str | Path) -> ScoreTable:
     """Every record of a scoring run's output directory, as columns.
 
     Reads the manifest once, then the shards it lists into the table's
     rows and `shards`, checking each one's sha256 as it reads it. A
-    missing manifest, a shard that changed since scoring, a record count
-    other than the manifest's, a line that is not a score record or
+    shard's columns come from its column file when the manifest lists
+    that file, the file hashes to the listed sha256 and it names the
+    shard's sha256; otherwise the shard's lines are parsed. Both give
+    the same table. A missing manifest, a shard or listed column file
+    that changed since scoring, a record count other than the
+    manifest's, a line or column value that is not a score record or
     holds a malformed value (see ScoreTable.extend_json), a document id
     seen twice (in one shard or across two) and a run with no records
-    are each a DataError naming the directory or the shard files.
+    are each a DataError naming the directory or the file.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
@@ -411,19 +495,40 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
                         f"only the output directory of an `hks score` run")
     table = ScoreTable()
     shard_of: dict[str, Path] = {}
+    from_columns = 0
+
+    def unique(path: Path, start: int) -> None:
+        for doc_id in table.ids[start:]:
+            if doc_id in shard_of:
+                raise DataError(f"duplicate document id {doc_id!r} "
+                                f"in {shard_of[doc_id]} and {path}")
+            shard_of[doc_id] = path
+
+    def counted(path: Path, added: int) -> None:
+        if added != shard["records"]:
+            raise DataError(f"{path}: holds {added} records, the "
+                            f"manifest lists {shard['records']}")
+
     for shard in manifest["shards"]:
         path, start = scores_dir / shard["output"], len(table)
-        with verified_lines(path, shard["sha256"]) as lines:
-            added = table.extend_json(lines, path)
-            for doc_id in table.ids[start:]:
-                if doc_id in shard_of:
-                    raise DataError(f"duplicate document id {doc_id!r} "
-                                    f"in {shard_of[doc_id]} and {path}")
-                shard_of[doc_id] = path
-            if added != shard["records"]:
-                raise DataError(f"{path}: holds {added} records, the "
-                                f"manifest lists {shard['records']}")
+        columns = _listed_columns(scores_dir, shard)
+        if columns is None:
+            with verified_lines(path, shard["sha256"]) as lines:
+                added = table.extend_json(lines, path)
+                unique(path, start)
+                counted(path, added)
+        else:
+            digest, count = line_digest(path)
+            check_sha256(path, digest, shard["sha256"])
+            counted(path, count)
+            source = scores_dir / shard["columns"]
+            counted(source, table.extend_columns(columns, source))
+            unique(path, start)
+            from_columns += 1
         table.shards.append((path, shard, slice(start, len(table))))
+    log.debug("%s: read %d records from %d shards: %d from column files, "
+              "%d parsed", scores_dir, len(table), len(table.shards),
+              from_columns, len(table.shards) - from_columns)
     if not len(table):
         raise DataError(f"score run under {scores_dir} holds zero records")
     return table
@@ -445,12 +550,15 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     scores = table.column(spec.score_field) if rows else []
     if emit_corpus:
         run_files = {p.resolve() for path, shard, _ in table.shards
-                     for p in (path, Path(shard["input"]))}
+                     for p in (path, path.with_name(shard.get("columns",
+                                                              path.name)),
+                               Path(shard["input"]))}
         if Path(emit_corpus).resolve() in run_files | {
                 (Path(scores_dir) / MANIFEST_NAME).resolve()}:
-            raise DataError(f"{emit_corpus}: is the manifest, a score shard "
-                            f"or a corpus input of the score run under "
-                            f"{scores_dir}; emit the corpus elsewhere")
+            raise DataError(f"{emit_corpus}: is the manifest, a score shard, "
+                            f"a column file or a corpus input of the score "
+                            f"run under {scores_dir}; emit the corpus "
+                            f"elsewhere")
         # Written first, so that an input that fails leaves no selection
         # behind. Records are in shard order, so each shard's input is
         # read for the selected ids its score shard holds.

@@ -361,6 +361,46 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert files_under(root) == before
 
+    @pytest.mark.parametrize("field, value", [
+        ("columns", "../x"), ("columns", "/x"), ("columns", ""),
+        ("columns", 7), ("columns_sha256", 7), ("columns_sha256", None)])
+    @pytest.mark.parametrize("command", ["select", "score"])
+    def test_manifest_column_entry_is_checked(self, workspace, capsys,
+                                              command, field, value):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        manifest = scores / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["shards"][0][field] = value
+        manifest.write_text(json.dumps(data))
+        before = files_under(root)
+        capsys.readouterr()
+        assert main({
+            "select": _select_argv(root),
+            "score": ["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                      corpus, "--out", str(scores)],
+        }[command]) == 2
+        assert (f"hks: error: {manifest}: not a score manifest"
+                in capsys.readouterr().err)
+        assert files_under(root) == before
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b'"n_p":[9]', b'"n_p":[8]'),
+        lambda data: data[:-1],
+        lambda data: b"",
+    ], ids=["value", "truncated", "emptied"])
+    def test_edited_column_file_is_named(self, workspace, capsys, edit):
+        root, corpus = workspace
+        columns = _scored(root, corpus) / "scores-00000.columns.json"
+        data = columns.read_bytes()
+        columns.write_bytes(edit(data))
+        assert columns.read_bytes() != data
+        capsys.readouterr()
+        assert main(_select_argv(root)) == 2
+        assert (f"hks: error: {columns}: sha256 "
+                in capsys.readouterr().err)
+        assert not (root / "sel").exists()
+
     @pytest.mark.parametrize("side, key, value", [
         ("a", "d", True), ("a", "c", "0.5"), ("a", "c", "inf"),
         ("a", "c", -5), ("b", "d", -0.5), ("b", "c", 1e400),
@@ -594,7 +634,10 @@ class TestArgumentErrorsReadNoShard:
             scores / name for name in ("manifest.json", "run_stats.json",
                                        "scores-00000.jsonl",
                                        "scores-00001.jsonl",
-                                       "scores-00002.jsonl")}
+                                       "scores-00002.jsonl",
+                                       "scores-00000.columns.json",
+                                       "scores-00001.columns.json",
+                                       "scores-00002.columns.json")}
         assert not any(root.glob(argv[argv.index("--out") + 1]))
 
 

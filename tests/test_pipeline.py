@@ -289,6 +289,51 @@ class TestScoreRun:
         stats = json.loads((Path(config.out_dir) / "run_stats.json").read_text())
         assert (stats["resumed_shards"], stats["docs_read"]) == (2, 1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("manifest", ["kept", "deleted"])
+    @pytest.mark.parametrize("edit", ["deleted", "stale"])
+    def test_shard_without_its_column_file_is_scored_again(
+            self, tmp_path, caplog, edit, manifest, workers):
+        config = toy_config(tmp_path, workers=workers)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        out = Path(config.out_dir)
+        columns = out / "scores-00001.columns.json"
+        if edit == "deleted":
+            columns.unlink()
+        else:  # names another shard's sha256
+            data = json.loads(columns.read_text(encoding="utf-8"))
+            data["shard_sha256"] = "0" * 64
+            columns.write_text(json.dumps(data), encoding="utf-8")
+        if manifest == "deleted":
+            (out / "manifest.json").unlink()
+        with caplog.at_level("WARNING", logger="hks.pipeline"):
+            run_score(config)
+        assert snapshot(config.out_dir) == first
+        assert any(str(out / "scores-00001.jsonl") in r.getMessage()
+                   for r in caplog.records)
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (2, 1)
+
+    def test_out_dir_of_a_version_1_run_is_scored_again(self, tmp_path):
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        out = Path(config.out_dir)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 1
+        for shard in manifest["shards"]:
+            (out / shard.pop("columns")).unlink()
+            del shard["columns_sha256"]
+        path.write_text(json.dumps(manifest))
+        table = load_score_records(out)  # phase two parses its shards
+        assert table.ids == ["doc-a", "doc-b", "doc-c"]
+        run_score(config)
+        assert snapshot(config.out_dir) == first
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (0, 3)
+
     @pytest.mark.parametrize("field, value", [
         ("elements", "5"), ("elements", True), ("elements", 6),
         ("per_domain", {"art": 5}), ("per_domain", [5])])
@@ -552,6 +597,44 @@ class TestDownstream:
          "corr": lambda: run_corr(out, ["d", "hks"], str(root / "corr.json")),
          }[command]()
         assert reads == [Path(out)]
+
+    @pytest.mark.parametrize("command", ["select", "split", "hist", "corr"])
+    def test_phase_two_logs_where_its_records_came_from(self, scored, caplog,
+                                                        command):
+        root, config = scored
+        out = config.out_dir
+        with caplog.at_level("DEBUG", logger="hks.pipeline"):
+            {"select": lambda: run_select(
+                out, SelectionSpec(strategy="topk", budget=15),
+                str(root / "sel")),
+             "split": lambda: run_split(out, 6, str(root / "split")),
+             "hist": lambda: run_hist(out, "hks", "subset", 4,
+                                      str(root / "hist.csv")),
+             "corr": lambda: run_corr(out, ["d", "hks"],
+                                      str(root / "corr.json")),
+             }[command]()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "hks.pipeline"] == [
+            f"{out}: read 3 records from 3 shards: 3 from column files, "
+            f"0 parsed"]
+
+    def test_column_file_of_another_shard_is_ignored(self, scored, caplog):
+        _, config = scored
+        out = Path(config.out_dir)
+        columns = out / "scores-00000.columns.json"
+        expected = load_score_records(out)
+        data = json.loads(columns.read_text(encoding="utf-8"))
+        data["shard_sha256"] = "0" * 64
+        data["hks"] = [9.0]  # never read
+        columns.write_text(json.dumps(data), encoding="utf-8")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["shards"][0]["columns_sha256"] = line_digest(columns)[0]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with caplog.at_level("DEBUG", logger="hks.pipeline"):
+            table = load_score_records(out)
+        assert (table.ids, table.scores) == (expected.ids, expected.scores)
+        assert caplog.records[-1].getMessage().endswith(
+            "2 from column files, 1 parsed")
 
     def test_split(self, scored):
         root, config = scored

@@ -8,14 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hks import (DataError, ScoreRecord, SelectionSpec, StratumExhaustedError,
                  bucket_distribution, correlation_matrix, select,
                  threshold_split)
 from hks.cli import main
-from hks.files import line_digest
+from hks.files import canonical_json, line_digest
+from hks.metrics import ScoreTable
 from hks.pipeline import (load_score_records, run_corr, run_hist, run_select,
-                          run_split)
+                          run_split, write_columns)
 
 from helpers import (DOMAINS, oracle_mix, oracle_sample, oracle_split,
                      oracle_topk)
@@ -254,4 +257,133 @@ def test_duplicate_id_within_a_shard_is_named(tmp_path):
     shard = scores / "scores-00001.jsonl"
     with pytest.raises(DataError, match=re.escape(
             f"duplicate document id 'doc-a' in {shard} and {shard}")):
+        load_score_records(scores)
+
+
+def add_columns(scores: Path, edit=None) -> None:
+    """List a column file for every shard of the run under `scores`,
+    built from the shard's lines; `edit(columns)` may change the last
+    shard's parsed columns before they are written."""
+    manifest = json.loads((scores / "manifest.json").read_text())
+    for entry in manifest["shards"]:
+        table = ScoreTable()
+        for line in (scores / entry["output"]).read_text(
+                encoding="utf-8").split("\n"):
+            if line:
+                table.append(ScoreRecord.from_json(line))
+        path = scores / entry["output"].replace(".jsonl", ".columns.json")
+        entry["columns"] = path.name
+        entry["columns_sha256"] = write_columns(path, table, entry["sha256"])
+    if edit is not None:
+        columns = json.loads(path.read_text(encoding="utf-8"))
+        edit(columns)
+        path.write_text(canonical_json(columns), encoding="utf-8")
+        entry["columns_sha256"] = line_digest(path)[0]
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+
+
+def strict(table: ScoreTable) -> tuple:
+    """Every column of `table`, with its key order, in a form where 1,
+    1.0, True, -0.0 and 0.0 all differ."""
+    return (canonical_json([table.ids, table.n_p, table.meta]),
+            list(table.scores), canonical_json(list(table.scores.values())),
+            [(path, span) for path, _, span in table.shards])
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+               | st.floats() | st.text(alphabet="aé東\u2028\u0085\\\"", max_size=4))
+METAS = st.none() | st.dictionaries(
+    st.text(alphabet="ké\u2028", max_size=3),
+    st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                 max_leaves=6), max_size=3)
+SCORES = st.floats(0, 4, allow_subnormal=True) | st.sampled_from([0.0, 1e-300])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shards=st.lists(st.lists(st.tuples(st.integers(1, 2 ** 40), SCORES,
+                                          SCORES, SCORES, METAS,
+                                          st.lists(SCORES, min_size=5,
+                                                   max_size=5)),
+                                max_size=6),
+                       min_size=1, max_size=4),
+       domains=st.booleans())
+def test_column_files_give_the_parsed_table(tmp_path_factory, shards,
+                                            domains):
+    root = tmp_path_factory.mktemp("columns")
+    rows = 0
+    lines = []
+    for shard in shards:
+        lines.append([])
+        for n_p, d, c, hks, meta, scores in shard:
+            blocks = {m: {"n": 0, "distinct": 0, "d": 0.0, "c": 0.0,
+                          "score": s} for m, s in zip(DOMAINS, scores)}
+            lines[-1].append(ScoreRecord(
+                doc_id=ID_FORMS[rows % len(ID_FORMS)].format(rows), n_p=n_p,
+                n_k=0, n_distinct=0, d=d, c=c, hks=hks,
+                domains=blocks if domains else {}, meta=meta).to_json())
+            rows += 1
+    scores = write_scores(root, lines)
+    if not rows:
+        with pytest.raises(DataError, match="holds zero records"):
+            load_score_records(scores)
+        return
+    parsed = load_score_records(scores)
+    add_columns(scores)
+    assert strict(load_score_records(scores)) == strict(parsed)
+
+
+def columns_run(tmp_path, edit) -> tuple[Path, Path]:
+    first = edited(id="doc-a")
+    scores = write_scores(tmp_path, [[first], [first.replace("doc-a", "x"),
+                                               edited()]])
+    add_columns(scores, edit)
+    return scores, scores / "scores-00001.columns.json"
+
+
+def set_value(key, value, domain=None):
+    def edit(columns):
+        (columns["domains"][domain] if domain else columns[key])[1] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_value("id", ""), ":2: 'id' is not a non-empty string"),
+    (set_value("n_p", True), ":2: 'n_p' is not an integer >= 1"),
+    (set_value("n_p", 2.0), ":2: 'n_p' is not an integer >= 1"),
+    (set_value("hks", float("nan")), ":2: 'hks' is not a finite number"),
+    (set_value("c", None), ":2: 'c' is not a finite number"),
+    (set_value(None, "0", "science"),
+     ":2: 'domains.science.score' is not a finite number"),
+    (set_value("meta", ["web"]), ":2: 'meta' is not an object"),
+    (lambda columns: columns["domains"].pop("art"),
+     ": not a column file (domains differ from the first record's)"),
+    (lambda columns: columns["d"].pop(),
+     ": not a column file (columns differ in length)"),
+    (lambda columns: columns.pop("meta"),
+     ": not a column file (missing key 'meta')"),
+    (lambda columns: columns.update(id="x"),
+     ": not a column file (columns differ in length)"),
+], ids=["id-empty", "n_p-bool", "n_p-float", "hks-nan", "c-null",
+        "domain-str", "meta-list", "domains-differ", "short-column",
+        "meta-missing", "ids-not-a-list"])
+def test_malformed_column_is_data_error_naming_it(tmp_path, edit, message):
+    scores, columns = columns_run(tmp_path, edit)
+    with pytest.raises(DataError, match=re.escape(f"{columns}{message}")):
+        load_score_records(scores)
+
+
+def test_column_file_counts_and_ids_are_checked(tmp_path):
+    scores, columns = columns_run(tmp_path, lambda c: c["id"].__setitem__(
+        1, "x"))
+    shard = scores / "scores-00001.jsonl"
+    with pytest.raises(DataError, match=re.escape(
+            f"duplicate document id 'x' in {shard} and {shard}")):
+        load_score_records(scores)
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][1]["records"] = 3
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=re.escape(
+            f"{shard}: holds 2 records, the manifest lists 3")):
         load_score_records(scores)
