@@ -33,9 +33,9 @@ _COMPONENTS = {"identity": (lambda x: x, "{}"),
                "ln1p": (math.log1p, "ln({}+1)")}
 FUNC_KINDS = tuple(_COMPONENTS)
 # The score fields of every record, in the order they are offered, and
-# every name a score column can have.
+# every name a score column can have: domains sorted, as in every output.
 RECORD_SCORES = ("hks", "d", "c")
-SCORE_FIELDS = (*RECORD_SCORES, *DOMAINS)
+SCORE_FIELDS = (*RECORD_SCORES, *sorted(DOMAINS))
 
 
 def _tokens(profile: KnowledgeProfile) -> int:
@@ -293,34 +293,25 @@ class ScoreTable:
                            for name, col in self.scores.items()},
                           [self.meta[i] for i in rows])
 
-    def _first_domains(self, names, source, line_no: int) -> list:
-        """Add a column for each domain the table's first row names; on
-        any later row a different domain count is an error."""
-        if len(self.ids) > 1 or set(names) & set(self.scores):
-            raise DataError(f"{source}:{line_no}: domains differ from the "
-                            f"first record's")
-        for name in names:
-            self.scores[name] = []
-        return [(name, self.scores[name].append) for name in names]
-
-    def extend_json(self, lines: Iterable[str], source) -> int:
-        """Append the score record on each line of `lines`, read from
-        `source`; returns how many were appended.
+    def parse_lines(self, lines: Iterable[str], source) -> dict:
+        """The score records on `lines`, read from `source`, as the
+        columns `extend_columns` takes: the shape `columns_json` writes.
 
         Each line is parsed once and its fields go straight to the
         columns; n_k and n_distinct must be present but are not kept. A
-        line that is not a score record, domains other than the first
-        row's, an id that is not a non-empty string, an n_p that is not
-        an integer >= 1, a score that is not a finite number and a meta
-        that is not an object are each a DataError naming `source` and
-        the line.
+        line that is not a score record, and one whose domains are not
+        those of the first record (this table's first row when it has
+        rows), are each a DataError naming `source` and the line.
         """
-        first = len(self.ids)
-        add_id, add_n_p, add_meta = (self.ids.append, self.n_p.append,
-                                     self.meta.append)
-        scores = [(name, self.scores[name].append) for name in RECORD_SCORES]
-        domains = [(name, col.append) for name, col in self.scores.items()
-                   if name not in RECORD_SCORES]
+        ids, n_p, meta = [], [], []
+        columns = {"id": ids, "n_p": n_p, "meta": meta,
+                   **{name: [] for name in RECORD_SCORES}}
+        columns["domains"] = domains = {
+            name: [] for name in self.scores if name not in RECORD_SCORES}
+        names = set(domains) if self.ids else None
+        add_id, add_n_p, add_meta = ids.append, n_p.append, meta.append
+        scores = [(name, columns[name].append) for name in RECORD_SCORES]
+        adds = [(name, col.append) for name, col in domains.items()]
         # json.loads without its whitespace scans: the line is stripped.
         decode = json.JSONDecoder().raw_decode
         for line_no, line in enumerate(lines, start=1):
@@ -335,9 +326,15 @@ class ScoreTable:
                 for name, add in scores:
                     add(obj[name])
                 entries = obj.get("domains", {})
-                if len(entries) != len(domains):
-                    domains = self._first_domains(entries, source, line_no)
-                for name, add in domains:
+                if entries.keys() != names:
+                    if names is not None or entries.keys() & RECORD_SCORES:
+                        raise DataError(f"{source}:{line_no}: domains "
+                                        f"differ from the first record's")
+                    domains.update((name, []) for name in entries)
+                    names = set(domains)
+                    adds = [(name, col.append)
+                            for name, col in domains.items()]
+                for name, add in adds:
                     add(entries[name]["score"])
                 add_meta(obj.get("meta"))
             except KeyError as exc:
@@ -346,7 +343,7 @@ class ScoreTable:
             except (ValueError, TypeError, AttributeError) as exc:
                 raise DataError(f"{source}:{line_no}: not a score record "
                                 f"({exc})") from exc
-        return self._check_rows(first, source)
+        return columns
 
     def append(self, rec: ScoreRecord) -> None:
         """Add `rec` as the last row; its domains must be those of every
@@ -372,54 +369,50 @@ class ScoreTable:
             **{name: self.scores[name] for name in RECORD_SCORES}})
 
     def extend_columns(self, columns: dict, source) -> int:
-        """Append the rows of a parsed column file (see `columns_json`)
-        read from `source`; returns how many were appended. Its values
-        pass the checks of `extend_json`, and a row numbered k is named
-        `source:k`. Columns of unequal lengths and domains other than
-        the table's are a DataError naming `source`."""
-        first = len(self.ids)
+        """Append the rows of `columns`, in the shape `columns_json`
+        writes (a parsed column file, or `parse_lines` of a shard), read
+        from `source`; returns how many were appended.
+
+        Missing columns, columns of unequal lengths and domains other
+        than the first row's are a DataError naming `source`. So is an
+        id that is not a non-empty string, an n_p that is not an integer
+        >= 1, a score that is not a finite number and a meta that is not
+        an object, naming `source:k` for the k-th row of `columns`.
+        Nothing is appended unless every check passes.
+        """
         try:
             rows, domains = columns["id"], columns["domains"]
-            if rows and not first:
-                for name in domains:
-                    self.scores.setdefault(name, [])
-            names = [name for name in self.scores if name not in RECORD_SCORES]
+            names = [name for name in (self.scores if self.ids else domains)
+                     if name not in RECORD_SCORES] if rows else []
             if rows and set(domains) != set(names):
                 raise ValueError("domains differ from the first record's")
-            pairs = [(self.ids, rows), (self.n_p, columns["n_p"]),
-                     (self.meta, columns["meta"]),
-                     *((self.scores[name], columns[name])
+            # Whole columns are checked at once; a failing one is searched
+            # value by value for the row.
+            rules = [("id", rows, _ids_ok, "a non-empty string"),
+                     ("n_p", columns["n_p"], _counts_ok, "an integer >= 1"),
+                     *((name, columns[name], finite_numbers, "a finite number")
                        for name in RECORD_SCORES),
-                     *((self.scores[name], domains[name])
-                       for name in names if rows)]
-            if any(type(new) is not list or len(new) != len(rows)
-                   for _, new in pairs):
+                     *((f"domains.{name}.score", domains[name],
+                        finite_numbers, "a finite number") for name in names),
+                     ("meta", columns["meta"], _metas_ok, "an object")]
+            if any(type(values) is not list or len(values) != len(rows)
+                   for _, values, _, _ in rules):
                 raise ValueError("columns differ in length")
         except KeyError as exc:
             raise DataError(f"{source}: not a column file (missing key "
                             f"{exc})") from exc
         except (ValueError, TypeError) as exc:
             raise DataError(f"{source}: not a column file ({exc})") from exc
-        for col, new in pairs:
-            col.extend(new)
-        return self._check_rows(first, source)
-
-    def _check_rows(self, first: int, source) -> int:
-        """The number of rows from `first` on, once each of their columns
-        is checked; a value that fails is a DataError naming `source` and
-        its row, counted from 1 at `first`."""
-        # Whole columns are checked at once; a failing one is searched
-        # value by value for the row.
-        rules = [("id", self.ids, _ids_ok, "a non-empty string"),
-                 ("n_p", self.n_p, _counts_ok, "an integer >= 1"),
-                 *((name if name in RECORD_SCORES else
-                    f"domains.{name}.score", col, finite_numbers,
-                    "a finite number") for name, col in self.scores.items()),
-                 ("meta", self.meta, _metas_ok, "an object")]
-        for name, column, ok, what in rules:
-            values = column[first:]
+        for name, values, ok, what in rules:
             if not ok(values):
                 row = next(k for k, v in enumerate(values) if not ok([v]))
                 raise DataError(f"{source}:{row + 1}: {name!r} is "
                                 f"not {what} ({values[row]!r})")
-        return len(self.ids) - first
+        self.ids.extend(rows)
+        self.n_p.extend(columns["n_p"])
+        self.meta.extend(columns["meta"])
+        for name in RECORD_SCORES:
+            self.scores[name].extend(columns[name])
+        for name in names:
+            self.scores.setdefault(name, []).extend(domains[name])
+        return len(rows)

@@ -33,7 +33,8 @@ from .analysis import (PreferencePair, bucket_distribution, check_histogram,
 from .errors import DataError
 from .files import (canonical_json, check_sha256, line_digest, reading,
                     verified_bytes, verified_lines, writing)
-# perfbench/spans.py traces `annotate` here by name.
+# perfbench/spans.py wraps `annotate` here by name, so the import stays
+# (tests/test_imports.py); scoring calls only `annotate_all`.
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
 from .metrics import SCORE_FIELDS, ScoreTable, finite_numbers, score_record
@@ -481,12 +482,13 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     shard's columns come from its column file when the manifest lists
     that file, the file hashes to the listed sha256 and it names the
     shard's sha256; otherwise the shard's lines are parsed. Both give
-    the same table. A missing manifest, a shard or listed column file
-    that changed since scoring, a record count other than the
-    manifest's, a line or column value that is not a score record or
-    holds a malformed value (see ScoreTable.extend_json), a document id
-    seen twice (in one shard or across two) and a run with no records
-    are each a DataError naming the directory or the file.
+    the same columns (see ScoreTable.parse_lines), which one
+    ScoreTable.extend_columns call checks and appends. A missing
+    manifest, a shard or listed column file that changed since scoring,
+    a record count other than the manifest's, a line that is not a
+    score record, a malformed column or value, a document id seen twice
+    (in one shard or across two) and a run with no records are each a
+    DataError naming the directory or the file.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
@@ -497,13 +499,6 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     shard_of: dict[str, Path] = {}
     from_columns = 0
 
-    def unique(path: Path, start: int) -> None:
-        for doc_id in table.ids[start:]:
-            if doc_id in shard_of:
-                raise DataError(f"duplicate document id {doc_id!r} "
-                                f"in {shard_of[doc_id]} and {path}")
-            shard_of[doc_id] = path
-
     def counted(path: Path, added: int) -> None:
         if added != shard["records"]:
             raise DataError(f"{path}: holds {added} records, the "
@@ -513,18 +508,21 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
         path, start = scores_dir / shard["output"], len(table)
         columns = _listed_columns(scores_dir, shard)
         if columns is None:
+            source = path
             with verified_lines(path, shard["sha256"]) as lines:
-                added = table.extend_json(lines, path)
-                unique(path, start)
-                counted(path, added)
+                columns = table.parse_lines(lines, path)
         else:
+            source = scores_dir / shard["columns"]
             digest, count = line_digest(path)
             check_sha256(path, digest, shard["sha256"])
             counted(path, count)
-            source = scores_dir / shard["columns"]
-            counted(source, table.extend_columns(columns, source))
-            unique(path, start)
             from_columns += 1
+        counted(source, table.extend_columns(columns, source))
+        for doc_id in table.ids[start:]:
+            if doc_id in shard_of:
+                raise DataError(f"duplicate document id {doc_id!r} "
+                                f"in {shard_of[doc_id]} and {path}")
+            shard_of[doc_id] = path
         table.shards.append((path, shard, slice(start, len(table))))
     log.debug("%s: read %d records from %d shards: %d from column files, "
               "%d parsed", scores_dir, len(table), len(table.shards),

@@ -618,8 +618,8 @@ class TestArgumentErrorsReadNoShard:
           "--buckets", "0", "--out", "h.csv"],
          "need at least 1 bucket, got 0"),
         (["analyze", "corr", "--columns", "d,bogus", "--out", "corr.json"],
-         "no score field 'bogus'; available: hks, d, c, science, society, "
-         "culture, art, life, ext:<name>"),
+         "no score field 'bogus'; available: hks, d, c, art, culture, "
+         "life, science, society, ext:<name>"),
     ], ids=["split-negative-budget", "hist-zero-buckets", "corr-bogus-column"])
     def test_refused_before_load(self, workspace, capsys, monkeypatch,
                                  argv, message):

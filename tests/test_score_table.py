@@ -235,6 +235,30 @@ def test_malformed_value_is_data_error_naming_its_line(tmp_path, capsys,
         load_score_records(scores)
 
 
+def renamed(domain: str, to: str) -> str:
+    """GOOD with one domain block under another name."""
+    obj = json.loads(edited())
+    obj["domains"][to] = obj["domains"].pop(domain)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("shards, named", [
+    ([[edited(id="doc-a"), renamed("art", "arts")]], "scores-00000.jsonl:2"),
+    ([[edited(id="doc-a")], [renamed("life", "living")]],
+     "scores-00001.jsonl:1"),
+], ids=["within-a-shard", "across-shards"])
+def test_renamed_domain_differs_from_the_first_record(tmp_path, capsys,
+                                                      shards, named):
+    scores = write_scores(tmp_path, shards)
+    message = f"{scores / named}: domains differ from the first record's"
+    capsys.readouterr()
+    assert main(["select", "--scores", str(scores), "--budget-docs", "1",
+                 "--out", str(tmp_path / "sel")]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_score_records(scores)
+
+
 @pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "whitespace"])
 def test_blank_line_is_not_a_score_record(tmp_path, capsys, blank):
     scores = write_scores(tmp_path, [[edited(id="doc-a"), blank,
