@@ -180,16 +180,9 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _select_spec(args) -> SelectionSpec:
-    if args.strategy == "mix":
-        if args.alpha is None:
-            raise UsageError("mix strategy requires --alpha")
-        if args.split_budget_tokens is None:
-            raise UsageError("mix strategy requires --split-budget-tokens")
-        if args.budget_docs is not None:
-            raise UsageError("mix strategy budgets tokens, not documents")
+def _cmd_select(args) -> int:
     by_docs = args.budget_docs is not None
-    return SelectionSpec(
+    spec = SelectionSpec(
         strategy=args.strategy,
         budget=args.budget_docs if by_docs else args.budget_tokens,
         by_docs=by_docs,
@@ -200,10 +193,7 @@ def _select_spec(args) -> SelectionSpec:
         normalize=not args.no_normalize,
         split_budget=args.split_budget_tokens,
     )
-
-
-def _cmd_select(args) -> int:
-    summary = run_select(args.scores, _select_spec(args), args.out,
+    summary = run_select(args.scores, spec, args.out,
                          emit_corpus=args.emit_corpus)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0

@@ -29,6 +29,10 @@ class ResourceError(HksError):
     exit_code = 3
 
 
+class MixSpecError(UsageError, DataError):
+    """A mix spec lacking alpha or a split budget, or budgeted in docs."""
+
+
 class EmptyPoolError(DataError):
     """A knowledge pool with zero surviving elements cannot be used."""
 

@@ -356,12 +356,13 @@ class ScoreTable:
             self.scores.setdefault(name, []).append(entry["score"])
         self.meta.append(rec.meta)
 
-    def columns_json(self, shard_sha256: str) -> str:
+    def columns_json(self, shard_sha256: str, **header: str) -> str:
         """The column file of a score shard holding this table's rows,
         whose sha256 is `shard_sha256`: one canonical JSON object of
-        "shard_sha256", "id", "n_p", "meta", each record score and
-        "domains" (domain name -> score column)."""
+        "shard_sha256", the `header` fields, "id", "n_p", "meta", each
+        record score and "domains" (domain name -> score column)."""
         return canonical_json({
+            **header,
             "shard_sha256": shard_sha256, "id": self.ids, "n_p": self.n_p,
             "meta": self.meta, "domains": {
                 name: col for name, col in self.scores.items()

@@ -38,7 +38,7 @@ from .files import (canonical_json, check_sha256, line_digest, reading,
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
 from .metrics import SCORE_FIELDS, ScoreTable, finite_numbers, score_record
-from .pool import DOMAINS, KnowledgePool, load_pool
+from .pool import KnowledgePool, load_pool
 from .selection import SelectionSpec, check_budget, select
 from .textnorm import class_table
 
@@ -158,19 +158,26 @@ def _documents(fh: TextIO, in_path: str, strict: bool
         yield line_no, line, doc
 
 
-def write_columns(path: str | Path, table: ScoreTable,
-                  shard_sha256: str) -> str:
+def write_columns(path: str | Path, table: ScoreTable, shard_sha256: str,
+                  **identity: str) -> str:
     """Write the column file of the score shard whose records `table`
-    holds and whose sha256 is `shard_sha256` to `path`; returns the
-    file's sha256. Phase two reads the shard's columns from it when the
-    manifest lists both (see `load_score_records`)."""
+    holds and whose sha256 is `shard_sha256` to `path`, with the fields
+    `identity` (see `_identity`) beside it; returns the file's sha256.
+    Phase two reads the shard's columns from it when the manifest lists
+    both (see `load_score_records`)."""
     with writing(path) as dest:
-        dest.write(table.columns_json(shard_sha256) + "\n")
+        dest.write(table.columns_json(shard_sha256, **identity) + "\n")
     return line_digest(path)[0]
 
 
-def _score_shard(task: tuple[str, str]) -> ShardOutcome:
-    in_path, out_path = task
+def _identity(in_path: str, run_hash: str, pool_sha256: str) -> dict:
+    """The input, config_hash and pool sha256 a shard was scored under."""
+    return {"input": in_path, "config_hash": run_hash,
+            "pool_sha256": pool_sha256}
+
+
+def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
+    in_path, out_path, identity = task
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
@@ -210,7 +217,7 @@ def _score_shard(task: tuple[str, str]) -> ShardOutcome:
         outcome.replaced = fh.replaced
     outcome.sha256, outcome.records = line_digest(out)
     outcome.columns_sha256 = write_columns(
-        out.with_suffix(COLUMNS_SUFFIX), columns, outcome.sha256)
+        out.with_suffix(COLUMNS_SUFFIX), columns, outcome.sha256, **identity)
     return outcome
 
 
@@ -256,11 +263,11 @@ def _read_manifest(scores_dir: Path) -> dict | None:
 
 
 def _kept_columns(path: Path, entry: dict | None,
-                  shard_sha256: str) -> str | None:
+                  expected: dict) -> str | None:
     """The sha256 of the column file at `path` when a rerun may keep it
-    beside the score shard whose sha256 is `shard_sha256`: the shard's
-    manifest `entry` lists it by name and sha256, or, with no manifest,
-    the file names `shard_sha256`. None when it may not."""
+    beside its score shard: the shard's manifest `entry` lists it by name
+    and sha256, or, with no manifest, the file holds `expected` (the
+    shard's sha256 and `_identity`). None when it may not."""
     if not path.is_file():
         return None
     digest = line_digest(path)[0]
@@ -269,26 +276,26 @@ def _kept_columns(path: Path, entry: dict | None,
         return digest if listed == (path.name, digest) else None
     try:
         with reading(path) as fh:
-            named = json.loads(fh.read()).get("shard_sha256")
+            columns = json.loads(fh.read())
+        named = {key: columns.get(key) for key in expected}
     except (DataError, ValueError, AttributeError):
         return None
-    return digest if named == shard_sha256 else None
+    return digest if named == expected else None
 
 
 def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
             shards: list[str], outputs: list[Path]
             ) -> tuple[dict[int, ShardOutcome], dict | None]:
     """The outputs a run into `out_dir` keeps, by input position, and the
-    manifest's pool totals when it keeps every output the manifest lists
-    (None when the pool must be loaded). A manifest whose config_hash,
-    pool sha256 or list of corpus files differs from this run's is a
-    DataError before anything is kept, and so are totals to be copied
-    that are not ints >= 0 for exactly the five domains summing to
-    "elements". With a manifest, an output is kept only while its sha256
-    and record count equal its entry's and its column file is the one
-    the entry lists, by name and sha256; without one (a run that crashed
-    before writing it), every output on disk whose column file names its
-    sha256 is kept, paired with its input by position."""
+    out dir's manifest as read (None when it has none). A manifest whose
+    config_hash, pool sha256 or list of corpus files differs from this
+    run's is a DataError before anything is kept. With a manifest, an
+    output is kept only while its name, sha256 and record count equal
+    its entry's and its column file is the one the entry lists, by name
+    and sha256; without one (a run that crashed before writing it), an
+    output on disk is kept only when its column file names its sha256
+    and this run's identity for its input position (see `_identity`).
+    Outputs pair with inputs by position."""
     path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
     if manifest is not None:
@@ -312,12 +319,15 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
             continue
         sha256, records = line_digest(out)
         entry = manifest["shards"][i] if manifest else None
-        if entry and (sha256, records) != (entry["sha256"], entry["records"]):
+        if entry and ((out.name, sha256, records) != (
+                entry["output"], entry["sha256"], entry["records"])):
             log.warning("%s: differs from its %s entry; scoring it again",
                         out, MANIFEST_NAME)
             continue
-        columns_sha256 = _kept_columns(out.with_suffix(COLUMNS_SUFFIX),
-                                       entry, sha256)
+        columns_sha256 = _kept_columns(
+            out.with_suffix(COLUMNS_SUFFIX), entry,
+            {"shard_sha256": sha256,
+             **_identity(in_path, run_hash, pool_sha256)})
         if columns_sha256 is None:
             log.warning("%s: its column file is missing or stale; scoring "
                         "it again", out)
@@ -325,30 +335,18 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
         kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
                                sha256=sha256, records=records,
                                columns_sha256=columns_sha256)
-    if manifest is None or len(kept) < len(shards):
-        return kept, None
-    # Written after loading a pool of this sha256 under this config_hash,
-    # so they are this pool's totals; phase two never reads them.
-    totals = {k: manifest["pool"].get(k) for k in ("elements", "per_domain")}
-    per_domain = totals["per_domain"]
-    if not (isinstance(per_domain, dict)
-            and sorted(per_domain) == sorted(DOMAINS)
-            and all(type(n) is int and n >= 0
-                    for n in (totals["elements"], *per_domain.values()))
-            and sum(per_domain.values()) == totals["elements"]):
-        raise DataError(f"{path}: not a score manifest (pool totals "
-                        f"{canonical_json(totals)})")
-    return kept, totals
+    return kept, manifest
 
 
 def run_score(config: RunConfig) -> dict:
     """Score every document in the corpus; returns the manifest dict.
 
     Outputs of an earlier run into the out dir are kept as `_resume`
-    decides and every other shard is scored; a run that keeps them all
-    loads no pool and builds no matcher. Files under the out dir are
-    never read as corpus. The manifest and shard bytes are identical
-    whether a run was fresh, resumed, or parallel.
+    decides and every other shard is scored; a run that keeps every
+    shard its manifest lists writes only run_stats.json, as it loads no
+    pool and that manifest is the one it would write. Files under the
+    out dir are never read as corpus. The manifest and shard bytes are
+    identical whether a run was fresh, resumed, or parallel.
     """
     global _G_AUTOMATON, _G_POOL, _G_CONFIG
     started = time.monotonic()
@@ -363,13 +361,13 @@ def run_score(config: RunConfig) -> dict:
     run_hash = config_hash(config)
     pool_sha256 = line_digest(config.pool_path)[0]
     outputs = [out_dir / f"scores-{i:05d}.jsonl" for i in range(len(shards))]
-    kept, totals = _resume(out_dir, run_hash, pool_sha256, shards, outputs)
-    tasks = [(path, str(out)) for i, (path, out)
-             in enumerate(zip(shards, outputs)) if i not in kept]
+    kept, manifest = _resume(out_dir, run_hash, pool_sha256, shards, outputs)
+    tasks = [(path, str(out), _identity(path, run_hash, pool_sha256))
+             for i, (path, out) in enumerate(zip(shards, outputs))
+             if i not in kept]
     pool = None
-    if totals is None:
+    if tasks or manifest is None:
         pool = load_pool(config.pool_path, strict=config.strict)
-        totals = {"elements": pool.total, "per_domain": pool.per_domain_total}
     pool_loaded = build_started = time.monotonic()
     automaton = None
     if tasks:
@@ -400,26 +398,28 @@ def run_score(config: RunConfig) -> dict:
     total_records = sum(o.records for o in outcomes)
     if total_records == 0:
         log.warning("corpus produced zero scored documents")
-    manifest = {
-        "version": 2,
-        "config": _identity_config(config),
-        "config_hash": run_hash,
-        "pool": {
-            "path": config.pool_path,
-            "sha256": pool_sha256,
-            **totals,
-        },
-        "records": total_records,
-        "shards": [
-            {"input": o.input_path, "output": o.output_name,
-             "sha256": o.sha256, "records": o.records,
-             "columns": Path(o.output_name).with_suffix(COLUMNS_SUFFIX).name,
-             "columns_sha256": o.columns_sha256}
-            for o in outcomes
-        ],
-    }
-    with writing(out_dir / MANIFEST_NAME) as dest:
-        dest.write(canonical_json(manifest) + "\n")
+    if pool is not None:
+        manifest = {
+            "version": 2,
+            "config": _identity_config(config),
+            "config_hash": run_hash,
+            "pool": {
+                "path": config.pool_path,
+                "sha256": pool_sha256,
+                "elements": pool.total,
+                "per_domain": pool.per_domain_total,
+            },
+            "records": total_records,
+            "shards": [
+                {"input": o.input_path, "output": o.output_name,
+                 "sha256": o.sha256, "records": o.records,
+                 "columns": Path(o.output_name).with_suffix(COLUMNS_SUFFIX).name,
+                 "columns_sha256": o.columns_sha256}
+                for o in outcomes
+            ],
+        }
+        with writing(out_dir / MANIFEST_NAME) as dest:
+            dest.write(canonical_json(manifest) + "\n")
 
     input_bytes = sum(os.path.getsize(p) for p in shards)
     read = sum(o.read for o in outcomes)

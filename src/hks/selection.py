@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .errors import DataError, StratumExhaustedError
+from .errors import DataError, MixSpecError, StratumExhaustedError
 from .metrics import ScoreRecord, ScoreTable
 
 log = logging.getLogger(__name__)
@@ -36,6 +36,11 @@ Records = Union[ScoreTable, Sequence[ScoreRecord]]
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 1 << 64:  # hashed as 8 unsigned bytes
         raise DataError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _check_alpha(alpha: float | None) -> None:
+    if alpha is not None and not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise DataError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def check_budget(budget: int, name: str = "token budget") -> None:
@@ -67,22 +72,22 @@ class SelectionSpec:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise DataError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "mix":
+            if self.alpha is None:
+                raise MixSpecError("mix strategy requires alpha")
+            if self.split_budget is None:
+                raise MixSpecError("mix strategy requires a split budget "
+                                   "(tokens defining the high/low threshold)")
+            if self.by_docs:
+                raise MixSpecError("mix strategy budgets tokens, not "
+                                   "documents")
         if not self.tau > 0:  # NaN fails too
             raise DataError(f"tau must be > 0, got {self.tau}")
         _check_seed(self.seed)
         check_budget(self.budget, "budget")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise DataError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.split_budget is not None:
             check_budget(self.split_budget, "split budget")
-        if self.strategy == "mix":
-            if self.alpha is None:
-                raise DataError("mix strategy requires alpha")
-            if self.split_budget is None:
-                raise DataError("mix strategy requires a split budget "
-                                "(tokens defining the high/low threshold)")
-            if self.by_docs:
-                raise DataError("mix strategy budgets tokens, not documents")
 
 
 @dataclass
@@ -258,8 +263,7 @@ def mix(high: Records, low: Records, alpha: float, token_budget: int,
     from the request by at most one document per stratum. A stratum too
     small for its target raises a stratum-exhausted error naming it.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DataError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     check_budget(token_budget)
     _check_seed(seed)
     high_ids, high_tokens = _sample_stratum(

@@ -640,6 +640,23 @@ class TestArgumentErrorsReadNoShard:
                                        "scores-00002.columns.json")}
         assert not any(root.glob(argv[argv.index("--out") + 1]))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "0.5", "--budget-tokens", "10"],
+         "mix strategy requires a split budget"),
+        (["--alpha", "0.5", "--split-budget-tokens", "6", "--budget-docs",
+          "1"], "mix strategy budgets tokens, not documents"),
+    ], ids=["no-split-budget", "budget-docs"])
+    def test_incomplete_mix_is_usage_error(self, workspace, capsys,
+                                           monkeypatch, flags, message):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        monkeypatch.setattr(hks.pipeline, "load_score_records", _no_read)
+        capsys.readouterr()
+        assert main(["select", "--scores", str(scores), "--out",
+                     str(root / "sel"), "--strategy", "mix", *flags]) == 1
+        assert f"hks: error: {message}" in capsys.readouterr().err
+        assert not (root / "sel").exists()
+
 
 # Each case leaves every candidate score finite but one: d*c of the first
 # pair overflows; in the second case sin(d)*c spans -3.8e307 to 1.5e308.

@@ -50,11 +50,11 @@ PINNED = {
     "scores/scores-00000.jsonl":
         "e82606ea019b204139110b3f41e206633998f786c45e885164d206428c607404",
     "scores/scores-00000.columns.json":
-        "47f01a5fdfb9e2c8b5500b2fcae26d8448ed80c7ebf42a38cb6f235ca6d7b49c",
+        "2ae8e52bd80c4a394e244d84ebcf01b2398f1187409b9ba28541365a6a52f07b",
     "scores/scores-00001.jsonl":
         "d057156788d4d15a2838b85a506076ff23d9af34ab5fbb40d522dc9e05785e50",
     "scores/scores-00001.columns.json":
-        "ea9dce035baddfe3fb3044aac22f5d234d134c61144a09e943a9b24b2ba233be",
+        "c4a5611578a95860e540bf72320cf6ef2c34f02102a0f3e299436d6525c63726",
     "sel/selected.jsonl":
         "c7dab7bc61df38e553ca8de18e6d08487dd3170590f62299838ac86a26fbd0db",
     "split/high.jsonl":

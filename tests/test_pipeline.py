@@ -334,18 +334,80 @@ class TestScoreRun:
         stats = json.loads((out / "run_stats.json").read_text())
         assert (stats["resumed_shards"], stats["docs_read"]) == (0, 3)
 
-    @pytest.mark.parametrize("field, value", [
-        ("elements", "5"), ("elements", True), ("elements", 6),
-        ("per_domain", {"art": 5}), ("per_domain", [5])])
-    def test_malformed_pool_totals_are_refused(self, tmp_path, field, value):
+    def test_rerun_keeping_every_shard_leaves_the_manifest(self, tmp_path,
+                                                          monkeypatch):
         config = toy_config(tmp_path)
         run_score(config)
+        out = Path(config.out_dir)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["pool"]["elements"] = 6  # hand-edited; never read
+        path.write_text(json.dumps(manifest))
+        before = (path.read_bytes(), path.stat().st_mtime_ns)
+        written = []
+        real = hks.pipeline.writing
+        monkeypatch.setattr(hks.pipeline, "writing",
+                            lambda dest, *a, **kw: written.append(
+                                Path(dest).name) or real(dest, *a, **kw))
+        assert run_score(config) == manifest
+        assert written == ["run_stats.json"]
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+        # Scoring one shard again loads the pool, whose totals replace
+        # the edited ones.
+        (out / "scores-00001.jsonl").unlink()
+        written.clear()
+        assert run_score(config)["pool"]["elements"] == 5
+        assert written == ["scores-00001.jsonl", "scores-00001.columns.json",
+                           "manifest.json", "run_stats.json"]
+        assert json.loads(path.read_text())["pool"]["elements"] == 5
+
+    def test_entry_naming_another_output_is_scored_again(self, tmp_path):
+        """A rerun keeps the manifest only when it is the one the rerun
+        would write, so an entry must name its own output."""
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
         path = Path(config.out_dir) / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["pool"][field] = value
+        manifest["shards"][0]["output"] = "scores-00001.jsonl"
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="not a score manifest"):
-            run_score(config)
+        run_score(config)
+        assert snapshot(config.out_dir) == first
+
+    @pytest.mark.parametrize("change", ["flags", "pool", "corpus"])
+    def test_crash_resume_keeps_only_shards_of_this_run(self, tmp_path,
+                                                        change):
+        """A rerun without a manifest keeps a shard only when its column
+        file names this run's config_hash, pool sha256 and input."""
+        pool = tmp_path / "pool.tsv"
+        pool.write_text(POOL_TSV, encoding="utf-8")
+        data = tmp_path / "c"
+        data.mkdir()
+        for name, doc in (("a", DOC_A), ("z", DOC_B)):
+            (data / f"{name}.jsonl").write_text(json.dumps(doc) + "\n",
+                                                encoding="utf-8")
+        config = RunConfig(pool_path=str(pool), corpus=str(data / "*.jsonl"),
+                           out_dir=str(tmp_path / "out"))
+        run_score(config)
+        out = Path(config.out_dir)
+        (out / "manifest.json").unlink()  # crashed before writing it
+        if change == "flags":
+            config = RunConfig(**{**config.canonical(),
+                                  "domain_scores": False})
+        elif change == "pool":
+            pool.write_text(POOL_TSV.replace("meditation\tlife\n", ""),
+                            encoding="utf-8")
+        else:  # sorts between a and z, so z's output now pairs with b
+            (data / "b.jsonl").write_text(json.dumps(DOC_C) + "\n",
+                                          encoding="utf-8")
+        run_score(config)
+        resumed = snapshot(config.out_dir)
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert stats["resumed_shards"] == (1 if change == "corpus" else 0)
+        shutil.rmtree(out)
+        run_score(config)
+        assert resumed == snapshot(config.out_dir)
 
     def test_gzip_shards(self, tmp_path):
         pool_path = tmp_path / "pool.tsv"
