@@ -84,14 +84,10 @@ def config_hash(config: RunConfig) -> str:
 
 @dataclass
 class ShardOutcome:
-    """Per-shard result; `records` and the output bytes are deterministic,
-    the skip counters describe this run only."""
+    """A shard this run scored: its manifest `entry` (see `_entry`) and
+    counters that describe this run only."""
 
-    input_path: str
-    output_name: str
-    sha256: str = ""
-    records: int = 0
-    columns_sha256: str = ""
+    entry: dict | None = None
     read: int = 0
     malformed: int = 0
     degenerate: int = 0
@@ -176,12 +172,23 @@ def _identity(in_path: str, run_hash: str, pool_sha256: str) -> dict:
             "pool_sha256": pool_sha256}
 
 
+def _entry(in_path: str, out: Path, sha256: str, records: int,
+           columns_sha256: str) -> dict:
+    """The manifest entry of the score shard `out` scored from `in_path`,
+    whose bytes hash to `sha256` and hold `records` lines, and whose
+    column file hashes to `columns_sha256`."""
+    return {"input": in_path, "output": out.name, "sha256": sha256,
+            "records": records,
+            "columns": out.with_suffix(COLUMNS_SUFFIX).name,
+            "columns_sha256": columns_sha256}
+
+
 def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
     in_path, out_path, identity = task
     automaton, pool, config = _G_AUTOMATON, _G_POOL, _G_CONFIG
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
-    outcome = ShardOutcome(input_path=in_path, output_name=out.name)
+    outcome = ShardOutcome()
     columns = ScoreTable()
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
@@ -215,9 +222,10 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
                 batch, chars = [], 0
         score_batch(batch, dest)
         outcome.replaced = fh.replaced
-    outcome.sha256, outcome.records = line_digest(out)
-    outcome.columns_sha256 = write_columns(
-        out.with_suffix(COLUMNS_SUFFIX), columns, outcome.sha256, **identity)
+    sha256, records = line_digest(out)
+    columns_sha256 = write_columns(
+        out.with_suffix(COLUMNS_SUFFIX), columns, sha256, **identity)
+    outcome.entry = _entry(in_path, out, sha256, records, columns_sha256)
     return outcome
 
 
@@ -262,40 +270,19 @@ def _read_manifest(scores_dir: Path) -> dict | None:
     return manifest
 
 
-def _kept_columns(path: Path, entry: dict | None,
-                  expected: dict) -> str | None:
-    """The sha256 of the column file at `path` when a rerun may keep it
-    beside its score shard: the shard's manifest `entry` lists it by name
-    and sha256, or, with no manifest, the file holds `expected` (the
-    shard's sha256 and `_identity`). None when it may not."""
-    if not path.is_file():
-        return None
-    digest = line_digest(path)[0]
-    if entry is not None:
-        listed = (entry.get("columns"), entry.get("columns_sha256"))
-        return digest if listed == (path.name, digest) else None
-    try:
-        with reading(path) as fh:
-            columns = json.loads(fh.read())
-        named = {key: columns.get(key) for key in expected}
-    except (DataError, ValueError, AttributeError):
-        return None
-    return digest if named == expected else None
-
-
 def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
             shards: list[str], outputs: list[Path]
-            ) -> tuple[dict[int, ShardOutcome], dict | None]:
-    """The outputs a run into `out_dir` keeps, by input position, and the
-    out dir's manifest as read (None when it has none). A manifest whose
-    config_hash, pool sha256 or list of corpus files differs from this
-    run's is a DataError before anything is kept. With a manifest, an
-    output is kept only while its name, sha256 and record count equal
-    its entry's and its column file is the one the entry lists, by name
-    and sha256; without one (a run that crashed before writing it), an
-    output on disk is kept only when its column file names its sha256
-    and this run's identity for its input position (see `_identity`).
-    Outputs pair with inputs by position."""
+            ) -> tuple[dict[int, dict], dict | None]:
+    """The manifest entries (see `_entry`) of the outputs a run into
+    `out_dir` keeps, by input position, and the out dir's manifest as
+    read (None when it has none). A manifest whose config_hash, pool
+    sha256 or list of corpus files differs from this run's is a DataError
+    before anything is kept. With a manifest, an output is kept only when
+    the entry computed from it and its column file on disk equals the
+    one listed for its position; without one (a run that crashed before
+    writing it), only when its column file names its sha256 and this
+    run's identity for its position (see `_identity`). Outputs pair with
+    inputs by position."""
     path = out_dir / MANIFEST_NAME
     manifest = _read_manifest(out_dir)
     if manifest is not None:
@@ -313,28 +300,31 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
                 raise DataError(f"{path}: corpus file {i + 1} was {was}, "
                                 f"this run reads {now}; score into a new "
                                 f"out dir or empty this one")
-    kept: dict[int, ShardOutcome] = {}
+    kept: dict[int, dict] = {}
     for i, (in_path, out) in enumerate(zip(shards, outputs)):
         if not out.exists():
             continue
-        sha256, records = line_digest(out)
-        entry = manifest["shards"][i] if manifest else None
-        if entry and ((out.name, sha256, records) != (
-                entry["output"], entry["sha256"], entry["records"])):
-            log.warning("%s: differs from its %s entry; scoring it again",
-                        out, MANIFEST_NAME)
-            continue
-        columns_sha256 = _kept_columns(
-            out.with_suffix(COLUMNS_SUFFIX), entry,
-            {"shard_sha256": sha256,
-             **_identity(in_path, run_hash, pool_sha256)})
-        if columns_sha256 is None:
-            log.warning("%s: its column file is missing or stale; scoring "
-                        "it again", out)
-            continue
-        kept[i] = ShardOutcome(input_path=in_path, output_name=out.name,
-                               sha256=sha256, records=records,
-                               columns_sha256=columns_sha256)
+        columns = out.with_suffix(COLUMNS_SUFFIX)
+        if columns.is_file():
+            sha256, records = line_digest(out)
+            entry = _entry(in_path, out, sha256, records,
+                           line_digest(columns)[0])
+            if manifest is not None:
+                keep = entry == manifest["shards"][i]
+            else:
+                expected = {"shard_sha256": sha256,
+                            **_identity(in_path, run_hash, pool_sha256)}
+                try:
+                    with reading(columns) as fh:
+                        named = json.loads(fh.read())
+                    keep = {k: named.get(k) for k in expected} == expected
+                except (DataError, ValueError, AttributeError):
+                    keep = False
+            if keep:
+                kept[i] = entry
+                continue
+        log.warning("%s: does not match its manifest entry or column file; "
+                    "scoring it again", out)
     return kept, manifest
 
 
@@ -392,10 +382,10 @@ def run_score(config: RunConfig) -> dict:
     scored_at = time.monotonic()
     elapsed = scored_at - started
     fresh = iter(scored)
-    outcomes = [kept[i] if i in kept else next(fresh)
-                for i in range(len(shards))]
+    entries = [kept[i] if i in kept else next(fresh).entry
+               for i in range(len(shards))]
 
-    total_records = sum(o.records for o in outcomes)
+    total_records = sum(entry["records"] for entry in entries)
     if total_records == 0:
         log.warning("corpus produced zero scored documents")
     if pool is not None:
@@ -410,21 +400,15 @@ def run_score(config: RunConfig) -> dict:
                 "per_domain": pool.per_domain_total,
             },
             "records": total_records,
-            "shards": [
-                {"input": o.input_path, "output": o.output_name,
-                 "sha256": o.sha256, "records": o.records,
-                 "columns": Path(o.output_name).with_suffix(COLUMNS_SUFFIX).name,
-                 "columns_sha256": o.columns_sha256}
-                for o in outcomes
-            ],
+            "shards": entries,
         }
         with writing(out_dir / MANIFEST_NAME) as dest:
             dest.write(canonical_json(manifest) + "\n")
 
     input_bytes = sum(os.path.getsize(p) for p in shards)
-    read = sum(o.read for o in outcomes)
+    read = sum(o.read for o in scored)
     # Throughput covers the shards scored by this run, not resumed ones.
-    read_bytes = sum(os.path.getsize(o.input_path) for o in scored)
+    read_bytes = sum(os.path.getsize(o.entry["input"]) for o in scored)
     scoring_s = scored_at - built_at
     bounded = int(automaton.bounded.sum()) if automaton else None
     stats = {
@@ -439,10 +423,10 @@ def run_score(config: RunConfig) -> dict:
         "docs_scored": total_records,
         "docs_per_s": round(read / scoring_s, 1) if read else None,
         "mb_per_s": round(read_bytes / scoring_s / 1e6, 2) if read else None,
-        "skipped_malformed": sum(o.malformed for o in outcomes),
-        "skipped_degenerate": sum(o.degenerate for o in outcomes),
-        "density_gt_1": sum(o.density_gt_1 for o in outcomes),
-        "replaced_sequences": sum(o.replaced for o in outcomes),
+        "skipped_malformed": sum(o.malformed for o in scored),
+        "skipped_degenerate": sum(o.degenerate for o in scored),
+        "density_gt_1": sum(o.density_gt_1 for o in scored),
+        "replaced_sequences": sum(o.replaced for o in scored),
         "resumed_shards": len(kept),
         "pool_load": pool.report.to_dict() if pool and pool.report else None,
     }
