@@ -73,8 +73,10 @@ class RunConfig:
 
 
 def _identity_config(config: RunConfig) -> dict:
-    # Worker count never affects output bytes, so it is not identity.
-    return {k: v for k, v in config.canonical().items() if k != "workers"}
+    # Neither the worker count nor where the run is written affects
+    # output bytes, so neither is identity: a copied out dir resumes.
+    return {k: v for k, v in config.canonical().items()
+            if k not in ("workers", "out_dir")}
 
 
 def config_hash(config: RunConfig) -> str:

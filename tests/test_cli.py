@@ -129,6 +129,60 @@ def _malformed_manifest(root, corpus):
              str(root / "split"), "--budget-tokens", "6"], manifest, 2)
 
 
+def _shards_not_a_list(root, corpus):
+    manifest = _scored(root, corpus) / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["shards"] = {"0": data["shards"][0]}
+    manifest.write_text(json.dumps(data))
+    return _select_argv(root), f"{manifest}: not a score manifest", 2
+
+
+def _column_file_not_an_object(root, corpus):
+    # Listed with its own sha256, so the parse is what fails.
+    scores = _scored(root, corpus)
+    columns = scores / "scores-00000.columns.json"
+    columns.write_text("[]\n", encoding="utf-8")
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][0]["columns_sha256"] = line_digest(columns)[0]
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    return _select_argv(root), f"{columns}: not a column file", 2
+
+
+def _strict_second_line(root, line):
+    shard = root / "bad" / "shard.jsonl"
+    shard.parent.mkdir()
+    shard.write_text(json.dumps(DOC_A) + "\n" + line + "\n",
+                     encoding="utf-8")
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s"), "--strict"],
+            f"{shard}:2", 2)
+
+
+def _non_object_line_strict(root, corpus):
+    return _strict_second_line(root, "[1, 2]")
+
+
+def _empty_id_strict(root, corpus):
+    return _strict_second_line(root, json.dumps({"id": "", "text": "jazz"}))
+
+
+def _ext_second_row(root, corpus, row):
+    ext = root / "ext.jsonl"
+    ext.write_text(json.dumps({"id": "doc-a", "ppl": 1.0}) + "\n" + row
+                   + "\n", encoding="utf-8")
+    return (["analyze", "corr", "--scores", str(_scored(root, corpus)),
+             "--columns", "d,ext:ppl", "--ext", str(ext),
+             "--out", str(root / "corr.json")], f"{ext}:2", 2)
+
+
+def _ext_row_not_json(root, corpus):
+    return _ext_second_row(root, corpus, "{not json")
+
+
+def _ext_row_without_id(root, corpus):
+    return _ext_second_row(root, corpus, json.dumps({"ppl": 2.0}))
+
+
 def _missing_pairs(root, corpus):
     pairs = root / "absent.jsonl"
     return (["analyze", "fsearch", "--pairs", str(pairs),
@@ -188,7 +242,9 @@ class TestExitCodes:
         _crc_flipped_gzip_corpus, _bad_utf8_pool, _truncated_score_line,
         _appended_score_record, _edited_score_record, _missing_manifest,
         _malformed_shard_in_manifest,
-        _malformed_manifest, _missing_pairs, _missing_ext,
+        _malformed_manifest, _shards_not_a_list, _column_file_not_an_object,
+        _non_object_line_strict, _empty_id_strict, _missing_pairs,
+        _missing_ext, _ext_row_not_json, _ext_row_without_id,
         _score_out_under_file, _pool_stats_out_under_file,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_bad_file_exit_code_names_file(self, workspace, capsys, case):
@@ -445,6 +501,28 @@ class TestExitCodes:
         root, corpus = workspace
         assert run_score(root, corpus, "--workers", "lots") == 1
 
+    def test_zero_workers_is_data_error(self, workspace, capsys):
+        root, corpus = workspace
+        capsys.readouterr()
+        assert run_score(root, corpus, "--workers", "0") == 2
+        assert ("hks: error: worker count must be >= 1, got 0"
+                in capsys.readouterr().err)
+        assert not (root / "scores").exists()
+
+    def test_corr_of_fewer_than_two_joined_records(self, workspace, capsys):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        ext = root / "ext.jsonl"
+        ext.write_text(json.dumps({"id": "doc-a", "ppl": 1.0}) + "\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "corr", "--scores", str(scores), "--columns",
+                     "d,ext:ppl", "--ext", str(ext),
+                     "--out", str(root / "corr.json")]) == 2
+        assert ("hks: error: fewer than 2 records with all requested columns"
+                in capsys.readouterr().err)
+        assert not (root / "corr.json").exists()
+
     def test_log_flags_accepted_anywhere(self, workspace, capsys):
         # -v/-q may come before or after the subcommand.
         root, corpus = workspace
@@ -639,6 +717,18 @@ class TestArgumentErrorsReadNoShard:
                                        "scores-00001.columns.json",
                                        "scores-00002.columns.json")}
         assert not any(root.glob(argv[argv.index("--out") + 1]))
+
+    def test_corr_of_one_column_is_usage_error(self, workspace, capsys,
+                                               monkeypatch):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        monkeypatch.setattr(hks.pipeline, "load_score_records", _no_read)
+        capsys.readouterr()
+        assert main(["analyze", "corr", "--scores", str(scores), "--columns",
+                     "d", "--out", str(root / "corr.json")]) == 1
+        assert ("hks: error: --columns needs at least two entries"
+                in capsys.readouterr().err)
+        assert not (root / "corr.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--alpha", "0.5", "--budget-tokens", "10"],

@@ -50,11 +50,11 @@ PINNED = {
     "scores/scores-00000.jsonl":
         "e82606ea019b204139110b3f41e206633998f786c45e885164d206428c607404",
     "scores/scores-00000.columns.json":
-        "2ae8e52bd80c4a394e244d84ebcf01b2398f1187409b9ba28541365a6a52f07b",
+        "84c11c604073df6edce49ac9c0ab046279d889485697aef386498d7b3a72a30a",
     "scores/scores-00001.jsonl":
         "d057156788d4d15a2838b85a506076ff23d9af34ab5fbb40d522dc9e05785e50",
     "scores/scores-00001.columns.json":
-        "c4a5611578a95860e540bf72320cf6ef2c34f02102a0f3e299436d6525c63726",
+        "c32207830d102f7199335087a3b2e7d59023f81e8be26fad5af49d4209214c82",
     "sel/selected.jsonl":
         "c7dab7bc61df38e553ca8de18e6d08487dd3170590f62299838ac86a26fbd0db",
     "split/high.jsonl":

@@ -291,7 +291,7 @@ class TestScoreRun:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("manifest", ["kept", "deleted"])
-    @pytest.mark.parametrize("edit", ["deleted", "stale"])
+    @pytest.mark.parametrize("edit", ["deleted", "stale", "not-json"])
     def test_shard_without_its_column_file_is_scored_again(
             self, tmp_path, caplog, edit, manifest, workers):
         config = toy_config(tmp_path, workers=workers)
@@ -301,10 +301,12 @@ class TestScoreRun:
         columns = out / "scores-00001.columns.json"
         if edit == "deleted":
             columns.unlink()
-        else:  # names another shard's sha256
+        elif edit == "stale":  # names another shard's sha256
             data = json.loads(columns.read_text(encoding="utf-8"))
             data["shard_sha256"] = "0" * 64
             columns.write_text(json.dumps(data), encoding="utf-8")
+        else:
+            columns.write_text("{not json", encoding="utf-8")
         if manifest == "deleted":
             (out / "manifest.json").unlink()
         with caplog.at_level("WARNING", logger="hks.pipeline"):
@@ -374,6 +376,55 @@ class TestScoreRun:
         path.write_text(json.dumps(manifest))
         run_score(config)
         assert snapshot(config.out_dir) == first
+
+    def test_entry_with_another_field_is_scored_again(self, tmp_path,
+                                                      caplog):
+        """A listed entry holding a field the rerun would not write is not
+        the entry it would write: its shard is scored again and the
+        manifest is rewritten."""
+        config = toy_config(tmp_path)
+        run_score(config)
+        first = snapshot(config.out_dir)
+        out = Path(config.out_dir)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shards"][1]["note"] = "hand-added"
+        path.write_text(json.dumps(manifest))
+        with caplog.at_level("WARNING", logger="hks.pipeline"):
+            run_score(config)
+        assert snapshot(config.out_dir) == first
+        assert any(str(out / "scores-00001.jsonl") in r.getMessage()
+                   for r in caplog.records)
+        stats = json.loads((out / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (2, 1)
+
+    def test_copied_out_dir_keeps_every_shard(self, tmp_path):
+        """The out dir is not part of config_hash, so a rerun into a copy
+        of it keeps every shard and leaves the manifest as it is."""
+        config = toy_config(tmp_path)
+        run_score(config)
+        copy = tmp_path / "copy"
+        shutil.copytree(config.out_dir, copy)
+        run_score(RunConfig(**{**config.canonical(), "out_dir": str(copy)}))
+        assert snapshot(str(copy)) == snapshot(config.out_dir)
+        stats = json.loads((copy / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (3, 0)
+
+    def test_crash_resume_into_a_copy_keeps_its_shards(self, tmp_path):
+        """With no manifest, the column files of a copied out dir still
+        name this run's identity, so only the shard whose column file is
+        not JSON is scored again."""
+        config = toy_config(tmp_path)
+        run_score(config)
+        copy = tmp_path / "copy"
+        shutil.copytree(config.out_dir, copy)
+        (copy / "manifest.json").unlink()
+        (copy / "scores-00001.columns.json").write_text("{not json",
+                                                        encoding="utf-8")
+        run_score(RunConfig(**{**config.canonical(), "out_dir": str(copy)}))
+        assert snapshot(str(copy)) == snapshot(config.out_dir)
+        stats = json.loads((copy / "run_stats.json").read_text())
+        assert (stats["resumed_shards"], stats["docs_read"]) == (2, 1)
 
     @pytest.mark.parametrize("change", ["flags", "pool", "corpus"])
     def test_crash_resume_keeps_only_shards_of_this_run(self, tmp_path,

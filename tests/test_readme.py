@@ -1,4 +1,5 @@
-"""Every `hks` command in README's ```sh blocks parses with the CLI."""
+"""Every `hks` command in README's ```sh blocks parses with the CLI, and
+every ```python block runs."""
 
 import re
 import shlex
@@ -9,12 +10,16 @@ import pytest
 from hks.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
+
+
+def blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def readme_commands() -> list[list[str]]:
-    text = README.read_text(encoding="utf-8")
     commands = []
-    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+    for block in blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             if words[:1] == ["hks"]:
@@ -29,3 +34,14 @@ def test_readme_shows_commands():
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command_parses(argv):
     build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("block", blocks("python"), ids=lambda _: "python")
+def test_readme_python_runs(tmp_path, monkeypatch, block):
+    """Run in a directory whose pool.tsv holds the pool lines README
+    shows under "File formats"."""
+    (pool,) = re.findall(r"^Pool TSV.*?^```\n(.*?)^```", TEXT, re.M | re.S)
+    (tmp_path / "pool.tsv").write_text(pool.replace("<TAB>", "\t"),
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
