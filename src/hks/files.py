@@ -40,13 +40,10 @@ codecs.register_error("hks.replace", _replace_counted)
 
 
 @contextlib.contextmanager
-def reading(source: str | Path | TextIO, strict: bool = True) -> Iterator[TextIO]:
-    """Open `source` (`.gz` by suffix) as UTF-8 text; a stream is yielded
-    as is. With strict=False undecodable bytes become U+FFFD and the
-    opened file's `replaced` attribute counts the sequences replaced."""
-    if hasattr(source, "read"):
-        yield source
-        return
+def reading(source: str | Path, strict: bool = True) -> Iterator[TextIO]:
+    """Open the file at `source` (`.gz` by suffix) as UTF-8 text. With
+    strict=False undecodable bytes become U+FFFD and the opened file's
+    `replaced` attribute counts the sequences replaced."""
     opener = gzip.open if str(source).endswith(".gz") else open
     opened = False
     try:

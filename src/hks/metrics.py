@@ -295,7 +295,9 @@ class ScoreTable:
 
     def parse_lines(self, lines: Iterable[str], source) -> dict:
         """The score records on `lines`, read from `source`, as the
-        columns `extend_columns` takes: the shape `columns_json` writes.
+        columns `extend_columns` takes and `pipeline.write_columns`
+        writes: "id", "n_p", "meta", each record score and "domains"
+        (domain name -> score column).
 
         Each line is parsed once and its fields go straight to the
         columns; n_k and n_distinct must be present but are not kept. A
@@ -345,33 +347,9 @@ class ScoreTable:
                                 f"({exc})") from exc
         return columns
 
-    def append(self, rec: ScoreRecord) -> None:
-        """Add `rec` as the last row; its domains must be those of every
-        row before it."""
-        self.ids.append(rec.doc_id)
-        self.n_p.append(rec.n_p)
-        for name in RECORD_SCORES:
-            self.scores[name].append(getattr(rec, name))
-        for name, entry in rec.domains.items():
-            self.scores.setdefault(name, []).append(entry["score"])
-        self.meta.append(rec.meta)
-
-    def columns_json(self, shard_sha256: str, **header: str) -> str:
-        """The column file of a score shard holding this table's rows,
-        whose sha256 is `shard_sha256`: one canonical JSON object of
-        "shard_sha256", the `header` fields, "id", "n_p", "meta", each
-        record score and "domains" (domain name -> score column)."""
-        return canonical_json({
-            **header,
-            "shard_sha256": shard_sha256, "id": self.ids, "n_p": self.n_p,
-            "meta": self.meta, "domains": {
-                name: col for name, col in self.scores.items()
-                if name not in RECORD_SCORES},
-            **{name: self.scores[name] for name in RECORD_SCORES}})
-
     def extend_columns(self, columns: dict, source) -> int:
-        """Append the rows of `columns`, in the shape `columns_json`
-        writes (a parsed column file, or `parse_lines` of a shard), read
+        """Append the rows of `columns`, in the shape `parse_lines`
+        returns (a parsed column file, or `parse_lines` of a shard), read
         from `source`; returns how many were appended.
 
         Missing columns, columns of unequal lengths and domains other

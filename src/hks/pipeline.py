@@ -37,7 +37,8 @@ from .files import (canonical_json, check_sha256, line_digest, reading,
 # (tests/test_imports.py); scoring calls only `annotate_all`.
 from .matcher import (Automaton, Document, MatcherConfig, annotate,
                       annotate_all, build_automaton)
-from .metrics import SCORE_FIELDS, ScoreTable, finite_numbers, score_record
+from .metrics import (RECORD_SCORES, SCORE_FIELDS, ScoreTable, finite_numbers,
+                      score_record)
 from .pool import KnowledgePool, load_pool
 from .selection import SelectionSpec, check_budget, select
 from .textnorm import class_table
@@ -156,15 +157,16 @@ def _documents(fh: TextIO, in_path: str, strict: bool
         yield line_no, line, doc
 
 
-def write_columns(path: str | Path, table: ScoreTable, shard_sha256: str,
+def write_columns(path: str | Path, columns: dict, shard_sha256: str,
                   **identity: str) -> str:
-    """Write the column file of the score shard whose records `table`
-    holds and whose sha256 is `shard_sha256` to `path`, with the fields
-    `identity` (see `_identity`) beside it; returns the file's sha256.
-    Phase two reads the shard's columns from it when the manifest lists
-    both (see `load_score_records`)."""
+    """Write to `path` the column file of the score shard whose sha256 is
+    `shard_sha256`: its records' `columns`, as `ScoreTable.parse_lines`
+    returns them, with the fields `identity` (see `_identity`) beside
+    them; returns the file's sha256. Phase two reads the shard's columns
+    from it when the manifest lists both (see `load_score_records`)."""
     with writing(path) as dest:
-        dest.write(table.columns_json(shard_sha256, **identity) + "\n")
+        dest.write(canonical_json({**columns, **identity,
+                                   "shard_sha256": shard_sha256}) + "\n")
     return line_digest(path)[0]
 
 
@@ -191,7 +193,9 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
     outcome = ShardOutcome()
-    columns = ScoreTable()
+    # What `ScoreTable.parse_lines` returns for the lines written.
+    columns: dict = {"id": [], "n_p": [], "meta": [],
+                     **{name: [] for name in RECORD_SCORES}, "domains": {}}
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
         docs = [doc for _, doc in batch]
@@ -207,7 +211,13 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
             if rec.d > 1:
                 outcome.density_gt_1 += 1
             dest.write(rec.to_json() + "\n")
-            columns.append(rec)
+            columns["id"].append(rec.doc_id)
+            columns["n_p"].append(rec.n_p)
+            columns["meta"].append(rec.meta)
+            for name in RECORD_SCORES:
+                columns[name].append(getattr(rec, name))
+            for name, entry in rec.domains.items():
+                columns["domains"].setdefault(name, []).append(entry["score"])
 
     with reading(in_path, config.strict) as fh, writing(out) as dest:
         batch: list[tuple[int, Document]] = []
@@ -441,9 +451,9 @@ def run_score(config: RunConfig) -> dict:
 
 def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
     """The parsed column file the manifest `shard` entry lists, or None
-    when it lists none or the file names a shard sha256 other than the
-    entry's. A listed file whose bytes do not hash to the listed sha256
-    is a DataError naming it, and so is one that is not a JSON object."""
+    when it lists none. A listed file whose bytes do not hash to the
+    listed sha256, one that is not a JSON object and one that names a
+    shard sha256 other than the entry's are each a DataError naming it."""
     if "columns" not in shard:
         return None
     path = scores_dir / shard["columns"]
@@ -454,9 +464,8 @@ def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a column file ({exc!r})") from exc
     if named != shard["sha256"]:
-        log.debug("%s: names shard sha256 %s, not %s; parsing %s", path,
-                  named, shard["sha256"], shard["output"])
-        return None
+        raise DataError(f"{path}: names shard sha256 {named}, not the "
+                        f"manifest's {shard['sha256']} of {shard['output']}")
     return columns
 
 
@@ -466,15 +475,14 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     Reads the manifest once, then the shards it lists into the table's
     rows and `shards`, checking each one's sha256 as it reads it. A
     shard's columns come from its column file when the manifest lists
-    that file, the file hashes to the listed sha256 and it names the
-    shard's sha256; otherwise the shard's lines are parsed. Both give
-    the same columns (see ScoreTable.parse_lines), which one
-    ScoreTable.extend_columns call checks and appends. A missing
-    manifest, a shard or listed column file that changed since scoring,
-    a record count other than the manifest's, a line that is not a
-    score record, a malformed column or value, a document id seen twice
-    (in one shard or across two) and a run with no records are each a
-    DataError naming the directory or the file.
+    that file, and otherwise from its lines, parsed once: the same
+    columns (see ScoreTable.parse_lines), which one extend_columns call
+    checks and appends. A missing manifest, a shard or listed column
+    file that changed since scoring, a column file naming another
+    shard's sha256, a record count other than the manifest's, a line
+    that is not a score record, a malformed column or value, a document
+    id seen twice (in one shard or across two) and a run with no records
+    are each a DataError naming the directory or the file.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
@@ -518,6 +526,26 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     return table
 
 
+def _check_outputs(scores_dir: str | Path, table: ScoreTable,
+                   *outputs: str | Path) -> None:
+    """A DataError naming the first of `outputs` that is the manifest, a
+    score shard, a column file or a corpus input of the score run under
+    `scores_dir` that `table` was read from, or an output before it."""
+    taken = {(Path(scores_dir) / MANIFEST_NAME).resolve()}
+    for path, shard, _ in table.shards:
+        taken.update(p.resolve() for p in (
+            path, path.with_name(shard.get("columns", path.name)),
+            Path(shard["input"])))
+    for out in outputs:
+        resolved = Path(out).resolve()
+        if resolved in taken:
+            raise DataError(f"{out}: is the manifest, a score shard, a column "
+                            f"file or a corpus input of the score run under "
+                            f"{scores_dir}, or another output of this "
+                            f"command; write it elsewhere")
+        taken.add(resolved)
+
+
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
                emit_corpus: str | None = None) -> dict:
     """Select from a scored run; writes selected.jsonl + selection.json.
@@ -527,22 +555,15 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     `hks score` scored for each selected document is copied there too,
     in corpus order, from the inputs the manifest lists.
     """
+    out = Path(out_dir)
     table = load_score_records(scores_dir)
+    _check_outputs(scores_dir, table, *([emit_corpus] if emit_corpus else []),
+                   out / "selected.jsonl", out / "selection.json")
     result = select(table, spec)
     row_of = dict(zip(table.ids, range(len(table))))
     rows = [row_of[doc_id] for doc_id in result.selected_ids]
     scores = table.column(spec.score_field) if rows else []
     if emit_corpus:
-        run_files = {p.resolve() for path, shard, _ in table.shards
-                     for p in (path, path.with_name(shard.get("columns",
-                                                              path.name)),
-                               Path(shard["input"]))}
-        if Path(emit_corpus).resolve() in run_files | {
-                (Path(scores_dir) / MANIFEST_NAME).resolve()}:
-            raise DataError(f"{emit_corpus}: is the manifest, a score shard, "
-                            f"a column file or a corpus input of the score "
-                            f"run under {scores_dir}; emit the corpus "
-                            f"elsewhere")
         # Written first, so that an input that fails leaves no selection
         # behind. Records are in shard order, so each shard's input is
         # read for the selected ids its score shard holds.
@@ -561,7 +582,6 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
                                     f"documents {sorted(wanted)}; it "
                                     f"changed after scoring")
 
-    out = Path(out_dir)
     with writing(out / "selected.jsonl") as dest:
         for i in rows:
             dest.write(canonical_json({
@@ -585,10 +605,12 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     """
     from .selection import threshold_split
     check_budget(token_budget)
+    out = Path(out_dir)
     table = load_score_records(scores_dir)
+    _check_outputs(scores_dir, table, out / "high.jsonl", out / "low.jsonl",
+                   out / "split.json")
     high, low, threshold = threshold_split(table, token_budget, score_field)
     high_ids = set(high.ids)
-    out = Path(out_dir)
     with writing(out / "high.jsonl") as high_dest, \
             writing(out / "low.jsonl") as low_dest:
         for path, shard, span in table.shards:
@@ -615,6 +637,7 @@ def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
     check_histogram(metric, n_buckets)
     table = load_score_records(scores_dir)
+    _check_outputs(scores_dir, table, out_path)
     hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
         dest.write(hist.to_csv())
@@ -670,6 +693,7 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
             raise DataError(f"no score field {col!r}; available: "
                             f"{', '.join(SCORE_FIELDS)}, ext:<name>")
     table = load_score_records(scores_dir)
+    _check_outputs(scores_dir, table, out_path)
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table
     if ext_names:

@@ -18,7 +18,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -108,9 +108,8 @@ class KnowledgePool:
                                    SOURCES[self.source_ids[i]])
 
 
-def load_pool(source: str | Path | TextIO,
-              strict: bool = False) -> KnowledgePool:
-    """Load a TSV element stream into a deduplicated pool.
+def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
+    """Load a TSV element file into a deduplicated pool.
 
     Lenient mode (default) counts and logs malformed or unknown-domain
     records and keeps going; strict mode raises on the first one. A pool

@@ -111,13 +111,14 @@ def _missing_manifest(root, corpus):
 
 
 def _malformed_shard_in_manifest(root, corpus):
-    # The manifest vouches for the malformed shard, so the line parse
-    # is what fails.
+    # The manifest vouches for the malformed shard and lists no column
+    # file for it, so the line parse is what fails.
     scores = _scored(root, corpus)
     shard = scores / "scores-00000.jsonl"
     shard.write_bytes(shard.read_bytes()[:-20])
     manifest = json.loads((scores / "manifest.json").read_text())
     manifest["shards"][0]["sha256"] = line_digest(shard)[0]
+    del manifest["shards"][0]["columns"]
     (scores / "manifest.json").write_text(json.dumps(manifest))
     return _select_argv(root), f"{shard}:1", 2
 
@@ -456,6 +457,32 @@ class TestExitCodes:
         assert (f"hks: error: {columns}: sha256 "
                 in capsys.readouterr().err)
         assert not (root / "sel").exists()
+
+    @pytest.mark.parametrize("argv, target", [
+        (["select", "--scores", "scores", "--out", "sel", "--budget-docs",
+          "1", "--emit-corpus", "sel/selected.jsonl"], "sel/selected.jsonl"),
+        (["analyze", "corr", "--scores", "scores", "--columns", "d,hks",
+          "--out", "scores/manifest.json"], "scores/manifest.json"),
+        (["analyze", "hist", "--scores", "scores", "--metric", "hks",
+          "--group-by", "subset", "--out", "scores/scores-00000.jsonl"],
+         "scores/scores-00000.jsonl"),
+        (["split", "--scores", "scores", "--budget-tokens", "6", "--out",
+          "shards/../shards"], "shards/../shards/high.jsonl"),
+    ], ids=["emit-over-selected", "corr-over-manifest", "hist-over-shard",
+            "split-over-input"])
+    def test_output_over_the_run_or_another_output_is_refused(
+            self, workspace, capsys, monkeypatch, argv, target):
+        root, _ = workspace
+        monkeypatch.chdir(root)
+        shards = root / "shards"
+        (shards / "shard-002.jsonl").rename(shards / "high.jsonl")
+        assert main(["score", "--pool", "pool.tsv", "--corpus",
+                     "shards/*.jsonl", "--out", "scores"]) == 0
+        before = files_under(root)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"hks: error: {target}: is " in capsys.readouterr().err
+        assert files_under(root) == before
 
     @pytest.mark.parametrize("side, key, value", [
         ("a", "d", True), ("a", "c", "0.5"), ("a", "c", "inf"),

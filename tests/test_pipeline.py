@@ -731,23 +731,21 @@ class TestDownstream:
             f"{out}: read 3 records from 3 shards: 3 from column files, "
             f"0 parsed"]
 
-    def test_column_file_of_another_shard_is_ignored(self, scored, caplog):
+    def test_column_file_of_another_shard_is_refused(self, scored):
         _, config = scored
         out = Path(config.out_dir)
         columns = out / "scores-00000.columns.json"
-        expected = load_score_records(out)
         data = json.loads(columns.read_text(encoding="utf-8"))
         data["shard_sha256"] = "0" * 64
-        data["hks"] = [9.0]  # never read
         columns.write_text(json.dumps(data), encoding="utf-8")
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["shards"][0]["columns_sha256"] = line_digest(columns)[0]
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with caplog.at_level("DEBUG", logger="hks.pipeline"):
-            table = load_score_records(out)
-        assert (table.ids, table.scores) == (expected.ids, expected.scores)
-        assert caplog.records[-1].getMessage().endswith(
-            "2 from column files, 1 parsed")
+        with pytest.raises(DataError, match=re.escape(
+                f"{columns}: names shard sha256 {'0' * 64}, not the "
+                f"manifest's {manifest['shards'][0]['sha256']} of "
+                f"scores-00000.jsonl")):
+            load_score_records(out)
 
     def test_split(self, scored):
         root, config = scored

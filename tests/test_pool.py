@@ -1,8 +1,9 @@
 """Pool ingestion: parsing, normalization, filtering, dedup, stats."""
 
 import gzip
-import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from helpers import random_pool_elements
 
 
 def load_from_lines(lines, **opts):
-    return load_pool(io.StringIO("\n".join(lines) + "\n"), **opts)
+    """The pool loaded from a file holding `lines`, each ended by "\n"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.tsv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        return load_pool(path, **opts)
 
 
 class TestLoad:

@@ -15,10 +15,10 @@ from hks import (DataError, ScoreRecord, SelectionSpec, StratumExhaustedError,
                  bucket_distribution, correlation_matrix, select,
                  threshold_split)
 from hks.cli import main
-from hks.files import canonical_json, line_digest
+from hks.files import canonical_json, line_digest, verified_lines
 from hks.metrics import ScoreTable
-from hks.pipeline import (load_score_records, run_corr, run_hist, run_select,
-                          run_split, write_columns)
+from hks.pipeline import (COLUMNS_SUFFIX, load_score_records, run_corr,
+                          run_hist, run_select, run_split, write_columns)
 
 from helpers import (DOMAINS, oracle_mix, oracle_sample, oracle_split,
                      oracle_topk)
@@ -290,14 +290,13 @@ def add_columns(scores: Path, edit=None) -> None:
     shard's parsed columns before they are written."""
     manifest = json.loads((scores / "manifest.json").read_text())
     for entry in manifest["shards"]:
-        table = ScoreTable()
-        for line in (scores / entry["output"]).read_text(
-                encoding="utf-8").split("\n"):
-            if line:
-                table.append(ScoreRecord.from_json(line))
+        shard = scores / entry["output"]
+        with verified_lines(shard, entry["sha256"]) as lines:
+            columns = ScoreTable().parse_lines(lines, shard)
         path = scores / entry["output"].replace(".jsonl", ".columns.json")
         entry["columns"] = path.name
-        entry["columns_sha256"] = write_columns(path, table, entry["sha256"])
+        entry["columns_sha256"] = write_columns(path, columns,
+                                                entry["sha256"])
     if edit is not None:
         columns = json.loads(path.read_text(encoding="utf-8"))
         edit(columns)
@@ -411,3 +410,43 @@ def test_column_file_counts_and_ids_are_checked(tmp_path):
     with pytest.raises(DataError, match=re.escape(
             f"{shard}: holds 2 records, the manifest lists 3")):
         load_score_records(scores)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-domains"]],
+                         ids=["domains", "no-domains"])
+def test_scored_column_files_are_written_from_the_parsed_lines(tmp_path,
+                                                               flags):
+    (tmp_path / "pool.tsv").write_text(
+        "machine learning\tscience\njazz\tart\ngraph theory\tscience\n",
+        encoding="utf-8")
+    texts = ["machine learning and jazz", "jazz jazz", "graph theory",
+             "nothing here", "machine learning, graph theory and jazz"]
+    metas = [None, {"subset": "a\u2028b"}, {"n": [1, -0.0, 1e400]},
+             {"k": "é\u0085", "z": {"y": None}}, {}]
+    for shard in range(2):
+        (tmp_path / f"docs-{shard}.jsonl").write_text("".join(
+            json.dumps({"id": ID_FORMS[i].format(shard), "text": text,
+                        "meta": meta}) + "\n"
+            for i, (text, meta) in enumerate(zip(texts, metas))
+            if i != shard + 1), encoding="utf-8")
+    scores = tmp_path / "scores"
+    assert main(["score", "--pool", str(tmp_path / "pool.tsv"), "--corpus",
+                 str(tmp_path / "docs-*.jsonl"), "--out", str(scores),
+                 *flags]) == 0
+    manifest = json.loads((scores / "manifest.json").read_text())
+    for entry in manifest["shards"]:
+        shard = scores / entry["output"]
+        with verified_lines(shard, entry["sha256"]) as lines:
+            columns = ScoreTable().parse_lines(lines, shard)
+        assert "\u2028" in "".join(columns["id"])
+        assert "\u0085" in "".join(columns["id"])
+        assert bool(columns["domains"]) == (not flags)
+        written = scores / entry["columns"]
+        named = json.loads(written.read_bytes())
+        identity = {key: named[key]
+                    for key in ("input", "config_hash", "pool_sha256")}
+        assert identity["input"] == entry["input"]
+        again = tmp_path / f"again{COLUMNS_SUFFIX}"
+        assert write_columns(again, columns, entry["sha256"], **identity) \
+            == entry["columns_sha256"]
+        assert again.read_bytes() == written.read_bytes()
