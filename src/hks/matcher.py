@@ -101,10 +101,10 @@ class Automaton:
 
     def _build(self, pool: KnowledgePool) -> None:
         surfaces = pool.surfaces
-        if any(not s for s in surfaces):
-            raise DataError("empty surface in pool; automaton patterns need length >= 1")
-        lens = np.fromiter((len(s) for s in surfaces), dtype=np.int64,
+        lens = np.fromiter(map(len, surfaces), dtype=np.int64,
                            count=pool.total)
+        if lens.min() < 1:
+            raise DataError("empty surface in pool; automaton patterns need length >= 1")
         self.pat_domain = pool.domain_ids
         self.pat_surfaces = surfaces
         self.bounded = np.zeros(pool.total, dtype=bool)

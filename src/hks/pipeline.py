@@ -25,7 +25,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .analysis import (PreferencePair, bucket_distribution, check_histogram,
                        correlation_json, correlation_matrix, function_search,
@@ -526,23 +526,25 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     return table
 
 
-def _check_outputs(scores_dir: str | Path, table: ScoreTable,
-                   *outputs: str | Path) -> None:
-    """A DataError naming the first of `outputs` that is the manifest, a
-    score shard, a column file or a corpus input of the score run under
-    `scores_dir` that `table` was read from, or an output before it."""
-    taken = {(Path(scores_dir) / MANIFEST_NAME).resolve()}
+def _run_files(scores_dir: str | Path, table: ScoreTable) -> list[Path]:
+    """The manifest and every score shard, column file and corpus input
+    of the score run under `scores_dir` that `table` was read from."""
+    files = [Path(scores_dir) / MANIFEST_NAME]
     for path, shard, _ in table.shards:
-        taken.update(p.resolve() for p in (
-            path, path.with_name(shard.get("columns", path.name)),
-            Path(shard["input"])))
+        files += (path, path.with_name(shard.get("columns", path.name)),
+                  Path(shard["input"]))
+    return files
+
+
+def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
+    """A DataError naming the first of `outputs` that is one of
+    `inputs`, the files the command reads, or an output before it."""
+    taken = {Path(p).resolve() for p in inputs}
     for out in outputs:
         resolved = Path(out).resolve()
         if resolved in taken:
-            raise DataError(f"{out}: is the manifest, a score shard, a column "
-                            f"file or a corpus input of the score run under "
-                            f"{scores_dir}, or another output of this "
-                            f"command; write it elsewhere")
+            raise DataError(f"{out}: is a file this command reads or "
+                            f"another of its outputs; write it elsewhere")
         taken.add(resolved)
 
 
@@ -557,7 +559,8 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     """
     out = Path(out_dir)
     table = load_score_records(scores_dir)
-    _check_outputs(scores_dir, table, *([emit_corpus] if emit_corpus else []),
+    _check_outputs(_run_files(scores_dir, table),
+                   *([emit_corpus] if emit_corpus else []),
                    out / "selected.jsonl", out / "selection.json")
     result = select(table, spec)
     row_of = dict(zip(table.ids, range(len(table))))
@@ -607,8 +610,8 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     check_budget(token_budget)
     out = Path(out_dir)
     table = load_score_records(scores_dir)
-    _check_outputs(scores_dir, table, out / "high.jsonl", out / "low.jsonl",
-                   out / "split.json")
+    _check_outputs(_run_files(scores_dir, table), out / "high.jsonl",
+                   out / "low.jsonl", out / "split.json")
     high, low, threshold = threshold_split(table, token_budget, score_field)
     high_ids = set(high.ids)
     with writing(out / "high.jsonl") as high_dest, \
@@ -637,7 +640,7 @@ def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
     check_histogram(metric, n_buckets)
     table = load_score_records(scores_dir)
-    _check_outputs(scores_dir, table, out_path)
+    _check_outputs(_run_files(scores_dir, table), out_path)
     hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
         dest.write(hist.to_csv())
@@ -693,7 +696,8 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
             raise DataError(f"no score field {col!r}; available: "
                             f"{', '.join(SCORE_FIELDS)}, ext:<name>")
     table = load_score_records(scores_dir)
-    _check_outputs(scores_dir, table, out_path)
+    _check_outputs(_run_files(scores_dir, table)
+                   + ([Path(ext_path)] if ext_path else []), out_path)
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table
     if ext_names:
@@ -737,6 +741,7 @@ def load_pairs(path: str) -> list[PreferencePair]:
 
 def run_fsearch(pairs_path: str, out_path: str,
                 per_pair_normalize: bool = False) -> list:
+    _check_outputs([pairs_path], out_path)
     pairs = load_pairs(pairs_path)
     try:
         rows = function_search(pairs, per_pair_normalize)

@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, EmptyPoolError
 from .files import reading
-from .textnorm import normalize
+from .textnorm import normalize_lines
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +36,8 @@ _DOMAIN_ID = {name: i for i, name in enumerate(DOMAINS)}
 _SOURCE_ID = {name: i for i, name in enumerate(SOURCES)}
 
 MIN_SURFACE_CHARS = 2
+# Characters `load_pool` reads per step, before completing the last line.
+CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,69 +117,120 @@ def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
     Lenient mode (default) counts and logs malformed or unknown-domain
     records and keeps going; strict mode raises on the first one. A pool
     with zero surviving elements is an error either way.
+
+    The file is read CHUNK_CHARS characters at a time, each chunk
+    completed to the end of its last line, and every step runs over a
+    whole chunk at once.
     """
-    surfaces: list[str] = []
-    # One byte per kept element; numpy views them without a copy.
-    domains = bytearray()
-    sources = bytearray()
+    # Surface -> domain id * len(SOURCES) + source id of its first line;
+    # a dict keeps insertion order, so its keys are the pool's surfaces.
     index: dict[str, int] = {}
-    read = dropped_short = dropped_duplicate = 0
-    domain_conflicts = unknown_domain = malformed = 0
-
+    report = PoolLoadReport()
+    lines = 0
     with reading(source) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            read += 1
-            parts = line.split("\t")
-            if len(parts) < 2:
-                malformed += 1
-                msg = f"pool line {lineno}: expected surface<TAB>domain, got {line!r}"
-                if strict:
-                    raise DataError(msg)
-                log.warning(msg)
-                continue
-            raw_surface, domain = parts[0], parts[1].strip()
-            source_tag = parts[2].strip() if len(parts) > 2 and parts[2].strip() else "unknown"
-            domain_id = _DOMAIN_ID.get(domain)
-            if domain_id is None:
-                unknown_domain += 1
-                msg = f"pool line {lineno}: unknown domain {domain!r}"
-                if strict:
-                    raise DataError(msg)
-                log.warning(msg)
-                continue
-            surface = normalize(raw_surface)
-            if len(surface) < MIN_SURFACE_CHARS:
-                dropped_short += 1
-                continue
-            prev = index.get(surface)
-            if prev is not None:
-                dropped_duplicate += 1
-                if domains[prev] != domain_id:
-                    domain_conflicts += 1
-                continue
-            index[surface] = len(surfaces)
-            surfaces.append(surface)
-            domains.append(domain_id)
-            sources.append(_SOURCE_ID.get(source_tag, _SOURCE_ID["unknown"]))
+        while chunk := stream.read(CHUNK_CHARS):
+            if not chunk.endswith("\n"):
+                chunk += stream.readline()
+            lines += _load_chunk(chunk, lines, index, report, strict)
 
-    report = PoolLoadReport(
-        read=read, kept=len(surfaces), dropped_short=dropped_short,
-        dropped_duplicate=dropped_duplicate, domain_conflicts=domain_conflicts,
-        unknown_domain=unknown_domain, malformed=malformed)
-    if not surfaces:
+    if not index:
         raise EmptyPoolError("no elements survived filtering; pool is empty")
-    if dropped_short or dropped_duplicate or unknown_domain or malformed:
+    report.kept = len(index)
+    if (report.dropped_short or report.dropped_duplicate
+            or report.unknown_domain or report.malformed):
         log.info(
             "pool load: kept %d of %d (short=%d dup=%d conflicts=%d "
             "unknown_domain=%d malformed=%d)",
-            report.kept, read, dropped_short, dropped_duplicate,
-            domain_conflicts, unknown_domain, malformed,
+            report.kept, report.read, report.dropped_short,
+            report.dropped_duplicate, report.domain_conflicts,
+            report.unknown_domain, report.malformed,
         )
-    return KnowledgePool(surfaces, np.frombuffer(domains, dtype=np.uint8),
-                         np.frombuffer(sources, dtype=np.uint8), report=report)
+    codes = np.fromiter(index.values(), dtype=np.uint8, count=len(index))
+    domain_ids, source_ids = np.divmod(codes, len(SOURCES))
+    return KnowledgePool(list(index), domain_ids, source_ids, report=report)
+
+
+def _load_chunk(chunk: str, before: int, index: dict[str, int],
+                report: PoolLoadReport, strict: bool) -> int:
+    """Add the elements of `chunk`, whole pool lines of which the first
+    is line `before + 1`, to `index` and their counts to `report`, as
+    `load_pool` describes; returns the number of lines."""
+    # A "\t" or "\n" byte never occurs inside a multibyte UTF-8 sequence.
+    raw = np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    # Every field of every line, in order.
+    fields = chunk.replace("\t", "\n").split("\n")
+    if chunk.endswith("\n"):
+        del fields[-1]
+    else:  # the file's last line, unterminated
+        ends = np.append(ends, raw.size)
+    n = ends.size
+    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
+    step = int(tabs[0]) + 1
+    if step > 1 and (tabs == step - 1).all():
+        rows = np.arange(n)  # the line of each row: every line is one
+        surfaces, domains = fields[::step], fields[1::step]
+        sources = fields[2::step] if step > 2 else []
+        blank, malformed = 0, []
+    else:
+        first = np.arange(n) + np.cumsum(tabs) - tabs  # each line's field
+        rows = np.flatnonzero(tabs)
+        at = first[rows]
+        surfaces = list(map(fields.__getitem__, at.tolist()))
+        domains = list(map(fields.__getitem__, (at + 1).tolist()))
+        # A row without a third field takes the "" appended here.
+        fields.append("")
+        sources = list(map(fields.__getitem__, np.where(
+            tabs[rows] > 1, at + 2, len(fields) - 1).tolist()))
+        empty = np.diff(ends, prepend=-1) == 1
+        blank = int(np.count_nonzero(empty))
+        malformed = [(i, f"expected surface<TAB>domain, got "
+                         f"{fields[first[i]]!r}")
+                     for i in np.flatnonzero((tabs == 0) & ~empty).tolist()]
+    domain_ids = _lookup(domains, _DOMAIN_ID, -1)
+    unknown = np.flatnonzero(domain_ids < 0)
+    report.read += n - blank
+    report.malformed += len(malformed)
+    report.unknown_domain += unknown.size
+    for i, msg in sorted(malformed + [
+            (i, f"unknown domain {domains[r].strip()!r}")
+            for r, i in zip(unknown.tolist(), rows[unknown].tolist())]):
+        msg = f"pool line {before + 1 + i}: {msg}"
+        if strict:
+            raise DataError(msg)
+        log.warning(msg)
+
+    codes = domain_ids * len(SOURCES) + (
+        _lookup(sources, _SOURCE_ID, _SOURCE_ID["unknown"]) if sources
+        else _SOURCE_ID["unknown"])
+    if unknown.size:
+        known = domain_ids >= 0
+        surfaces = list(compress(surfaces, known.tolist()))
+        codes = codes[known]
+    surfaces = normalize_lines(surfaces)
+    long_enough = np.fromiter(map(len, surfaces), dtype=np.intp,
+                              count=len(surfaces)) >= MIN_SURFACE_CHARS
+    if not long_enough.all():
+        report.dropped_short += int(np.count_nonzero(~long_enough))
+        surfaces = list(compress(surfaces, long_enough.tolist()))
+        codes = codes[long_enough]
+    size = len(index)
+    # The code each surface's first line left in the index: its own if new.
+    prior = np.fromiter(map(index.setdefault, surfaces, codes.tolist()),
+                        dtype=np.int16, count=len(surfaces))
+    report.dropped_duplicate += len(surfaces) - (len(index) - size)
+    report.domain_conflicts += int(np.count_nonzero(
+        prior // len(SOURCES) != codes // len(SOURCES)))
+    return n
+
+
+def _lookup(values: list[str], ids: dict[str, int],
+            missing: int) -> np.ndarray:
+    """`ids.get(value.strip(), missing)` of every value, looking each
+    distinct value up once."""
+    table = {value: ids.get(value.strip(), missing) for value in set(values)}
+    return np.fromiter(map(table.__getitem__, values), dtype=np.int16,
+                       count=len(values))
 
 
 @dataclass

@@ -54,6 +54,29 @@ def normalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", folded).split())
 
 
+def normalize_lines(texts: list[str]) -> list[str]:
+    """`[normalize(text) for text in texts]`, for texts holding no "\\n".
+
+    NFC, casefold and NFC each run once over the texts joined by "\\n",
+    which never composes, reorders or folds, so every text comes out as
+    it would alone. Whitespace is collapsed text by text only when some
+    text needs it: every whitespace character but " " is unprintable,
+    so a printable column whose spaces are single and inner needs none.
+    """
+    if not texts:
+        return []
+    joined = unicodedata.normalize("NFC", "\n".join(texts)).casefold()
+    folded = unicodedata.normalize("NFC", joined)
+    lines = folded.split("\n")
+    if len(lines) != len(texts):
+        raise ValueError("normalize_lines: a text holds a newline")
+    spaced = folded.replace("\n", " ")
+    if not (spaced.isprintable() and "  " not in spaced
+            and spaced[:1] != " " and spaced[-1:] != " "):
+        lines = list(map(" ".join, map(str.split, lines)))
+    return lines
+
+
 def char_class(ch: str) -> int:
     """Class bitmask for a single character (scalar path)."""
     cls = 0

@@ -7,7 +7,9 @@ unicodedata, so package bugs cannot hide in a shared code path.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
+import logging
 import math
 import unicodedata
 from fractions import Fraction
@@ -42,6 +44,64 @@ def is_word_noncjk(ch: str) -> bool:
 def ref_normalize(text: str) -> str:
     folded = unicodedata.normalize("NFC", text).casefold()
     return " ".join(unicodedata.normalize("NFC", folded).split())
+
+
+def ref_load_pool(path, strict: bool = False):
+    """The pool in the file at `path` (gzip by its `.gz` suffix), read one
+    line at a time by the documented rules, with hks.pool's log lines,
+    errors and report."""
+    from hks import DataError, EmptyPoolError
+    from hks.pool import DOMAINS, SOURCES, KnowledgePool, PoolLoadReport
+
+    log = logging.getLogger("hks.pool")
+    domain_id = {name: i for i, name in enumerate(DOMAINS)}
+    source_id = {name: i for i, name in enumerate(SOURCES)}
+    surfaces, domains, sources = [], [], []
+    index = {}
+    report = PoolLoadReport()
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            report.read += 1
+            parts = line.split("\t")
+            if len(parts) < 2:
+                report.malformed += 1
+                msg = f"pool line {lineno}: expected surface<TAB>domain, got {line!r}"
+                if strict:
+                    raise DataError(msg)
+                log.warning(msg)
+                continue
+            raw_surface, domain = parts[0], parts[1].strip()
+            source_tag = parts[2].strip() if len(parts) > 2 and parts[2].strip() else "unknown"
+            if domain not in domain_id:
+                report.unknown_domain += 1
+                msg = f"pool line {lineno}: unknown domain {domain!r}"
+                if strict:
+                    raise DataError(msg)
+                log.warning(msg)
+                continue
+            surface = ref_normalize(raw_surface)
+            if len(surface) < 2:
+                report.dropped_short += 1
+                continue
+            prev = index.get(surface)
+            if prev is not None:
+                report.dropped_duplicate += 1
+                if domains[prev] != domain_id[domain]:
+                    report.domain_conflicts += 1
+                continue
+            index[surface] = len(surfaces)
+            surfaces.append(surface)
+            domains.append(domain_id[domain])
+            sources.append(source_id.get(source_tag, source_id["unknown"]))
+    if not surfaces:
+        raise EmptyPoolError("no elements survived filtering; pool is empty")
+    report.kept = len(surfaces)
+    return KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
+                         np.asarray(sources, dtype=np.uint8), report=report)
 
 
 def ref_token_count(text: str) -> int:

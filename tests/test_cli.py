@@ -484,6 +484,35 @@ class TestExitCodes:
         assert f"hks: error: {target}: is " in capsys.readouterr().err
         assert files_under(root) == before
 
+    def test_corr_output_over_its_ext_file_is_refused(self, workspace,
+                                                      capsys):
+        root, corpus = workspace
+        scores = _scored(root, corpus)
+        ext = root / "ext.jsonl"
+        ext.write_text("".join(json.dumps({"id": doc_id, "ppl": v}) + "\n"
+                               for doc_id, v in (("doc-a", 1.0),
+                                                 ("doc-b", 2.0))),
+                       encoding="utf-8")
+        before = files_under(root)
+        capsys.readouterr()
+        assert main(["analyze", "corr", "--scores", str(scores), "--columns",
+                     "d,ext:ppl", "--ext", str(ext), "--out", str(ext)]) == 2
+        assert f"hks: error: {ext}: is " in capsys.readouterr().err
+        assert files_under(root) == before
+
+    def test_fsearch_output_over_its_pairs_file_is_refused(self, tmp_path,
+                                                           capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"a": {"d": 0.1, "c": 0.2},
+                                     "b": {"d": 0.3, "c": 0.4},
+                                     "label": 1.0}) + "\n", encoding="utf-8")
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", "fsearch", "--pairs", str(pairs),
+                     "--out", str(pairs)]) == 2
+        assert f"hks: error: {pairs}: is " in capsys.readouterr().err
+        assert files_under(tmp_path) == before
+
     @pytest.mark.parametrize("side, key, value", [
         ("a", "d", True), ("a", "c", "0.5"), ("a", "c", "inf"),
         ("a", "c", -5), ("b", "d", -0.5), ("b", "c", 1e400),

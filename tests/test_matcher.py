@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hks import (Document, EmptyPoolError, KnowledgeElement, KnowledgePool,
-                 MatcherConfig, annotate, annotate_all, build_automaton)
+from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
+                 KnowledgePool, MatcherConfig, annotate, annotate_all, build_automaton)
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
                      occurrence_counts, random_pool_elements, random_text,
@@ -64,6 +64,12 @@ class TestDefinitionalCases:
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPoolError):
             build_automaton(KnowledgePool.from_elements([]))
+
+    def test_empty_surface_rejected(self):
+        pool = KnowledgePool.from_elements([KnowledgeElement("ab", "life"),
+                                            KnowledgeElement("", "art")])
+        with pytest.raises(DataError, match="empty surface in pool"):
+            build_automaton(pool)
 
 
 class TestBoundaryRule:

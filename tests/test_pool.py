@@ -2,16 +2,22 @@
 
 import gzip
 import json
+import logging
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import hks.pool
 from hks import DataError, EmptyPoolError, ResourceError
-from hks.pool import KnowledgeElement, KnowledgePool, load_pool, pool_stats
+from hks.pool import (DOMAINS, SOURCES, KnowledgeElement, KnowledgePool,
+                      load_pool, pool_stats)
 
-from helpers import random_pool_elements
+from helpers import random_pool_elements, ref_load_pool
 
 
 def load_from_lines(lines, **opts):
@@ -85,6 +91,14 @@ class TestLoad:
         with pytest.raises(DataError, match="line 1"):
             load_from_lines(lines, strict=True)
 
+    def test_source_only_from_a_third_field(self):
+        # The malformed line gives the lines unequal tab counts.
+        pool = load_from_lines(["ab\tlife",
+                                "model_extracted\tart\ttitle_keyword",
+                                "no tab"])
+        assert [el.source for el in pool.elements()] == [
+            "unknown", "title_keyword"]
+
     def test_unknown_source_tag_coerced(self):
         pool = load_from_lines(["ab\tlife\tscraped"])
         assert next(pool.elements()).source == "unknown"
@@ -107,6 +121,149 @@ class TestLoad:
     def test_cjk_surfaces_survive(self):
         pool = load_from_lines(["数据\tscience"])
         assert pool.total == 1
+
+
+def load_outcome(load, path, caplog, strict=False):
+    """(pool columns and report, or error type and message; warnings)
+    of `load` on the pool file at `path`."""
+    caplog.clear()
+    try:
+        pool = load(path, strict=strict)
+    except DataError as exc:
+        result = (type(exc), str(exc))
+    else:
+        result = (pool.surfaces, pool.domain_ids.tolist(),
+                  pool.source_ids.tolist(), pool.report)
+    return result, [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+
+
+def assert_loads_like_oracle(path, caplog, strict=False, chunk_chars=None):
+    """load_pool, reading `chunk_chars` characters per step, gives the
+    per-line oracle's pool and report, or its error, with the same
+    warnings in the same order; returns that outcome."""
+    want = load_outcome(ref_load_pool, path, caplog, strict)
+    with mock.patch.object(hks.pool, "CHUNK_CHARS",
+                           chunk_chars or hks.pool.CHUNK_CHARS):
+        assert load_outcome(load_pool, path, caplog, strict) == want
+    return want
+
+
+# Chunk sizes that put a chunk edge at every point of the short files
+# below, and the size load_pool reads with.
+CHUNK_SIZES = [*range(1, 13), None]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("chunk_chars", [1, 7, None])
+    def test_line_longer_than_a_chunk(self, tmp_path, caplog, chunk_chars):
+        long = "Ab " * 30_000  # beyond CHUNK_CHARS
+        path = tmp_path / "pool.tsv"
+        path.write_text(f"xy\tlife\n{long}\tart\nzw\tscience\n"
+                        f"{long}\tlife\n{long}\n", encoding="utf-8")
+        (surfaces, _, _, report), warnings = assert_loads_like_oracle(
+            path, caplog, chunk_chars=chunk_chars)
+        assert surfaces == ["xy", long.lower().strip(), "zw"]
+        assert report.domain_conflicts == 1 and report.malformed == 1
+        assert warnings == [f"pool line 5: expected surface<TAB>domain, "
+                            f"got {long!r}"]
+
+    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    def test_crlf_and_lone_cr_line_ends(self, tmp_path, caplog, chunk_chars):
+        path = tmp_path / "pool.tsv"
+        path.write_bytes(b"ab\tlife\r\ncd\tart\ref\tscience\r\n\r\n\rgh\t"
+                         b"finance\r\nij\r\r\nkl\tart\tmodel_extracted\r")
+        (surfaces, _, sources, report), warnings = assert_loads_like_oracle(
+            path, caplog, chunk_chars=chunk_chars)
+        assert surfaces == ["ab", "cd", "ef", "kl"]
+        assert sources == [2, 2, 2, 1]
+        assert warnings == ["pool line 6: unknown domain 'finance'",
+                            "pool line 7: expected surface<TAB>domain, "
+                            "got 'ij'"]
+
+    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    @pytest.mark.parametrize("last", ["cd\tart", "cd\tfinance", "cd",
+                                      "ab\tart", "cd\tart\tx\ty"])
+    def test_no_trailing_newline(self, tmp_path, caplog, chunk_chars, last):
+        path = tmp_path / "pool.tsv"
+        path.write_text(f"ab\tlife\n\n{last}", encoding="utf-8")
+        (_, _, _, report), _ = assert_loads_like_oracle(
+            path, caplog, chunk_chars=chunk_chars)
+        assert report.read == 2
+
+    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_gzip_pool(self, tmp_path, caplog, chunk_chars, strict):
+        path = tmp_path / "pool.tsv.gz"
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as f:
+            f.write("Graph Theory\tscience\r\nx\tlife\n\ngraph theory\tart"
+                    "\njazz\n数据\tart\tmodel_extracted\n")
+        result, warnings = assert_loads_like_oracle(
+            path, caplog, strict, chunk_chars)
+        if strict:
+            assert result == (DataError, "pool line 5: expected "
+                              "surface<TAB>domain, got 'jazz'")
+        else:
+            assert result[0] == ["graph theory", "数据"]
+
+    @pytest.mark.parametrize("chunk_chars", [4, 16, 50, None])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_bad_lines_in_later_chunks(self, tmp_path, caplog, chunk_chars,
+                                       strict):
+        lines = [f"w{i:02d} x\tlife" for i in range(30)]
+        lines[12] = "w12 x\tfinance"
+        lines[13] = "no tab here"
+        lines[21] = "w21 x\tart "
+        lines[26] = "\tscience"
+        lines[27] = "w27 x\t"
+        path = tmp_path / "pool.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result, warnings = assert_loads_like_oracle(
+            path, caplog, strict, chunk_chars)
+        if strict:
+            assert result == (DataError,
+                              "pool line 13: unknown domain 'finance'")
+            assert warnings == []
+        else:
+            assert warnings == [
+                "pool line 13: unknown domain 'finance'",
+                "pool line 14: expected surface<TAB>domain, "
+                "got 'no tab here'",
+                "pool line 28: unknown domain ''"]
+            assert result[3].dropped_short == 1
+
+
+_CHARS = st.sampled_from(["a", "b", "B", "ß", "\u0130", "\u0301", " ", "\x1c",
+                          "\x1f", "\x85", "\u2028", "\xa0", "数", "\r", "\t"])
+_SURFACES = st.one_of(st.sampled_from(["ab", "AB", " a b", "a\u00a0b", "ss",
+                                       "model_extracted"]),
+                      st.text(_CHARS, max_size=5))
+_DOMAINS = st.sampled_from([*DOMAINS, " art", "life\x1c", "\u0301art",
+                            "Science", "finance", ""])
+_SOURCES = st.sampled_from([*SOURCES, " title_keyword\u2028", "scraped", ""])
+_LINES = st.one_of(
+    st.just(""), _SURFACES,
+    st.tuples(_SURFACES, _DOMAINS).map("\t".join),
+    st.tuples(_SURFACES, _DOMAINS, _SOURCES).map("\t".join),
+    st.tuples(_SURFACES, _DOMAINS, _SOURCES,
+              st.text(_CHARS, max_size=3)).map("\t".join))
+_POOLS = st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
+                  max_size=25)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_POOLS, last=st.sampled_from(["", "\n", "\r\n"]),
+       chunk_chars=st.integers(1, 40), strict=st.booleans())
+@example(lines=[("ab\tlife", "\n"), ("AB\tart", "\r\n"), ("", "\n"),
+                ("\u0301a\tlife\tx\ty", "\r")], last="", chunk_chars=3,
+         strict=False)
+def test_load_matches_per_line_oracle(tmp_path, caplog, lines, last,
+                                      chunk_chars, strict):
+    path = tmp_path / "pool.tsv"
+    path.write_bytes(("".join(line + end for line, end in lines)
+                      + last).encode("utf-8"))
+    assert_loads_like_oracle(path, caplog, strict, chunk_chars)
 
 
 class TestInvariants:

@@ -1,9 +1,15 @@
 """Normalization, character classes, and token counting."""
 
+import sys
+
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hks.textnorm import (CJK, WORD, char_class, class_table,
-                          encode_codepoints, normalize, tokenize_count)
+                          encode_codepoints, normalize, normalize_lines,
+                          tokenize_count)
 
 from helpers import ref_normalize, ref_token_count
 
@@ -47,6 +53,41 @@ class TestNormalize:
     def test_empty(self):
         assert normalize("") == ""
         assert normalize("   \t\n") == ""
+
+
+# Characters that str.split() breaks on though the file reader does not
+# end a line there, characters whose casefold or NFC changes the length,
+# combining marks, and other whitespace.
+_TRICKY = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029",
+           "\x0b", "\x0c", "\r", "\t", " ", "\xa0", "\u3000", "ß", "ẞ",
+           "\u0130", "ﬁ", "\u212b", "Σ", "\u0301", "\u0327", "\u0323", "e",
+           "A", "数", "\u200b"]
+_LINE_TEXTS = st.lists(st.text(st.one_of(
+    st.sampled_from(_TRICKY), st.characters(exclude_characters="\n")),
+    max_size=8), max_size=12)
+
+
+class TestNormalizeLines:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=_LINE_TEXTS)
+    @example(texts=["\u0301e", "e\u0301", "\u0327\u0301a"])
+    @example(texts=["", " ", "\x1c", "\u2028", "\x85 a", "STRAẞE", "\u0130"])
+    @example(texts=["a  b", " a", "a ", "a\u2028b", "a \x1fb"])
+    def test_equals_normalize_of_each(self, texts):
+        assert normalize_lines(texts) == [normalize(t) for t in texts]
+
+    def test_empty_list(self):
+        assert normalize_lines([]) == []
+
+    def test_text_holding_a_newline_is_refused(self):
+        with pytest.raises(ValueError):
+            normalize_lines(["a\nb"])
+
+    def test_every_space_but_the_space_is_unprintable(self):
+        # The rule normalize_lines reads to skip the whitespace collapse.
+        assert all(ch == " " or not ch.isprintable()
+                   for ch in map(chr, range(sys.maxunicode + 1))
+                   if ch.isspace())
 
 
 class TestCharClass:
