@@ -66,6 +66,41 @@ def reading(source: str | Path, strict: bool = True) -> Iterator[TextIO]:
         raise ResourceError(f"cannot read {source}: {exc}") from exc
 
 
+def line_chunks(stream: TextIO, size: int) -> Iterator[str]:
+    """The text of `stream`, which `reading` opened strict, as chunks of
+    whole lines read about `size` bytes at a time, with every "\\r\\n"
+    and lone "\\r" turned into "\\n" as the text stream would turn them.
+    Where bytes do not decode, the whole lines before them come out
+    first and then the UnicodeDecodeError, which `reading` reports."""
+    held: list[bytes] = []
+    while block := stream.buffer.read(size):
+        # A line ends after the last "\n", or after the last "\r" whose
+        # next byte is in the block and so known not to be "\n".
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if not cut:
+            held.append(block)
+            continue
+        held.append(block[:cut])
+        yield from _decoded_lines(b"".join(held))
+        held = [block[cut:]]
+    if rest := b"".join(held):
+        yield from _decoded_lines(rest)
+
+
+def _decoded_lines(data: bytes) -> Iterator[str]:
+    """`data`, whole lines, decoded and with "\\n" line ends; if some
+    bytes do not decode, the whole lines before them, then the error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        end = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        if end:
+            yield from _decoded_lines(head[:end])
+        raise
+    yield text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 @contextlib.contextmanager
 def writing(path: str | Path) -> Iterator[TextIO]:
     """Stream UTF-8 text to `<path>.tmp`, creating its directory, and

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError, EmptyPoolError
-from .files import reading
+from .files import line_chunks, reading
 from .textnorm import normalize_lines
 
 log = logging.getLogger(__name__)
@@ -36,8 +36,8 @@ _DOMAIN_ID = {name: i for i, name in enumerate(DOMAINS)}
 _SOURCE_ID = {name: i for i, name in enumerate(SOURCES)}
 
 MIN_SURFACE_CHARS = 2
-# Characters `load_pool` reads per step, before completing the last line.
-CHUNK_CHARS = 1 << 16
+# Bytes `load_pool` reads per step, before completing the last line.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
     records and keeps going; strict mode raises on the first one. A pool
     with zero surviving elements is an error either way.
 
-    The file is read CHUNK_CHARS characters at a time, each chunk
-    completed to the end of its last line, and every step runs over a
-    whole chunk at once.
+    The file is read CHUNK_BYTES bytes at a time, each chunk completed
+    to the end of its last line, and every step runs over a whole chunk
+    at once.
     """
     # Surface -> domain id * len(SOURCES) + source id of its first line;
     # a dict keeps insertion order, so its keys are the pool's surfaces.
@@ -128,9 +128,7 @@ def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
     report = PoolLoadReport()
     lines = 0
     with reading(source) as stream:
-        while chunk := stream.read(CHUNK_CHARS):
-            if not chunk.endswith("\n"):
-                chunk += stream.readline()
+        for chunk in line_chunks(stream, CHUNK_BYTES):
             lines += _load_chunk(chunk, lines, index, report, strict)
 
     if not index:
@@ -166,27 +164,20 @@ def _load_chunk(chunk: str, before: int, index: dict[str, int],
         ends = np.append(ends, raw.size)
     n = ends.size
     tabs = np.diff(np.searchsorted(np.flatnonzero(raw == 9), ends), prepend=0)
-    step = int(tabs[0]) + 1
-    if step > 1 and (tabs == step - 1).all():
-        rows = np.arange(n)  # the line of each row: every line is one
-        surfaces, domains = fields[::step], fields[1::step]
-        sources = fields[2::step] if step > 2 else []
-        blank, malformed = 0, []
-    else:
-        first = np.arange(n) + np.cumsum(tabs) - tabs  # each line's field
-        rows = np.flatnonzero(tabs)
-        at = first[rows]
-        surfaces = list(map(fields.__getitem__, at.tolist()))
-        domains = list(map(fields.__getitem__, (at + 1).tolist()))
-        # A row without a third field takes the "" appended here.
-        fields.append("")
-        sources = list(map(fields.__getitem__, np.where(
-            tabs[rows] > 1, at + 2, len(fields) - 1).tolist()))
-        empty = np.diff(ends, prepend=-1) == 1
-        blank = int(np.count_nonzero(empty))
-        malformed = [(i, f"expected surface<TAB>domain, got "
-                         f"{fields[first[i]]!r}")
-                     for i in np.flatnonzero((tabs == 0) & ~empty).tolist()]
+    first = np.arange(n) + np.cumsum(tabs) - tabs  # each line's field
+    rows = np.flatnonzero(tabs)  # the line of each row: a line with a tab
+    at = first[rows]
+    surfaces = list(map(fields.__getitem__, at.tolist()))
+    domains = list(map(fields.__getitem__, (at + 1).tolist()))
+    # A row without a third field takes the "" appended here.
+    fields.append("")
+    sources = list(map(fields.__getitem__, np.where(
+        tabs[rows] > 1, at + 2, len(fields) - 1).tolist()))
+    empty = np.diff(ends, prepend=-1) == 1
+    blank = int(np.count_nonzero(empty))
+    malformed = [(i, f"expected surface<TAB>domain, got "
+                     f"{fields[first[i]]!r}")
+                 for i in np.flatnonzero((tabs == 0) & ~empty).tolist()]
     domain_ids = _lookup(domains, _DOMAIN_ID, -1)
     unknown = np.flatnonzero(domain_ids < 0)
     report.read += n - blank
@@ -200,9 +191,8 @@ def _load_chunk(chunk: str, before: int, index: dict[str, int],
             raise DataError(msg)
         log.warning(msg)
 
-    codes = domain_ids * len(SOURCES) + (
-        _lookup(sources, _SOURCE_ID, _SOURCE_ID["unknown"]) if sources
-        else _SOURCE_ID["unknown"])
+    codes = domain_ids * len(SOURCES) + _lookup(
+        sources, _SOURCE_ID, _SOURCE_ID["unknown"])
     if unknown.size:
         known = domain_ids >= 0
         surfaces = list(compress(surfaces, known.tolist()))

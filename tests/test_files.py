@@ -1,14 +1,18 @@
 """File access: the one module that opens files, and its verified reader."""
 
 import ast
+from contextlib import nullcontext
 import hashlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hks
 from hks import DataError
-from hks.files import line_digest, verified_lines
+from hks.files import line_chunks, line_digest, reading, verified_lines
 
 SRC = Path(hks.__file__).parent
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
@@ -124,3 +128,25 @@ MIB = 1 << 20
 def test_line_digest(tmp_path, data):
     path, digest = _shard(tmp_path, data)
     assert line_digest(path) == (digest, len(data.splitlines()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\t", b"\n", b"\r",
+                                      b"\r\n", b"\xe2\x80\xa8", b"\xff"]),
+                     max_size=30).map(b"".join),
+       size=st.integers(1, 8))
+def test_line_chunks_read_as_the_text_stream(tmp_path_factory, data, size):
+    path = tmp_path_factory.mktemp("chunks") / "lines.txt"
+    path.write_bytes(data)
+    bad = data.find(b"\xff")
+    # Before undecodable bytes, every whole line and nothing more.
+    whole = data if bad < 0 else data[:max(data.rfind(b"\n", 0, bad),
+                                           data.rfind(b"\r", 0, bad)) + 1]
+    chunks = []
+    with pytest.raises(DataError) if bad >= 0 else nullcontext():
+        with reading(path) as stream:
+            for chunk in line_chunks(stream, size):
+                chunks.append(chunk)
+    assert "".join(chunks) == io.TextIOWrapper(io.BytesIO(whole),
+                                               encoding="utf-8").read()
+    assert all(chunks) and all(c.endswith("\n") for c in chunks[:-1])

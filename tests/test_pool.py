@@ -129,7 +129,7 @@ def load_outcome(load, path, caplog, strict=False):
     caplog.clear()
     try:
         pool = load(path, strict=strict)
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         result = (type(exc), str(exc))
     else:
         result = (pool.surfaces, pool.domain_ids.tolist(),
@@ -138,13 +138,13 @@ def load_outcome(load, path, caplog, strict=False):
                     if r.levelno >= logging.WARNING]
 
 
-def assert_loads_like_oracle(path, caplog, strict=False, chunk_chars=None):
-    """load_pool, reading `chunk_chars` characters per step, gives the
+def assert_loads_like_oracle(path, caplog, strict=False, chunk_bytes=None):
+    """load_pool, reading `chunk_bytes` bytes per step, gives the
     per-line oracle's pool and report, or its error, with the same
     warnings in the same order; returns that outcome."""
     want = load_outcome(ref_load_pool, path, caplog, strict)
-    with mock.patch.object(hks.pool, "CHUNK_CHARS",
-                           chunk_chars or hks.pool.CHUNK_CHARS):
+    with mock.patch.object(hks.pool, "CHUNK_BYTES",
+                           chunk_bytes or hks.pool.CHUNK_BYTES):
         assert load_outcome(load_pool, path, caplog, strict) == want
     return want
 
@@ -155,60 +155,60 @@ CHUNK_SIZES = [*range(1, 13), None]
 
 
 class TestChunks:
-    @pytest.mark.parametrize("chunk_chars", [1, 7, None])
-    def test_line_longer_than_a_chunk(self, tmp_path, caplog, chunk_chars):
-        long = "Ab " * 30_000  # beyond CHUNK_CHARS
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, None])
+    def test_line_longer_than_a_chunk(self, tmp_path, caplog, chunk_bytes):
+        long = "Ab " * 30_000  # beyond CHUNK_BYTES
         path = tmp_path / "pool.tsv"
         path.write_text(f"xy\tlife\n{long}\tart\nzw\tscience\n"
                         f"{long}\tlife\n{long}\n", encoding="utf-8")
         (surfaces, _, _, report), warnings = assert_loads_like_oracle(
-            path, caplog, chunk_chars=chunk_chars)
+            path, caplog, chunk_bytes=chunk_bytes)
         assert surfaces == ["xy", long.lower().strip(), "zw"]
         assert report.domain_conflicts == 1 and report.malformed == 1
         assert warnings == [f"pool line 5: expected surface<TAB>domain, "
                             f"got {long!r}"]
 
-    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
-    def test_crlf_and_lone_cr_line_ends(self, tmp_path, caplog, chunk_chars):
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+    def test_crlf_and_lone_cr_line_ends(self, tmp_path, caplog, chunk_bytes):
         path = tmp_path / "pool.tsv"
         path.write_bytes(b"ab\tlife\r\ncd\tart\ref\tscience\r\n\r\n\rgh\t"
                          b"finance\r\nij\r\r\nkl\tart\tmodel_extracted\r")
         (surfaces, _, sources, report), warnings = assert_loads_like_oracle(
-            path, caplog, chunk_chars=chunk_chars)
+            path, caplog, chunk_bytes=chunk_bytes)
         assert surfaces == ["ab", "cd", "ef", "kl"]
         assert sources == [2, 2, 2, 1]
         assert warnings == ["pool line 6: unknown domain 'finance'",
                             "pool line 7: expected surface<TAB>domain, "
                             "got 'ij'"]
 
-    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
     @pytest.mark.parametrize("last", ["cd\tart", "cd\tfinance", "cd",
                                       "ab\tart", "cd\tart\tx\ty"])
-    def test_no_trailing_newline(self, tmp_path, caplog, chunk_chars, last):
+    def test_no_trailing_newline(self, tmp_path, caplog, chunk_bytes, last):
         path = tmp_path / "pool.tsv"
         path.write_text(f"ab\tlife\n\n{last}", encoding="utf-8")
         (_, _, _, report), _ = assert_loads_like_oracle(
-            path, caplog, chunk_chars=chunk_chars)
+            path, caplog, chunk_bytes=chunk_bytes)
         assert report.read == 2
 
-    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
     @pytest.mark.parametrize("strict", [False, True])
-    def test_gzip_pool(self, tmp_path, caplog, chunk_chars, strict):
+    def test_gzip_pool(self, tmp_path, caplog, chunk_bytes, strict):
         path = tmp_path / "pool.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8", newline="") as f:
             f.write("Graph Theory\tscience\r\nx\tlife\n\ngraph theory\tart"
                     "\njazz\n数据\tart\tmodel_extracted\n")
         result, warnings = assert_loads_like_oracle(
-            path, caplog, strict, chunk_chars)
+            path, caplog, strict, chunk_bytes)
         if strict:
             assert result == (DataError, "pool line 5: expected "
                               "surface<TAB>domain, got 'jazz'")
         else:
             assert result[0] == ["graph theory", "数据"]
 
-    @pytest.mark.parametrize("chunk_chars", [4, 16, 50, None])
+    @pytest.mark.parametrize("chunk_bytes", [4, 16, 50, None])
     @pytest.mark.parametrize("strict", [False, True])
-    def test_bad_lines_in_later_chunks(self, tmp_path, caplog, chunk_chars,
+    def test_bad_lines_in_later_chunks(self, tmp_path, caplog, chunk_bytes,
                                        strict):
         lines = [f"w{i:02d} x\tlife" for i in range(30)]
         lines[12] = "w12 x\tfinance"
@@ -219,7 +219,7 @@ class TestChunks:
         path = tmp_path / "pool.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         result, warnings = assert_loads_like_oracle(
-            path, caplog, strict, chunk_chars)
+            path, caplog, strict, chunk_bytes)
         if strict:
             assert result == (DataError,
                               "pool line 13: unknown domain 'finance'")
@@ -231,6 +231,37 @@ class TestChunks:
                 "got 'no tab here'",
                 "pool line 28: unknown domain ''"]
             assert result[3].dropped_short == 1
+
+
+    @pytest.mark.parametrize("chunk_bytes", [5, 4096, None])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_undecodable_bytes_after_bad_lines(self, tmp_path, caplog,
+                                               chunk_bytes, end, strict):
+        # The bad lines are in the first 8 KiB block the oracle's reader
+        # decodes and the byte 0xff past its second, in one CHUNK_BYTES.
+        lines = ["no tab here", "ab\tfinance",
+                 *(f"w{i:04d}\tlife" for i in range(2000))]
+        path = tmp_path / "pool.tsv"
+        path.write_bytes(end.join(lines).encode("utf-8") + end.encode()
+                         + b"\xff\tart" + end.encode() + b"cd\tart")
+        want = load_outcome(ref_load_pool, path, caplog, strict)
+        with mock.patch.object(hks.pool, "CHUNK_BYTES",
+                               chunk_bytes or hks.pool.CHUNK_BYTES):
+            got = load_outcome(load_pool, path, caplog, strict)
+        if strict:
+            assert got == want == ((DataError, "pool line 1: expected "
+                                    "surface<TAB>domain, got 'no tab here'"),
+                                   [])
+        else:
+            assert got[1] == want[1] == [
+                "pool line 1: expected surface<TAB>domain, got 'no tab here'",
+                "pool line 2: unknown domain 'finance'"]
+            # The oracle reads with `open`, not `files.reading`.
+            assert want[0][0] is UnicodeDecodeError
+            assert got[0][0] is DataError
+            assert got[0][1].startswith(f"{path}: cannot decode ('utf-8' "
+                                        f"codec can't decode byte 0xff")
 
 
 _CHARS = st.sampled_from(["a", "b", "B", "ß", "\u0130", "\u0301", " ", "\x1c",
@@ -254,16 +285,16 @@ _POOLS = st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_POOLS, last=st.sampled_from(["", "\n", "\r\n"]),
-       chunk_chars=st.integers(1, 40), strict=st.booleans())
+       chunk_bytes=st.integers(1, 40), strict=st.booleans())
 @example(lines=[("ab\tlife", "\n"), ("AB\tart", "\r\n"), ("", "\n"),
-                ("\u0301a\tlife\tx\ty", "\r")], last="", chunk_chars=3,
+                ("\u0301a\tlife\tx\ty", "\r")], last="", chunk_bytes=3,
          strict=False)
 def test_load_matches_per_line_oracle(tmp_path, caplog, lines, last,
-                                      chunk_chars, strict):
+                                      chunk_bytes, strict):
     path = tmp_path / "pool.tsv"
     path.write_bytes(("".join(line + end for line, end in lines)
                       + last).encode("utf-8"))
-    assert_loads_like_oracle(path, caplog, strict, chunk_chars)
+    assert_loads_like_oracle(path, caplog, strict, chunk_bytes)
 
 
 class TestInvariants:
