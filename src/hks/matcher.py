@@ -16,22 +16,25 @@ surface length is hashed from prefix sums; a flag table on the top hash
 bits drops most windows, and the rest are looked up among that length's
 sorted hashes. Every surface with an equal hash is checked against the
 window's codepoints, so a shared hash never miscounts, and the boundary
-rule reads the word flags beside the window. `annotate_all` matches a
+rule reads the word flags beside the window. `count_all` matches a
 batch of documents as one codepoint array, with SEPARATOR between
-neighbours so that no window spans two documents.
+neighbours so that no window spans two documents, and returns the
+batch's counts as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, EmptyPoolError, ResourceError
 from .pool import DOMAINS, KnowledgePool
+# perfbench/spans.py wraps `token_count_from_classes` here by name, so the
+# import stays (tests/test_imports.py); the batch counts use `token_counts`.
 from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
-                       token_count_from_classes)
+                       token_count_from_classes, token_counts)
 
 # Odd, so invertible mod 2^64; no output depends on its value.
 _BASE = 0x9E3779B97F4A7C15
@@ -178,40 +181,81 @@ def build_automaton(pool: KnowledgePool, config: MatcherConfig | None = None) ->
     return Automaton(pool, config)
 
 
-def annotate_all(docs: Sequence[Document],
-                 automaton: Automaton) -> list[KnowledgeProfile]:
-    """Profiles of a batch of documents, in order; each equals what
-    `annotate` gives for that document alone.
+class MatchCounts(NamedTuple):
+    """The counts of a batch of documents, row i holding document i:
+    tokens `n_p`, occurrences `n_k` and distinct surfaces `n_distinct`,
+    and per domain, one column per name of DOMAINS in order, occurrences
+    and distinct surfaces."""
+
+    n_p: np.ndarray
+    n_k: np.ndarray
+    n_distinct: np.ndarray
+    occurrences: np.ndarray
+    distinct: np.ndarray
+
+    @classmethod
+    def of(cls, profiles: Sequence[KnowledgeProfile]) -> MatchCounts:
+        """The counts the profiles hold; a domain a profile lacks counts
+        (0, 0)."""
+        pairs = np.array([[p.per_domain.get(m, (0, 0)) for m in DOMAINS]
+                          for p in profiles]).reshape(-1, len(DOMAINS), 2)
+        return cls(np.array([p.n_p for p in profiles]),
+                   np.array([p.n_k for p in profiles]),
+                   np.array([p.n_distinct for p in profiles]),
+                   pairs[..., 0], pairs[..., 1])
+
+    def take(self, rows: np.ndarray) -> MatchCounts:
+        """The rows at positions `rows`, in that order."""
+        return MatchCounts._make(column[rows] for column in self)
+
+    def profiles(self, ids: Sequence[str]) -> list[KnowledgeProfile]:
+        """One profile per row, row i of the document with id `ids[i]`."""
+        return [KnowledgeProfile(doc_id, n_p, n_k, n_distinct,
+                                 dict(zip(DOMAINS, zip(o, u))))
+                for doc_id, n_p, n_k, n_distinct, o, u in zip(
+                    ids, *(column.tolist() for column in self))]
+
+
+def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
+    """The counts of a batch of document texts, in order.
 
     The normalized texts are matched as one codepoint array, SEPARATOR
-    between neighbours, and the counts are tallied per document.
+    between neighbours; tokens and matches are counted over the whole
+    array at once and then per document.
     """
-    texts = [normalize(doc.text) for doc in docs]
+    texts = [normalize(text) for text in texts]
     sizes = np.array([len(t) + 1 for t in texts], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     cps = encode_codepoints("\0".join(texts)).copy()
     cls = class_table()[cps]
-    n_p = [token_count_from_classes(cls[s:s + size - 1])
-           for s, size in zip(starts.tolist(), sizes.tolist())]
+    # Each text's segment holds its separator too, so none is empty.
+    n_p = token_counts(cls, starts)
     cps[starts[1:] - 1] = SEPARATOR
     pids, at = automaton._hits(cps, cls)
 
-    def per_domain(doc: np.ndarray, pids: np.ndarray) -> list[list[int]]:
+    def per_domain(doc: np.ndarray, pids: np.ndarray) -> np.ndarray:
         """Per document and domain, how many of the pairs it holds."""
         keys = doc * len(DOMAINS) + automaton.pat_domain[pids]
-        return np.bincount(keys, minlength=len(docs) * len(DOMAINS)).reshape(
-            len(docs), len(DOMAINS)).tolist()
+        return np.bincount(keys, minlength=len(texts) * len(DOMAINS)).reshape(
+            len(texts), len(DOMAINS))
 
     doc = np.searchsorted(starts, at, side="right") - 1
     # Distinct surfaces: one per distinct (document, pattern id) pair.
-    n_pat = len(automaton.pat_surfaces)
+    n_pat = automaton.pat_domain.size
     pairs = np.unique(doc * n_pat + pids)
-    return [KnowledgeProfile(doc_id=d.id, n_p=tokens, n_k=sum(o),
-                             n_distinct=sum(u),
-                             per_domain=dict(zip(DOMAINS, zip(o, u))))
-            for d, tokens, o, u in zip(docs, n_p, per_domain(doc, pids),
-                                       per_domain(pairs // n_pat,
-                                                  pairs % n_pat))]
+    occurrences = per_domain(doc, pids)
+    distinct = per_domain(pairs // n_pat, pairs % n_pat)
+    return MatchCounts(n_p, occurrences.sum(axis=1), distinct.sum(axis=1),
+                       occurrences, distinct)
+
+
+def annotate_all(docs: Sequence[Document],
+                 automaton: Automaton) -> list[KnowledgeProfile]:
+    """Profiles of a batch of documents, in order; each equals what
+    `annotate` gives for that document alone. The profiles of
+    `count_all`."""
+    return count_all([doc.text for doc in docs], automaton).profiles(
+        [doc.id for doc in docs])
 
 
 def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:

@@ -10,19 +10,26 @@ search in the analysis layer.
 Scores are computed in float64; the persisted record keeps the integer
 counts (n_k, n_distinct, n_p, per-domain pairs) so any downstream tool
 can recompute the ratios at full precision.
+
+`hks score` scores a batch of documents at a time from the matcher's
+count arrays (`score_columns`) and encodes each value once, straight
+into score lines and the column file's values (`encode_scores`);
+`score_record` and `ScoreRecord` are the one-document view of the same
+formulas and the same line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError, DegenerateDocumentError, EmptyPoolError
 from .files import canonical_json
-from .matcher import KnowledgeProfile
+from .matcher import KnowledgeProfile, MatchCounts
 from .pool import DOMAINS, KnowledgePool
 
 log = logging.getLogger(__name__)
@@ -36,6 +43,11 @@ FUNC_KINDS = tuple(_COMPONENTS)
 # every name a score column can have: domains sorted, as in every output.
 RECORD_SCORES = ("hks", "d", "c")
 SCORE_FIELDS = (*RECORD_SCORES, *sorted(DOMAINS))
+# A score line, its keys in canonical (sorted) order, each %s a JSON
+# text: c, d, the domains member (',"domains":{...}' or ""), hks, id, the
+# meta member (',"meta":...' or ""), n_distinct, n_k and n_p.
+_LINE = ('{"c":%s,"d":%s%s,"hks":%s,"id":%s%s,'
+         '"n_distinct":%s,"n_k":%s,"n_p":%s}')
 
 
 def _tokens(profile: KnowledgeProfile) -> int:
@@ -131,20 +143,15 @@ class ScoreRecord:
     meta: dict | None = None
 
     def to_json(self) -> str:
-        obj = {
-            "id": self.doc_id,
-            "n_p": self.n_p,
-            "n_k": self.n_k,
-            "n_distinct": self.n_distinct,
-            "d": self.d,
-            "c": self.c,
-            "hks": self.hks,
-        }
-        if self.domains:
-            obj["domains"] = self.domains
-        if self.meta is not None:
-            obj["meta"] = self.meta
-        return canonical_json(obj)
+        """The record's score line, canonical JSON: what `encode_scores`
+        writes for the same values."""
+        return _LINE % (
+            canonical_json(self.c), canonical_json(self.d),
+            ',"domains":' + canonical_json(self.domains) if self.domains
+            else "", canonical_json(self.hks), canonical_json(self.doc_id),
+            "" if self.meta is None else ',"meta":' + canonical_json(self.meta),
+            canonical_json(self.n_distinct), canonical_json(self.n_k),
+            canonical_json(self.n_p))
 
     @classmethod
     def from_json(cls, line: str) -> "ScoreRecord":
@@ -165,36 +172,117 @@ class ScoreRecord:
             raise DataError(f"score record missing key {exc}") from exc
 
 
-def score_record(profile: KnowledgeProfile, pool: KnowledgePool,
-                 with_domains: bool = True,
-                 meta: dict | None = None) -> ScoreRecord:
-    """Assemble the persisted record for one profiled document.
+class Scores(NamedTuple):
+    """The scores of a batch of documents, one float list per field, item
+    i of document i: d, c and hks, and per domain name (d, c, score) of
+    that domain, for every domain or for none."""
+
+    d: list[float]
+    c: list[float]
+    hks: list[float]
+    domains: dict[str, tuple[list[float], list[float], list[float]]]
+
+
+def score_columns(ids: Sequence[str], counts: MatchCounts,
+                  pool: KnowledgePool, with_domains: bool = True) -> Scores:
+    """The scores of the documents with ids `ids` and match `counts`,
+    every n_p >= 1, by the formulas of density, coverage, hks_score and
+    domain_score. Each ratio is one numpy float64 division over the
+    batch, which equals Python's for counts below 2^53; each composite
+    is `hks_score`, so math.log1p.
 
     Domains with an empty sub-pool get a zero score (nothing can match
     there); the strict single-domain entry point for callers who want
     the error is domain_score().
     """
-    d = density(profile)
-    c = coverage(profile, pool)
-    score = hks_score(d, c)
-    if d > 1:
-        log.debug("document %s has density %.3f > 1 (overlapping matches)",
-                  profile.doc_id, d)
-    domains: dict[str, dict] = {}
+    if pool.total <= 0:
+        raise EmptyPoolError("coverage is undefined for an empty pool")
+    n_p = counts.n_p
+    d = (counts.n_k / n_p).tolist()
+    c = (counts.n_distinct / pool.total).tolist()
+    scores = Scores(d, c, list(map(hks_score, d, c)), {})
+    for i, density_i in enumerate(d):
+        if density_i > 1:
+            log.debug("document %s has density %.3f > 1 (overlapping "
+                      "matches)", ids[i], density_i)
     if with_domains:
-        totals = pool.per_domain_total
-        for m in DOMAINS:
-            occ, distinct = profile.per_domain.get(m, (0, 0))
-            d_m, c_m, s_m = (domain_score(profile, pool, m) if totals[m] > 0
-                             else (0.0, 0.0, 0.0))
-            domains[m] = {"n": occ, "distinct": distinct,
-                          "d": d_m, "c": c_m, "score": s_m}
+        totals = [pool.per_domain_total[m] for m in DOMAINS]
+        # Row j holds domain j; a domain without elements divides by 1
+        # and is then zeroed.
+        d_m = (counts.occurrences / n_p[:, None]).T.tolist()
+        c_m = (counts.distinct / [max(t, 1) for t in totals]).T.tolist()
+        zeros = [0.0] * len(d)
+        for m, n_km, d_j, c_j in zip(DOMAINS, totals, d_m, c_m):
+            scores.domains[m] = ((d_j, c_j, list(map(hks_score, d_j, c_j)))
+                                 if n_km > 0 else (zeros, zeros, zeros))
+    return scores
+
+
+def encode_scores(ids: Sequence[str], metas: Sequence[dict | None],
+                  counts: MatchCounts, scores: Scores
+                  ) -> tuple[list[str], dict]:
+    """The score line of each document, as `ScoreRecord.to_json` writes
+    it, and the JSON text of each value of the columns they make, in the
+    shape `ScoreTable.parse_lines` returns: "id", "n_p", "meta", each
+    record score and "domains" (domain name -> score column).
+
+    Each float is encoded once, by `float.__repr__`, which is what the
+    json encoder writes for a finite float, and each value repeated in
+    the batch once (coverages are small counts over one total): no score
+    is -0.0, which would share 0.0's text. Ids and metas go through
+    `canonical_json`. Every line comes from one template.
+    """
+    names = sorted(scores.domains)
+    floats = [scores.d, scores.c, scores.hks,
+              *(column for m in names for column in scores.domains[m])]
+    unique = dict.fromkeys(itertools.chain.from_iterable(floats))
+    text = dict(zip(unique, map(float.__repr__, unique))).__getitem__
+    columns = {"id": list(map(canonical_json, ids)),
+               "n_p": list(map(str, counts.n_p.tolist())),
+               "meta": list(map(canonical_json, metas)),
+               **{name: list(map(text, getattr(scores, name)))
+                  for name in RECORD_SCORES}, "domains": {}}
+    members = []  # per line, the domains member's %s texts
+    for m in names:
+        j = DOMAINS.index(m)
+        d_m, c_m, s_m = scores.domains[m]
+        columns["domains"][m] = score_m = list(map(text, s_m))
+        members += [map(text, c_m), map(text, d_m),
+                    map(str, counts.distinct[:, j].tolist()),
+                    map(str, counts.occurrences[:, j].tolist()), score_m]
+    domains = ",".join(f'"{m}":{{"c":%s,"d":%s,"distinct":%s,"n":%s,'
+                       f'"score":%s}}' for m in names)
+    template = _LINE % ("%s", "%s",
+                        ',"domains":{' + domains + "}" if domains else "",
+                        *["%s"] * 6)
+    meta = ["" if m is None else ',"meta":' + t
+            for m, t in zip(metas, columns["meta"])]
+    lines = list(map(template.__mod__, zip(
+        columns["c"], columns["d"], *members, columns["hks"], columns["id"],
+        meta, map(str, counts.n_distinct.tolist()),
+        map(str, counts.n_k.tolist()), columns["n_p"])))
+    return lines, columns
+
+
+def score_record(profile: KnowledgeProfile, pool: KnowledgePool,
+                 with_domains: bool = True,
+                 meta: dict | None = None) -> ScoreRecord:
+    """Assemble the persisted record for one profiled document: the
+    scores `score_columns` gives it alone."""
+    _tokens(profile)
+    scores = score_columns([profile.doc_id], MatchCounts.of([profile]),
+                           pool, with_domains)
+    domains = {}
+    for m, (d_m, c_m, s_m) in scores.domains.items():
+        occ, distinct = profile.per_domain.get(m, (0, 0))
+        domains[m] = {"n": occ, "distinct": distinct,
+                      "d": d_m[0], "c": c_m[0], "score": s_m[0]}
     return ScoreRecord(
         doc_id=profile.doc_id,
         n_p=profile.n_p,
         n_k=profile.n_k,
         n_distinct=profile.n_distinct,
-        d=d, c=c, hks=score,
+        d=scores.d[0], c=scores.c[0], hks=scores.hks[0],
         domains=domains,
         meta=meta,
     )

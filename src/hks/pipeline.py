@@ -33,12 +33,13 @@ from .analysis import (PreferencePair, bucket_distribution, check_histogram,
 from .errors import DataError
 from .files import (canonical_json, check_sha256, line_digest, reading,
                     verified_bytes, verified_lines, writing)
-# perfbench/spans.py wraps `annotate` here by name, so the import stays
-# (tests/test_imports.py); scoring calls only `annotate_all`.
-from .matcher import (Automaton, Document, MatcherConfig, annotate,
-                      annotate_all, build_automaton)
-from .metrics import (RECORD_SCORES, SCORE_FIELDS, ScoreTable, finite_numbers,
-                      score_record)
+# perfbench/spans.py wraps `annotate` and `score_record` here by name, so
+# the imports stay (tests/test_imports.py); scoring calls `count_all`,
+# `score_columns` and `encode_scores`.
+from .matcher import (Automaton, Document, MatcherConfig, annotate, count_all,
+                      build_automaton)
+from .metrics import (RECORD_SCORES, SCORE_FIELDS, ScoreTable, encode_scores,
+                      finite_numbers, score_columns, score_record)
 from .pool import KnowledgePool, load_pool
 from .selection import SelectionSpec, check_budget, select
 from .textnorm import class_table
@@ -49,7 +50,7 @@ MANIFEST_NAME = "manifest.json"
 STATS_NAME = "run_stats.json"
 # Replaces ".jsonl" in a score shard's name to name its column file.
 COLUMNS_SUFFIX = ".columns.json"
-# Characters of document text matched per annotate_all call.
+# Characters of document text matched per count_all call.
 BATCH_CHARS = 1 << 16
 
 
@@ -157,6 +158,24 @@ def _documents(fh: TextIO, in_path: str, strict: bool
         yield line_no, line, doc
 
 
+def _json_object(members: dict[str, str]) -> str:
+    """The JSON object whose members' values are the JSON texts
+    `members` maps their keys to, as canonical_json writes it."""
+    return "{" + ",".join(canonical_json(key) + ":" + value
+                          for key, value in sorted(members.items())) + "}"
+
+
+def _write_columns(path: str | Path, texts: dict[str, str],
+                   shard_sha256: str, identity: dict) -> str:
+    """`write_columns` of the columns whose JSON texts are `texts`."""
+    with writing(path) as dest:
+        dest.write(_json_object({
+            **texts, **{key: canonical_json(value) for key, value in
+                        {**identity, "shard_sha256": shard_sha256}.items()}})
+            + "\n")
+    return line_digest(path)[0]
+
+
 def write_columns(path: str | Path, columns: dict, shard_sha256: str,
                   **identity: str) -> str:
     """Write to `path` the column file of the score shard whose sha256 is
@@ -164,10 +183,9 @@ def write_columns(path: str | Path, columns: dict, shard_sha256: str,
     returns them, with the fields `identity` (see `_identity`) beside
     them; returns the file's sha256. Phase two reads the shard's columns
     from it when the manifest lists both (see `load_score_records`)."""
-    with writing(path) as dest:
-        dest.write(canonical_json({**columns, **identity,
-                                   "shard_sha256": shard_sha256}) + "\n")
-    return line_digest(path)[0]
+    return _write_columns(path, {name: canonical_json(values)
+                                 for name, values in columns.items()},
+                          shard_sha256, identity)
 
 
 def _identity(in_path: str, run_hash: str, pool_sha256: str) -> dict:
@@ -193,31 +211,33 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
     assert automaton is not None and pool is not None and config is not None
     out = Path(out_path)
     outcome = ShardOutcome()
-    # What `ScoreTable.parse_lines` returns for the lines written.
+    # The JSON text of each value of the lines written, in the shape
+    # `ScoreTable.parse_lines` returns.
     columns: dict = {"id": [], "n_p": [], "meta": [],
                      **{name: [] for name in RECORD_SCORES}, "domains": {}}
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
-        docs = [doc for _, doc in batch]
-        for (line_no, doc), profile in zip(batch, annotate_all(docs, automaton)):
-            if profile.n_p == 0:
+        counts = count_all([doc.text for _, doc in batch], automaton)
+        if not counts.n_p.all():
+            for i in (counts.n_p == 0).nonzero()[0].tolist():
+                line_no, doc = batch[i]
                 outcome.degenerate += 1
                 log.debug("%s:%d: document %r has no tokens; excluded",
                           in_path, line_no, doc.id)
-                continue
-            rec = score_record(profile, pool,
-                               with_domains=config.domain_scores,
-                               meta=doc.meta)
-            if rec.d > 1:
-                outcome.density_gt_1 += 1
-            dest.write(rec.to_json() + "\n")
-            columns["id"].append(rec.doc_id)
-            columns["n_p"].append(rec.n_p)
-            columns["meta"].append(rec.meta)
-            for name in RECORD_SCORES:
-                columns[name].append(getattr(rec, name))
-            for name, entry in rec.domains.items():
-                columns["domains"].setdefault(name, []).append(entry["score"])
+            kept = counts.n_p.nonzero()[0]
+            counts = counts.take(kept)
+            batch = [batch[i] for i in kept.tolist()]
+        ids = [doc.id for _, doc in batch]
+        scores = score_columns(ids, counts, pool, config.domain_scores)
+        outcome.density_gt_1 += sum(d > 1 for d in scores.d)
+        lines, texts = encode_scores(ids, [doc.meta for _, doc in batch],
+                                     counts, scores)
+        dest.write("".join(line + "\n" for line in lines))
+        for name, values in texts.items():
+            if name != "domains":
+                columns[name] += values
+        for name, values in texts["domains"].items():
+            columns["domains"].setdefault(name, []).extend(values)
 
     with reading(in_path, config.strict) as fh, writing(out) as dest:
         batch: list[tuple[int, Document]] = []
@@ -235,8 +255,13 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
         score_batch(batch, dest)
         outcome.replaced = fh.replaced
     sha256, records = line_digest(out)
-    columns_sha256 = write_columns(
-        out.with_suffix(COLUMNS_SUFFIX), columns, sha256, **identity)
+    texts = {name: "[" + ",".join(values) + "]"
+             for name, values in columns.items() if name != "domains"}
+    texts["domains"] = _json_object({
+        name: "[" + ",".join(values) + "]"
+        for name, values in columns["domains"].items()})
+    columns_sha256 = _write_columns(out.with_suffix(COLUMNS_SUFFIX), texts,
+                                    sha256, identity)
     outcome.entry = _entry(in_path, out, sha256, records, columns_sha256)
     return outcome
 
@@ -536,16 +561,35 @@ def _run_files(scores_dir: str | Path, table: ScoreTable) -> list[Path]:
     return files
 
 
+def _file_id(path: str | Path) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of the file at `path`, None when there is none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
     """A DataError naming the first of `outputs` that is one of
-    `inputs`, the files the command reads, or an output before it."""
-    taken = {Path(p).resolve() for p in inputs}
+    `inputs`, the files the command reads, or an output before it. Files
+    that exist are matched by (st_dev, st_ino), so whatever path names
+    them; the rest, and every output, by their resolved paths."""
+    files, paths = set(), set()
+    for path in inputs:
+        file = _file_id(path)
+        if file is None:
+            paths.add(Path(path).resolve())
+        else:
+            files.add(file)
     for out in outputs:
-        resolved = Path(out).resolve()
-        if resolved in taken:
+        file, resolved = _file_id(out), Path(out).resolve()
+        if file in files or resolved in paths:
             raise DataError(f"{out}: is a file this command reads or "
                             f"another of its outputs; write it elsewhere")
-        taken.add(resolved)
+        if file is not None:
+            files.add(file)
+        paths.add(resolved)
 
 
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,

@@ -245,14 +245,13 @@ def pool_stats(pool: KnowledgePool) -> PoolStats:
 
     Domain keys are emitted in alphabetical order so output is stable.
     """
-    lengths: dict[int, int] = {}
-    for surface in pool.surfaces:
-        n = len(surface)
-        lengths[n] = lengths.get(n, 0) + 1
+    per_length = np.bincount(np.fromiter(map(len, pool.surfaces),
+                                         dtype=np.intp, count=pool.total))
     src_counts = np.bincount(pool.source_ids, minlength=len(SOURCES))
     return PoolStats(
         total=pool.total,
         per_domain={d: pool.per_domain_total[d] for d in sorted(DOMAINS)},
         per_source={s: int(src_counts[_SOURCE_ID[s]]) for s in sorted(SOURCES)},
-        length_histogram=lengths,
+        length_histogram={n: int(per_length[n])
+                          for n in np.flatnonzero(per_length).tolist()},
     )

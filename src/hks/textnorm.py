@@ -127,16 +127,29 @@ def encode_codepoints(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
-def token_count_from_classes(cls: np.ndarray) -> int:
-    """Token count over a per-codepoint class array."""
-    if cls.size == 0:
-        return 0
+def token_counts(cls: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Token count of each segment of a per-codepoint class array, as
+    int64, in one pass over the whole array: segment i runs from
+    `starts[i]` to `starts[i + 1]`, the last to the end. `starts` rise
+    strictly, the last at most `cls.size`, so np.add.reduceat never meets
+    two equal indices (for which it gives an element, not 0). A word run
+    counts in the segment where it starts, so every segment but the first
+    must start after a character that is not a word character."""
+    n = cls.size
     cjk = (cls & CJK) != 0
     word = ((cls & WORD) != 0) & ~cjk
     # A run starts where a word char is not preceded by another word char.
-    starts = word.copy()
-    starts[1:] &= ~word[:-1]
-    return int(cjk.sum()) + int(starts.sum())
+    run = word.copy()
+    run[1:] &= ~word[:-1]
+    # One spare slot: an empty last segment starts at n and sums to 0.
+    tokens = np.zeros(n + 1, dtype=bool)
+    tokens[:n] = cjk | run
+    return np.add.reduceat(tokens, starts, dtype=np.int64)
+
+
+def token_count_from_classes(cls: np.ndarray) -> int:
+    """Token count over a per-codepoint class array."""
+    return int(token_counts(cls, np.zeros(1, dtype=np.intp))[0])
 
 
 def tokenize_count(text: str) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import json
 import logging
 import math
 import unicodedata
@@ -102,6 +103,37 @@ def ref_load_pool(path, strict: bool = False):
     report.kept = len(surfaces)
     return KnowledgePool(surfaces, np.asarray(domains, dtype=np.uint8),
                          np.asarray(sources, dtype=np.uint8), report=report)
+
+
+def ref_length_histogram(surfaces) -> dict[int, int]:
+    """Surface length -> how many of `surfaces` have it, counted one
+    surface at a time."""
+    lengths: dict[int, int] = {}
+    for surface in surfaces:
+        n = len(surface)
+        lengths[n] = lengths.get(n, 0) + 1
+    return lengths
+
+
+def ref_score_line(record) -> str:
+    """The score line of a ScoreRecord: one dict of its fields, domains
+    and meta left out when empty or None, encoded whole by the json
+    module with sorted keys, raw UTF-8 and no spaces."""
+    obj = {
+        "id": record.doc_id,
+        "n_p": record.n_p,
+        "n_k": record.n_k,
+        "n_distinct": record.n_distinct,
+        "d": record.d,
+        "c": record.c,
+        "hks": record.hks,
+    }
+    if record.domains:
+        obj["domains"] = record.domains
+    if record.meta is not None:
+        obj["meta"] = record.meta
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"))
 
 
 def ref_token_count(text: str) -> int:

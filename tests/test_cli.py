@@ -484,6 +484,23 @@ class TestExitCodes:
         assert f"hks: error: {target}: is " in capsys.readouterr().err
         assert files_under(root) == before
 
+    def test_output_over_a_deleted_corpus_input_is_refused(
+            self, workspace, capsys, monkeypatch):
+        # A listed file that no longer exists has no (st_dev, st_ino) to
+        # match; its path still names a file of the run.
+        root, _ = workspace
+        monkeypatch.chdir(root)
+        assert main(["score", "--pool", "pool.tsv", "--corpus",
+                     "shards/*.jsonl", "--out", "scores"]) == 0
+        (root / "shards" / "shard-001.jsonl").unlink()
+        before = files_under(root)
+        capsys.readouterr()
+        target = "shards/../shards/shard-001.jsonl"
+        assert main(["analyze", "hist", "--scores", "scores", "--metric",
+                     "hks", "--group-by", "subset", "--out", target]) == 2
+        assert f"hks: error: {target}: is " in capsys.readouterr().err
+        assert files_under(root) == before
+
     def test_corr_output_over_its_ext_file_is_refused(self, workspace,
                                                       capsys):
         root, corpus = workspace

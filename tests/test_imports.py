@@ -12,10 +12,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hks"
 
-# Imported and never called, kept because perfbench/spans.py wraps it
-# on this module by name and tests/test_perfbench_targets.py requires
-# every name it wraps to exist. It can go with that wrapper.
-KEPT = {"pipeline.py": {"annotate"}}
+# Imported and never called, kept because perfbench/spans.py wraps each
+# on its module by name and tests/test_perfbench_targets.py requires
+# every name it wraps to exist. Each can go with its wrapper.
+KEPT = {"pipeline.py": {"annotate", "score_record"},
+        "matcher.py": {"token_count_from_classes"}}
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, annotate_all, build_automaton)
+from hks.matcher import count_all
+from hks.textnorm import normalize, tokenize_count
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
                      occurrence_counts, random_pool_elements, random_text,
@@ -250,6 +252,29 @@ class TestBatch:
             [(str(i), ref_token_count(ref_normalize(t)),
               naive_match_counts(t, elements, boundary))
              for i, t in enumerate(texts)]
+
+
+class TestBatchTokenCount:
+    """`count_all` counts the tokens of a whole batch in one pass; each
+    document's count must be that of its normalized text alone, whatever
+    sits beside it across the separator."""
+
+    _blank = st.sampled_from(["", " ", "\t \n", "\u3000"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(_texts | _blank, min_size=1, max_size=8))
+    @example(texts=[""])
+    @example(texts=["ab"])
+    @example(texts=["", "ab", " ", "b", "\t"])
+    # Word characters and CJK on both sides of every separator.
+    @example(texts=["ab", "ab", "数", "据", "a数", "数a", "\u0301b"])
+    def test_batch_counts_each_text_alone(self, texts):
+        auto = build_automaton(make_pool([("ab", "science")]))
+        counts = count_all(texts, auto)
+        assert counts.n_p.dtype == np.int64
+        assert counts.n_p.tolist() == \
+            [tokenize_count(normalize(t)) for t in texts] == \
+            [ref_token_count(ref_normalize(t)) for t in texts]
 
 
 def _thue_morse(n: int, zero: str, one: str) -> str:

@@ -1,16 +1,24 @@
 """Score formulas, the scoring-function family, and record round-trips."""
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hks import (DataError, DegenerateDocumentError, Document, EmptyPoolError,
                  KnowledgeElement, KnowledgePool, KnowledgeProfile,
                  ScoreFunction, ScoreRecord, ScoreTable, all_score_functions,
                  annotate, build_automaton, coverage, density, domain_score,
                  eval_score_function, hks_score, score_record)
+from hks.matcher import MatchCounts
+from hks.metrics import encode_scores, score_columns
+from hks.pool import DOMAINS
+
+from helpers import ref_score_line
 
 
 def profile(n_p=10, n_k=2, n_distinct=2, per_domain=None):
@@ -307,3 +315,91 @@ def test_candidates_keep_their_names_and_values():
         assert sf.name == name
         assert eval_score_function(sf, 0.25, 0.5) == low
         assert eval_score_function(sf, 3.5, 2) == high
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=8)
+# Ids as a corpus line can hold them: anything but a lone surrogate.
+_IDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1)
+
+
+@st.composite
+def _rows(draw):
+    """(n_p, per-domain (occurrences, distinct) pairs) of one document:
+    n_p up to 2^40, each count at most n_p and distinct at most the
+    occurrences."""
+    n_p = draw(st.integers(1, 2 ** 40))
+    pairs = []
+    for _ in DOMAINS:
+        occ = draw(st.integers(0, n_p))
+        pairs.append((occ, draw(st.integers(0, occ))))
+    return n_p, pairs
+
+
+class TestLineEncoder:
+    """The batch path's score lines against the json module's encoding
+    of a record built from the documented formulas one value at a time,
+    and `ScoreRecord.to_json` against both."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(docs=st.lists(st.tuples(_IDS, _rows(), st.none() | st.dictionaries(
+        st.text(), _JSON, max_size=3)), min_size=1, max_size=5),
+        totals=st.lists(st.integers(0, 3), min_size=len(DOMAINS),
+                        max_size=len(DOMAINS)).filter(any),
+        with_domains=st.booleans())
+    @example(docs=[('"q\\\x00\x1f\u2028é数', (3, [(7, 2)] + [(0, 0)] * 4),
+                    {"k": ["é", {"z": None}], "a": 1.5})],
+             totals=[2, 0, 0, 0, 0], with_domains=True)
+    @example(docs=[("a", (2 ** 40, [(2 ** 40, 2 ** 40)] * 5), None)],
+             totals=[1, 1, 1, 1, 1], with_domains=False)
+    def test_lines_equal_the_dict_encoding(self, caplog, docs, totals,
+                                           with_domains):
+        pool = KnowledgePool(
+            [f"s{i}" for i in range(sum(totals))],
+            np.repeat(np.arange(len(DOMAINS), dtype=np.uint8), totals),
+            np.zeros(sum(totals), dtype=np.uint8))
+        ids = [doc_id for doc_id, _, _ in docs]
+        metas = [meta for _, _, meta in docs]
+        profiles = [KnowledgeProfile(
+            doc_id, n_p, sum(o for o, _ in pairs), sum(u for _, u in pairs),
+            dict(zip(DOMAINS, pairs))) for doc_id, (n_p, pairs), _ in docs]
+        counts = MatchCounts.of(profiles)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hks.metrics"):
+            scores = score_columns(ids, counts, pool, with_domains)
+        logged = [r.getMessage() for r in caplog.records]
+        lines, texts = encode_scores(ids, metas, counts, scores)
+
+        expected, dense = [], []
+        for p, meta in zip(profiles, metas):
+            d, c = p.n_k / p.n_p, p.n_distinct / pool.total
+            domains = {}
+            for m, (occ, distinct) in (p.per_domain.items()
+                                       if with_domains else ()):
+                total = pool.per_domain_total[m]
+                d_m, c_m = (occ / p.n_p, distinct / total) if total \
+                    else (0.0, 0.0)
+                domains[m] = {"n": occ, "distinct": distinct, "d": d_m,
+                              "c": c_m, "score": d_m * math.log1p(c_m)}
+            record = ScoreRecord(p.doc_id, p.n_p, p.n_k, p.n_distinct, d, c,
+                                 d * math.log1p(c), domains, meta)
+            assert record.to_json() == ref_score_line(record)
+            assert score_record(p, pool, with_domains, meta) == record
+            expected.append(ref_score_line(record))
+            if d > 1:
+                dense.append(f"document {p.doc_id} has density {d:.3f} > 1 "
+                             f"(overlapping matches)")
+        assert lines == expected
+        assert logged == dense
+        # The column values are the texts of what the lines hold.
+        parsed = ScoreTable().parse_lines(lines, "lines")
+        dumps = lambda values: [json.dumps(
+            v, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+            for v in values]
+        assert texts == {**{name: dumps(values) for name, values
+                            in parsed.items() if name != "domains"},
+                         "domains": {name: dumps(values) for name, values
+                                     in parsed["domains"].items()}}

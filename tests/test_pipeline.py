@@ -594,6 +594,37 @@ class TestScoreRun:
         assert (stats["bounded_patterns"], stats["substring_patterns"]) == (0, 1)
 
 
+    @pytest.mark.parametrize("batch_chars", [1, 2**30])
+    def test_dense_and_empty_documents_are_counted_and_logged(
+            self, tmp_path, caplog, monkeypatch, batch_chars):
+        # Batches of one and one batch: the counters and each logger's -v
+        # lines name the same documents, the shard's first among them.
+        monkeypatch.setattr(hks.pipeline, "BATCH_CHARS", batch_chars)
+        (tmp_path / "pool.tsv").write_text("ab\tscience\n", encoding="utf-8")
+        texts = ["abab abab", "", "ab", "ababab", "!!", "x", "ab ab ab ab"]
+        corpus = write_corpus(tmp_path, [[{"id": f"d{i}", "text": t}
+                                          for i, t in enumerate(texts)]])
+        shard = Path(corpus).parent / "shard-000.jsonl"
+        config = RunConfig(pool_path=str(tmp_path / "pool.tsv"),
+                           corpus=corpus, out_dir=str(tmp_path / "out"),
+                           boundary=False)
+        with caplog.at_level("DEBUG", logger="hks"):
+            run_score(config)
+        stats = json.loads((Path(config.out_dir) / "run_stats.json")
+                           .read_text())
+        assert (stats["skipped_degenerate"], stats["density_gt_1"]) == (2, 2)
+        logged = {name: [r.getMessage() for r in caplog.records
+                         if r.name == name and r.levelname == "DEBUG"]
+                  for name in ("hks.pipeline", "hks.metrics")}
+        assert logged == {
+            "hks.pipeline": [
+                f"{shard}:2: document 'd1' has no tokens; excluded",
+                f"{shard}:5: document 'd4' has no tokens; excluded"],
+            "hks.metrics": [
+                "document d0 has density 2.000 > 1 (overlapping matches)",
+                "document d3 has density 3.000 > 1 (overlapping matches)"]}
+
+
 @pytest.fixture()
 def scored(tmp_path):
     config = toy_config(tmp_path)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import hks.pool
 from hks import DataError, EmptyPoolError, ResourceError
 from hks.pool import (DOMAINS, SOURCES, KnowledgeElement, KnowledgePool,
-                      load_pool, pool_stats)
+                      PoolStats, load_pool, pool_stats)
 
-from helpers import random_pool_elements, ref_load_pool
+from helpers import random_pool_elements, ref_length_histogram, ref_load_pool
 
 
 def load_from_lines(lines, **opts):
@@ -337,3 +337,19 @@ class TestStats:
         payload = json.loads(stats.to_json())
         assert payload["total"] == 3
         assert payload["length_histogram"]["2"] == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements=st.lists(st.tuples(
+        st.text(max_size=12), st.sampled_from(DOMAINS),
+        st.sampled_from(SOURCES)), max_size=30))
+    def test_histogram_is_the_per_surface_count(self, elements):
+        pool = KnowledgePool.from_elements(
+            KnowledgeElement(*element) for element in elements)
+        stats = pool_stats(pool)
+        expected = ref_length_histogram(pool.surfaces)
+        assert stats.length_histogram == expected
+        assert all(type(k) is int and type(v) is int
+                   for k, v in stats.length_histogram.items())
+        assert stats.to_json() == PoolStats(
+            stats.total, stats.per_domain, stats.per_source,
+            expected).to_json()
