@@ -20,7 +20,6 @@ formulas and the same line.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -227,27 +226,21 @@ def encode_scores(ids: Sequence[str], metas: Sequence[dict | None],
     record score and "domains" (domain name -> score column).
 
     Each float is encoded once, by `float.__repr__`, which is what the
-    json encoder writes for a finite float, and each value repeated in
-    the batch once (coverages are small counts over one total): no score
-    is -0.0, which would share 0.0's text. Ids and metas go through
+    json encoder writes for a finite float. Ids and metas go through
     `canonical_json`. Every line comes from one template.
     """
     names = sorted(scores.domains)
-    floats = [scores.d, scores.c, scores.hks,
-              *(column for m in names for column in scores.domains[m])]
-    unique = dict.fromkeys(itertools.chain.from_iterable(floats))
-    text = dict(zip(unique, map(float.__repr__, unique))).__getitem__
     columns = {"id": list(map(canonical_json, ids)),
                "n_p": list(map(str, counts.n_p.tolist())),
                "meta": list(map(canonical_json, metas)),
-               **{name: list(map(text, getattr(scores, name)))
+               **{name: list(map(float.__repr__, getattr(scores, name)))
                   for name in RECORD_SCORES}, "domains": {}}
     members = []  # per line, the domains member's %s texts
     for m in names:
         j = DOMAINS.index(m)
         d_m, c_m, s_m = scores.domains[m]
-        columns["domains"][m] = score_m = list(map(text, s_m))
-        members += [map(text, c_m), map(text, d_m),
+        columns["domains"][m] = score_m = list(map(float.__repr__, s_m))
+        members += [map(float.__repr__, c_m), map(float.__repr__, d_m),
                     map(str, counts.distinct[:, j].tolist()),
                     map(str, counts.occurrences[:, j].tolist()), score_m]
     domains = ",".join(f'"{m}":{{"c":%s,"d":%s,"distinct":%s,"n":%s,'

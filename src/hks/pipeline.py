@@ -217,6 +217,11 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
                      **{name: [] for name in RECORD_SCORES}, "domains": {}}
 
     def score_batch(batch: list[tuple[int, Document]], dest: TextIO) -> None:
+        # A batch that scores nothing adds no domain columns either, so a
+        # shard without scored records writes "domains":{} as parse_lines
+        # reads it.
+        if not batch:
+            return
         counts = count_all([doc.text for _, doc in batch], automaton)
         if not counts.n_p.all():
             for i in (counts.n_p == 0).nonzero()[0].tolist():
@@ -225,6 +230,8 @@ def _score_shard(task: tuple[str, str, dict]) -> ShardOutcome:
                 log.debug("%s:%d: document %r has no tokens; excluded",
                           in_path, line_no, doc.id)
             kept = counts.n_p.nonzero()[0]
+            if not kept.size:
+                return
             counts = counts.take(kept)
             batch = [batch[i] for i in kept.tolist()]
         ids = [doc.id for _, doc in batch]
@@ -561,35 +568,16 @@ def _run_files(scores_dir: str | Path, table: ScoreTable) -> list[Path]:
     return files
 
 
-def _file_id(path: str | Path) -> tuple[int, int] | None:
-    """(st_dev, st_ino) of the file at `path`, None when there is none."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return st.st_dev, st.st_ino
-
-
 def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
     """A DataError naming the first of `outputs` that is one of
-    `inputs`, the files the command reads, or an output before it. Files
-    that exist are matched by (st_dev, st_ino), so whatever path names
-    them; the rest, and every output, by their resolved paths."""
-    files, paths = set(), set()
-    for path in inputs:
-        file = _file_id(path)
-        if file is None:
-            paths.add(Path(path).resolve())
-        else:
-            files.add(file)
+    `inputs`, the files the command reads, or an output before it."""
+    taken = {Path(p).resolve() for p in inputs}
     for out in outputs:
-        file, resolved = _file_id(out), Path(out).resolve()
-        if file in files or resolved in paths:
+        resolved = Path(out).resolve()
+        if resolved in taken:
             raise DataError(f"{out}: is a file this command reads or "
                             f"another of its outputs; write it elsewhere")
-        if file is not None:
-            files.add(file)
-        paths.add(resolved)
+        taken.add(resolved)
 
 
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,

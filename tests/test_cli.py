@@ -486,8 +486,8 @@ class TestExitCodes:
 
     def test_output_over_a_deleted_corpus_input_is_refused(
             self, workspace, capsys, monkeypatch):
-        # A listed file that no longer exists has no (st_dev, st_ino) to
-        # match; its path still names a file of the run.
+        # A listed file that no longer exists still names a file of the
+        # run.
         root, _ = workspace
         monkeypatch.chdir(root)
         assert main(["score", "--pool", "pool.tsv", "--corpus",

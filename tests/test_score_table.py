@@ -450,3 +450,35 @@ def test_scored_column_files_are_written_from_the_parsed_lines(tmp_path,
         assert write_columns(again, columns, entry["sha256"], **identity) \
             == entry["columns_sha256"]
         assert again.read_bytes() == written.read_bytes()
+
+
+@pytest.mark.parametrize("lines", [
+    [], ["not json", '{"id": "x"}'],
+    [json.dumps({"id": f"blank-{i}", "text": text})
+     for i, text in enumerate(["", "   ", "\t\n"])]],
+    ids=["empty", "malformed", "zero-tokens"])
+def test_shard_without_scored_records_writes_the_parsed_columns(tmp_path,
+                                                                lines):
+    # With domain scores on, a shard that scores nothing still writes the
+    # column file of its (empty) parsed lines: "domains":{}.
+    (tmp_path / "pool.tsv").write_text("jazz\tart\ngraph theory\tscience\n",
+                                       encoding="utf-8")
+    (tmp_path / "docs.jsonl").write_text(
+        "".join(line + "\n" for line in lines), encoding="utf-8")
+    scores = tmp_path / "scores"
+    assert main(["score", "--pool", str(tmp_path / "pool.tsv"), "--corpus",
+                 str(tmp_path / "docs.jsonl"), "--out", str(scores)]) == 0
+    [entry] = json.loads((scores / "manifest.json").read_text())["shards"]
+    assert entry["records"] == 0
+    shard = scores / entry["output"]
+    with verified_lines(shard, entry["sha256"]) as parsed:
+        columns = ScoreTable().parse_lines(parsed, shard)
+    written = scores / entry["columns"]
+    named = json.loads(written.read_bytes())
+    assert named["domains"] == {}
+    again = tmp_path / f"again{COLUMNS_SUFFIX}"
+    assert write_columns(again, columns, entry["sha256"],
+                         **{key: named[key] for key in
+                            ("input", "config_hash", "pool_sha256")}) \
+        == entry["columns_sha256"]
+    assert again.read_bytes() == written.read_bytes()
