@@ -13,7 +13,7 @@ from .errors import (DataError, DegenerateDocumentError, EmptyPoolError,
                      HksError, ResourceError, StratumExhaustedError,
                      UsageError)
 from .matcher import (Document, KnowledgeProfile, MatcherConfig, annotate,
-                      annotate_all, build_automaton)
+                      build_automaton)
 from .metrics import (ScoreFunction, ScoreRecord, ScoreTable,
                       all_score_functions, coverage, density, domain_score,
                       eval_score_function, hks_score, score_record)
@@ -30,7 +30,7 @@ __all__ = [
     "KnowledgeProfile", "MatcherConfig", "PreferencePair", "ResourceError",
     "ScoreFunction", "ScoreRecord", "ScoreTable", "SelectionSpec",
     "StratumExhaustedError", "UsageError", "all_score_functions", "annotate",
-    "annotate_all", "bucket_distribution", "build_automaton", "correlation_matrix",
+    "bucket_distribution", "build_automaton", "correlation_matrix",
     "coverage", "density", "domain_score", "eval_score_function",
     "function_search", "gumbel_topk_sample", "hks_score", "load_pool", "mix",
     "normalize", "pairwise_function_correlation", "score_record", "select",

@@ -25,6 +25,10 @@ from .errors import DataError, ResourceError
 # records, the manifest, config hashes, selected.jsonl and group labels.
 canonical_json = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
                                   separators=(",", ":")).encode
+# What decoding JSON text raises for input that is not JSON: ValueError
+# (json.JSONDecodeError among them), or RecursionError for nesting deeper
+# than the decoder's recursion limit.
+JSON_ERRORS = (ValueError, RecursionError)
 
 # The lenient stream being read in this context; its `replaced` counts
 # the byte sequences its decoder replaced with U+FFFD.

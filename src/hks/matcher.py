@@ -208,13 +208,6 @@ class MatchCounts(NamedTuple):
         """The rows at positions `rows`, in that order."""
         return MatchCounts._make(column[rows] for column in self)
 
-    def profiles(self, ids: Sequence[str]) -> list[KnowledgeProfile]:
-        """One profile per row, row i of the document with id `ids[i]`."""
-        return [KnowledgeProfile(doc_id, n_p, n_k, n_distinct,
-                                 dict(zip(DOMAINS, zip(o, u))))
-                for doc_id, n_p, n_k, n_distinct, o, u in zip(
-                    ids, *(column.tolist() for column in self))]
-
 
 def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
     """The counts of a batch of document texts, in order.
@@ -249,21 +242,15 @@ def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
                        occurrences, distinct)
 
 
-def annotate_all(docs: Sequence[Document],
-                 automaton: Automaton) -> list[KnowledgeProfile]:
-    """Profiles of a batch of documents, in order; each equals what
-    `annotate` gives for that document alone. The profiles of
-    `count_all`."""
-    return count_all([doc.text for doc in docs], automaton).profiles(
-        [doc.id for doc in docs])
-
-
 def annotate(doc: Document, automaton: Automaton) -> KnowledgeProfile:
     """Profile one document: token length plus occurrence counts.
 
     The document text is normalized here with the same rule applied to
     pool surfaces, which is what makes matching well-defined. Empty or
-    matchless text yields the zero profile. A batch of one for
-    `annotate_all`, which serves many documents at far less cost each.
+    matchless text yields the zero profile. The one row of `count_all`
+    for the document, which serves a batch at far less cost each.
     """
-    return annotate_all([doc], automaton)[0]
+    n_p, n_k, n_distinct, occurrences, distinct = (
+        column[0].tolist() for column in count_all([doc.text], automaton))
+    return KnowledgeProfile(doc.id, n_p, n_k, n_distinct,
+                            dict(zip(DOMAINS, zip(occurrences, distinct))))

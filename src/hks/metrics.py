@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DataError, DegenerateDocumentError, EmptyPoolError
-from .files import canonical_json
+from .files import JSON_ERRORS, canonical_json
 from .matcher import KnowledgeProfile, MatchCounts
 from .pool import DOMAINS, KnowledgePool
 
@@ -307,9 +307,8 @@ class ScoreTable:
     holding the i-th record.
 
     scores maps each score field (d, c, hks and every domain name) to
-    its column, each value kept exactly as `json.loads` returned it. A
-    None marks a row without that domain, which only `from_records` can
-    produce: a parsed table has the same domains on every row. shards
+    its column, each value kept exactly as `json.loads` returned it.
+    Every row has the same domains, so every column is full. shards
     holds the path, manifest entry and row slice of each score shard
     read, in row order; it is empty for a table built by `from_records`
     or `take`.
@@ -329,11 +328,12 @@ class ScoreTable:
     def from_records(cls, records: ScoreTable | Sequence[ScoreRecord],
                      ) -> ScoreTable:
         """The columns of a sequence of ScoreRecords; a ScoreTable is
-        returned as it is."""
+        returned as it is. A record whose domain names differ from the
+        first record's is a DataError naming it."""
         if isinstance(records, ScoreTable):
             return records
         ids, n_p, d, c, hks, meta = [], [], [], [], [], []
-        domains: set[str] = set()
+        names = records[0].domains.keys() if records else ()
         for r in records:
             ids.append(r.doc_id)
             n_p.append(r.n_p)
@@ -341,30 +341,31 @@ class ScoreTable:
             c.append(r.c)
             hks.append(r.hks)
             meta.append(r.meta)
-            if r.domains:
-                domains.update(r.domains)
+            # Comparing key views is the loop's costliest step; records
+            # without domains, as a --no-domains run writes, skip it.
+            if (r.domains or names) and r.domains.keys() != names:
+                raise DataError(
+                    f"record {r.doc_id!r} has domains {sorted(r.domains)}, "
+                    f"not the {sorted(names)} of the first record "
+                    f"{ids[0]!r}; the records of one table share one "
+                    f"domain set")
         scores = {"d": d, "c": c, "hks": hks}
-        for name in sorted(domains):
-            scores[name] = [r.domains[name]["score"] if name in r.domains
-                            else None for r in records]
+        for name in sorted(names):
+            scores[name] = [r.domains[name]["score"] for r in records]
         return cls(ids, n_p, scores, meta)
 
     def column(self, score_field: str) -> list:
         """The score column named by `score_field`: d, c, hks or a
-        domain name (that domain's composite score)."""
+        domain name (that domain's composite score); [] for an empty
+        table."""
         values = self.scores.get(score_field)
-        if values is not None and None not in values:
-            return values
-        if not self.ids:
-            return []
-        row = 0 if values is None else values.index(None)
-        available = [*RECORD_SCORES, *sorted(
-            name for name, col in self.scores.items()
-            if name not in RECORD_SCORES and col[row] is not None)]
-        raise DataError(
-            f"record {self.ids[row]!r} has no score field {score_field!r}; "
-            f"available: {', '.join(available)}"
-        )
+        if values is None and self.ids:
+            available = [*RECORD_SCORES, *sorted(self.scores.keys()
+                                                 - set(RECORD_SCORES))]
+            raise DataError(
+                f"record {self.ids[0]!r} has no score field "
+                f"{score_field!r}; available: {', '.join(available)}")
+        return values or []
 
     def take(self, rows: Sequence[int]) -> ScoreTable:
         """The rows at positions `rows`, in that order."""
@@ -423,7 +424,7 @@ class ScoreTable:
             except KeyError as exc:
                 raise DataError(f"{source}:{line_no}: not a score record "
                                 f"(missing key {exc})") from exc
-            except (ValueError, TypeError, AttributeError) as exc:
+            except (*JSON_ERRORS, TypeError, AttributeError) as exc:
                 raise DataError(f"{source}:{line_no}: not a score record "
                                 f"({exc})") from exc
         return columns

@@ -31,8 +31,8 @@ from .analysis import (PreferencePair, bucket_distribution, check_histogram,
                        correlation_json, correlation_matrix, function_search,
                        function_search_csv)
 from .errors import DataError
-from .files import (canonical_json, check_sha256, line_digest, reading,
-                    verified_bytes, verified_lines, writing)
+from .files import (JSON_ERRORS, canonical_json, check_sha256, line_digest,
+                    reading, verified_bytes, verified_lines, writing)
 # perfbench/spans.py wraps `annotate` and `score_record` here by name, so
 # the imports stay (tests/test_imports.py); scoring calls `count_all`,
 # `score_columns` and `encode_scores`.
@@ -146,7 +146,7 @@ def _documents(fh: TextIO, in_path: str, strict: bool
             continue
         try:
             doc = _parse_doc(line, in_path, line_no, seen_ids)
-        except (json.JSONDecodeError, DataError) as exc:
+        except (*JSON_ERRORS, DataError) as exc:
             if strict:
                 if isinstance(exc, DataError):
                     raise
@@ -309,7 +309,7 @@ def _read_manifest(scores_dir: Path) -> dict | None:
                          or file_name(shard["columns"])
                          and isinstance(shard["columns_sha256"], str))):
                 raise ValueError(f"shard entry {shard!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (*JSON_ERRORS, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a score manifest ({exc!r})") from exc
     return manifest
 
@@ -362,7 +362,7 @@ def _resume(out_dir: Path, run_hash: str, pool_sha256: str,
                     with reading(columns) as fh:
                         named = json.loads(fh.read())
                     keep = {k: named.get(k) for k in expected} == expected
-                except (DataError, ValueError, AttributeError):
+                except (*JSON_ERRORS, DataError, AttributeError):
                     keep = False
             if keep:
                 kept[i] = entry
@@ -493,7 +493,7 @@ def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
     try:
         columns = json.loads(data)
         named = columns["shard_sha256"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (*JSON_ERRORS, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a column file ({exc!r})") from exc
     if named != shard["sha256"]:
         raise DataError(f"{path}: names shard sha256 {named}, not the "
@@ -558,16 +558,6 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     return table
 
 
-def _run_files(scores_dir: str | Path, table: ScoreTable) -> list[Path]:
-    """The manifest and every score shard, column file and corpus input
-    of the score run under `scores_dir` that `table` was read from."""
-    files = [Path(scores_dir) / MANIFEST_NAME]
-    for path, shard, _ in table.shards:
-        files += (path, path.with_name(shard.get("columns", path.name)),
-                  Path(shard["input"]))
-    return files
-
-
 def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
     """A DataError naming the first of `outputs` that is one of
     `inputs`, the files the command reads, or an output before it."""
@@ -580,6 +570,22 @@ def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
         taken.add(resolved)
 
 
+def _open_run(scores_dir: str | Path, outputs: Sequence[str | Path],
+              reads: Sequence[str | Path] = ()) -> ScoreTable:
+    """The records of the score run under `scores_dir`, as
+    `load_score_records` reads them, for a command that writes `outputs`
+    and also reads `reads`. An output that is the run's manifest, a score
+    shard, column file or corpus input it lists, one of `reads` or an
+    output before it is a DataError naming it."""
+    table = load_score_records(scores_dir)
+    files = [Path(scores_dir) / MANIFEST_NAME, *reads]
+    for path, shard, _ in table.shards:
+        files += (path, path.with_name(shard.get("columns", path.name)),
+                  Path(shard["input"]))
+    _check_outputs(files, *outputs)
+    return table
+
+
 def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
                emit_corpus: str | None = None) -> dict:
     """Select from a scored run; writes selected.jsonl + selection.json.
@@ -590,14 +596,13 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     in corpus order, from the inputs the manifest lists.
     """
     out = Path(out_dir)
-    table = load_score_records(scores_dir)
-    _check_outputs(_run_files(scores_dir, table),
-                   *([emit_corpus] if emit_corpus else []),
-                   out / "selected.jsonl", out / "selection.json")
+    table = _open_run(scores_dir, [*([emit_corpus] if emit_corpus else []),
+                                   out / "selected.jsonl",
+                                   out / "selection.json"])
     result = select(table, spec)
     row_of = dict(zip(table.ids, range(len(table))))
     rows = [row_of[doc_id] for doc_id in result.selected_ids]
-    scores = table.column(spec.score_field) if rows else []
+    scores = table.column(spec.score_field)
     if emit_corpus:
         # Written first, so that an input that fails leaves no selection
         # behind. Records are in shard order, so each shard's input is
@@ -641,9 +646,8 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     from .selection import threshold_split
     check_budget(token_budget)
     out = Path(out_dir)
-    table = load_score_records(scores_dir)
-    _check_outputs(_run_files(scores_dir, table), out / "high.jsonl",
-                   out / "low.jsonl", out / "split.json")
+    table = _open_run(scores_dir, [out / "high.jsonl", out / "low.jsonl",
+                                   out / "split.json"])
     high, low, threshold = threshold_split(table, token_budget, score_field)
     high_ids = set(high.ids)
     with writing(out / "high.jsonl") as high_dest, \
@@ -671,11 +675,28 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
 def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
     check_histogram(metric, n_buckets)
-    table = load_score_records(scores_dir)
-    _check_outputs(_run_files(scores_dir, table), out_path)
+    table = _open_run(scores_dir, [out_path])
     hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
         dest.write(hist.to_csv())
+
+
+def _jsonl_rows(path: str, what: str, parse) -> Iterator:
+    """`parse(value, line number)` of the JSON value on each non-blank
+    line of the file at `path`, which is read as lenient UTF-8. A line
+    that does not decode, and one `parse` raises a KeyError, TypeError,
+    ValueError or DataError on, is a DataError naming `path:line`,
+    `what` and the error."""
+    with reading(path, strict=False) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = parse(json.loads(line), line_no)
+            except (*JSON_ERRORS, KeyError, TypeError, DataError) as exc:
+                raise DataError(f"{path}:{line_no}: {what} ({exc})") from exc
+            yield row
 
 
 def _load_ext_columns(path: str,
@@ -686,29 +707,24 @@ def _load_ext_columns(path: str,
     that is not a number counts as missing."""
     table: dict[str, dict[str, float]] = {}
     line_of: dict[str, int] = {}
-    with reading(path, strict=False) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = obj["id"]
-                first = line_of.setdefault(doc_id, line_no)
-                table[doc_id] = row = {
-                    name: obj[name] for name in names
-                    if isinstance(obj.get(name), (int, float))}
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{line_no}: bad external column "
-                                f"row ({exc})") from exc
-            if first != line_no:
-                raise DataError(f"{path}:{line_no}: duplicate id {doc_id!r}, "
-                                f"first on line {first}")
-            for name, value in row.items():
-                if not finite_numbers([value]):
-                    raise DataError(f"{path}:{line_no}: ext:{name} is "
-                                    f"{canonical_json(value)}, not a finite "
-                                    f"number")
+
+    def parse(obj, line_no: int) -> tuple:
+        doc_id = obj["id"]
+        return (line_no, doc_id, line_of.setdefault(doc_id, line_no),
+                {name: obj[name] for name in names
+                 if isinstance(obj.get(name), (int, float))})
+
+    for line_no, doc_id, first, row in _jsonl_rows(
+            path, "bad external column row", parse):
+        if first != line_no:
+            raise DataError(f"{path}:{line_no}: duplicate id {doc_id!r}, "
+                            f"first on line {first}")
+        for name, value in row.items():
+            if not finite_numbers([value]):
+                raise DataError(f"{path}:{line_no}: ext:{name} is "
+                                f"{canonical_json(value)}, not a finite "
+                                f"number")
+        table[doc_id] = row
     return table
 
 
@@ -727,9 +743,7 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
         if not col.startswith("ext:") and col not in SCORE_FIELDS:
             raise DataError(f"no score field {col!r}; available: "
                             f"{', '.join(SCORE_FIELDS)}, ext:<name>")
-    table = load_score_records(scores_dir)
-    _check_outputs(_run_files(scores_dir, table)
-                   + ([Path(ext_path)] if ext_path else []), out_path)
+    table = _open_run(scores_dir, [out_path], [ext_path] if ext_path else [])
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table
     if ext_names:
@@ -757,18 +771,8 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
 
 
 def load_pairs(path: str) -> list[PreferencePair]:
-    pairs = []
-    with reading(path, strict=False) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pairs.append(PreferencePair.from_dict(json.loads(line)))
-            except (ValueError, TypeError, DataError) as exc:
-                raise DataError(f"{path}:{line_no}: not a preference pair "
-                                f"({exc})") from exc
-    return pairs
+    return list(_jsonl_rows(path, "not a preference pair",
+                            lambda obj, _: PreferencePair.from_dict(obj)))
 
 
 def run_fsearch(pairs_path: str, out_path: str,

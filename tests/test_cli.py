@@ -211,6 +211,107 @@ def _pool_stats_out_under_file(root, corpus):
              "--out", str(blocker / "stats.json")], blocker, 3)
 
 
+# JSON texts that json.loads fails on with an error other than a
+# JSONDecodeError: nesting deeper than the decoder's recursion limit
+# (RecursionError) and an integer beyond int's digit limit (ValueError).
+# Each case below puts one where one reader meets it and returns (argv,
+# exit code, the text stderr must hold or a check of the run's outputs).
+NESTED = "[" * 200_000
+
+
+def _lenient_second_line(root, line):
+    shard = root / "bad" / "shard.jsonl"
+    shard.parent.mkdir()
+    shard.write_text(json.dumps(DOC_A) + "\n" + line + "\n",
+                     encoding="utf-8")
+
+    def skipped_as_malformed():
+        stats = json.loads((root / "s" / "run_stats.json").read_text())
+        assert (stats["docs_read"], stats["skipped_malformed"],
+                stats["docs_scored"]) == (2, 1, 1)
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus",
+             str(shard), "--out", str(root / "s")], 0, skipped_as_malformed)
+
+
+def _nested_corpus_line_lenient(root, corpus):
+    return _lenient_second_line(root, NESTED)
+
+
+def _long_integer_corpus_line_lenient(root, corpus):
+    return _lenient_second_line(root, '{"id": "b", "text": "jazz", '
+                                      '"meta": {"n": ' + "1" * 5000 + "}}")
+
+
+def _nested_corpus_line_strict(root, corpus):
+    argv, named, code = _strict_second_line(root, NESTED)
+    return argv, code, f"{named}: invalid JSON"
+
+
+def _nested_preference_pair(root, corpus):
+    pairs = root / "pairs.jsonl"
+    pairs.write_text(json.dumps({"a": {"d": 0.1, "c": 0.2},
+                                 "b": {"d": 0.3, "c": 0.4}, "label": 1.0})
+                     + "\n" + NESTED + "\n", encoding="utf-8")
+    return (["analyze", "fsearch", "--pairs", str(pairs), "--out",
+             str(root / "fs.csv")], 2, f"{pairs}:2: not a preference pair")
+
+
+def _nested_ext_row(root, corpus):
+    argv, named, code = _ext_second_row(root, corpus, NESTED)
+    return argv, code, f"{named}: bad external column row"
+
+
+def _long_integer_ext_row(root, corpus):
+    argv, named, code = _ext_second_row(
+        root, corpus, '{"id": "doc-b", "ppl": ' + "1" * 5000 + "}")
+    return argv, code, f"{named}: bad external column row"
+
+
+def _nested_score_line(root, corpus):
+    # Vouched for by the manifest, which lists no column file for it.
+    scores = _scored(root, corpus)
+    shard = scores / "scores-00000.jsonl"
+    shard.write_text(NESTED + "\n", encoding="utf-8")
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][0]["sha256"] = line_digest(shard)[0]
+    del manifest["shards"][0]["columns"]
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    return _select_argv(root), 2, f"{shard}:1: not a score record"
+
+
+def _nested_manifest(root, corpus):
+    manifest = _scored(root, corpus) / "manifest.json"
+    manifest.write_text(NESTED, encoding="utf-8")
+    return _select_argv(root), 2, f"{manifest}: not a score manifest"
+
+
+def _nested_listed_column_file(root, corpus):
+    scores = _scored(root, corpus)
+    columns = scores / "scores-00000.columns.json"
+    columns.write_text(NESTED, encoding="utf-8")
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][0]["columns_sha256"] = line_digest(columns)[0]
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+    return _select_argv(root), 2, f"{columns}: not a column file"
+
+
+def _nested_column_file_on_resume(root, corpus):
+    # A run that stopped before its manifest: the shard whose column file
+    # does not parse is scored again, as one naming another shard is.
+    scores = _scored(root, corpus)
+    columns = scores / "scores-00000.columns.json"
+    scored = columns.read_bytes()
+    (scores / "manifest.json").unlink()
+    columns.write_text(NESTED, encoding="utf-8")
+
+    def scored_again():
+        assert columns.read_bytes() == scored
+        stats = json.loads((scores / "run_stats.json").read_text())
+        assert stats["resumed_shards"] == 2
+    return (["score", "--pool", str(root / "pool.tsv"), "--corpus", corpus,
+             "--out", str(scores)], 0, scored_again)
+
+
 # One document per field holding a \udXXX escape outside a surrogate pair.
 LONE_SURROGATE_DOCS = {
     "id": {"id": "sur\ud800", "text": "jazz"},
@@ -259,6 +360,26 @@ class TestExitCodes:
         assert list(root.glob("s/scores-*")) == []
         assert list(root.rglob("*.tmp")) == []
         assert not (root / "sel" / "selected.jsonl").exists()
+
+    @pytest.mark.parametrize("case", [
+        _nested_corpus_line_lenient, _nested_corpus_line_strict,
+        _nested_preference_pair, _nested_ext_row, _nested_score_line,
+        _nested_manifest, _nested_listed_column_file,
+        _nested_column_file_on_resume, _long_integer_corpus_line_lenient,
+        _long_integer_ext_row,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_json_the_decoder_rejects_is_bad_data(self, workspace, capsys,
+                                                  case):
+        argv, code, expect = case(*workspace)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if callable(expect):
+            expect()
+        else:
+            assert err.startswith("hks: error: ") and expect in err
+            assert ("maximum recursion depth exceeded" in err
+                    or "Exceeds the limit (4300 digits)" in err)
 
     def test_strict_failure_mid_shard_leaves_no_temp(self, workspace):
         root, _ = workspace

@@ -1,10 +1,11 @@
 """Output bytes of a small fixed run, pinned by sha256.
 
-Scores a fixed pool and two-shard corpus, then runs a top-k selection
-and a threshold split, all with paths relative to the run directory.
-The pins cover the files whose bytes hks defines alone: score shards,
-column files, `selected.jsonl` and the split's `high.jsonl` and
-`low.jsonl`. The manifest (which records paths) and the outputs whose
+Scores a fixed pool and two-shard corpus, with default flags and with
+`--no-domains --no-boundary`, then runs a top-k, a sample and a mix
+selection and a threshold split, all with paths relative to the run
+directory. The pins cover the files whose bytes hks defines alone: score
+shards, column files, each `selected.jsonl` and the split's `high.jsonl`
+and `low.jsonl`. The manifest (which records paths) and the outputs whose
 floats come from numpy (`hist.csv`, `corr.json`) are left out. A change
 that alters these bytes on purpose updates the pins and says why.
 """
@@ -61,6 +62,18 @@ PINNED = {
         "a8ceec0f63c9a0c1e1ec5313d2404da7734d98ec6802adaf63367ae630af4481",
     "split/low.jsonl":
         "8acbb8102abb43a6858b65ae2fa502cb0e8233232f4695b7dd273add62b1d887",
+    "bare/scores-00000.jsonl":
+        "1237c2d19c0ca3fef9d9c229edb22d90b46315cce758440ecd3f12e0b9a34794",
+    "bare/scores-00000.columns.json":
+        "396531122c437eca07ddca1ea243aae71b7324b25a27cd3bf6852499db6fd2b3",
+    "bare/scores-00001.jsonl":
+        "ff4e09487f1acdfd4e8bb84e0b411c8358c10d0c80229f795b8a4b7d2254195f",
+    "bare/scores-00001.columns.json":
+        "8af913acab90982e2552f54e03207a4f63950ece7779dfeec53db8b277b0f68d",
+    "sample/selected.jsonl":
+        "95013cacc330798a74aba04adca88ff36ad7d99c97550b449f012edc5c264e3b",
+    "mix/selected.jsonl":
+        "8641bee6cf76c3d439695fe6e988a25129e62a70591bcd6ea39e0795993c2a5b",
 }
 
 
@@ -77,6 +90,14 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch):
                  "--strategy", "topk", "--budget-docs", "4"]) == 0
     assert main(["split", "--scores", "scores", "--out", "split",
                  "--budget-tokens", "20"]) == 0
+    assert main(["score", "--pool", "pool.tsv", "--corpus", "corpus-*.jsonl",
+                 "--out", "bare", "--no-domains", "--no-boundary"]) == 0
+    assert main(["select", "--scores", "scores", "--out", "sample",
+                 "--strategy", "sample", "--budget-docs", "4",
+                 "--seed", "3"]) == 0
+    assert main(["select", "--scores", "scores", "--out", "mix",
+                 "--strategy", "mix", "--budget-tokens", "30", "--alpha",
+                 "0.5", "--split-budget-tokens", "20", "--seed", "3"]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED}
     assert got == PINNED

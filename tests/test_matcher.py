@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
-                 KnowledgePool, MatcherConfig, annotate, annotate_all, build_automaton)
+                 KnowledgePool, MatcherConfig, annotate, build_automaton)
 from hks.matcher import count_all
 from hks.textnorm import normalize, tokenize_count
 
@@ -229,7 +229,7 @@ class TestDifferential:
 
 
 class TestBatch:
-    """annotate_all against the naive scan of each document alone: no
+    """count_all against the naive scan of each document alone: no
     match may cross from one document of a batch into the next."""
 
     @settings(max_examples=300, deadline=None)
@@ -245,13 +245,13 @@ class TestBatch:
                                               boundary):
         auto = build_automaton(make_pool(elements),
                                MatcherConfig(boundary=boundary))
-        profiles = annotate_all(
-            [Document(str(i), t) for i, t in enumerate(texts)], auto)
-        assert [(p.doc_id, p.n_p, (p.n_k, p.n_distinct, p.per_domain))
-                for p in profiles] == \
-            [(str(i), ref_token_count(ref_normalize(t)),
-              naive_match_counts(t, elements, boundary))
-             for i, t in enumerate(texts)]
+        counts = count_all(texts, auto)
+        assert all(column.shape[0] == len(texts) for column in counts)
+        assert [(n_p, (n_k, n_distinct, dict(zip(DOMAINS, zip(o, u)))))
+                for n_p, n_k, n_distinct, o, u in zip(
+                    *(column.tolist() for column in counts))] == \
+            [(ref_token_count(ref_normalize(t)),
+              naive_match_counts(t, elements, boundary)) for t in texts]
 
 
 class TestBatchTokenCount:

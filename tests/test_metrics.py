@@ -1,5 +1,6 @@
 """Score formulas, the scoring-function family, and record round-trips."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -269,11 +270,21 @@ class TestScoreTable:
             table.column("ppl")
 
     def test_missing_domain_names_first_record_lacking_it(self):
+        # One table holds one domain set: a record whose domains differ
+        # from the first record's is refused by name, so no column has a
+        # hole.
         rec = TestScoreRecord().rec()
         bare = ScoreRecord(doc_id="bare", n_p=3, n_k=0, n_distinct=0,
                            d=0.0, c=0.0, hks=0.0)
-        table = ScoreTable.from_records([rec, bare])
-        assert table.column("hks") == [rec.hks, 0.0]
+        fewer = dataclasses.replace(rec, doc_id="fewer", domains={
+            m: v for m, v in rec.domains.items() if m != "art"})
+        for records, named in [([rec, bare], "bare"), ([bare, rec], "doc-1"),
+                               ([rec, rec, fewer], "fewer")]:
+            with pytest.raises(DataError, match=f"^record '{named}' has "
+                                                f"domains"):
+                ScoreTable.from_records(records)
+        table = ScoreTable.from_records([bare, bare])
+        assert table.column("hks") == [0.0, 0.0]
         with pytest.raises(DataError, match="record 'bare' has no score "
                                             "field 'art'; available: hks, "
                                             "d, c$"):
