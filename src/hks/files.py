@@ -45,13 +45,14 @@ codecs.register_error("hks.replace", _replace_counted)
 
 @contextlib.contextmanager
 def reading(source: str | Path, strict: bool = True) -> Iterator[TextIO]:
-    """Open the file at `source` (`.gz` by suffix) as UTF-8 text. With
-    strict=False undecodable bytes become U+FFFD and the opened file's
-    `replaced` attribute counts the sequences replaced."""
+    """Open the file at `source` (`.gz` by suffix) as UTF-8 text, a
+    leading byte order mark dropped. With strict=False undecodable bytes
+    become U+FFFD and the opened file's `replaced` attribute counts the
+    sequences replaced."""
     opener = gzip.open if str(source).endswith(".gz") else open
     opened = False
     try:
-        with opener(source, "rt", encoding="utf-8",
+        with opener(source, "rt", encoding="utf-8-sig",
                     errors="strict" if strict else "hks.replace") as fh:
             if opener is gzip.open:  # not gzip: fail here, not mid-body
                 fh.buffer.peek(1)
@@ -72,11 +73,13 @@ def reading(source: str | Path, strict: bool = True) -> Iterator[TextIO]:
 
 def line_chunks(stream: TextIO, size: int) -> Iterator[str]:
     """The text of `stream`, which `reading` opened strict, as chunks of
-    whole lines read about `size` bytes at a time, with every "\\r\\n"
-    and lone "\\r" turned into "\\n" as the text stream would turn them.
-    Where bytes do not decode, the whole lines before them come out
-    first and then the UnicodeDecodeError, which `reading` reports."""
-    held: list[bytes] = []
+    whole lines read about `size` bytes at a time, with a leading byte
+    order mark dropped and every "\\r\\n" and lone "\\r" turned into
+    "\\n" as the text stream would turn them. Where bytes do not decode,
+    the whole lines before them come out first and then the
+    UnicodeDecodeError, which `reading` reports."""
+    held = [stream.buffer.read(len(codecs.BOM_UTF8))
+            .removeprefix(codecs.BOM_UTF8)]
     while block := stream.buffer.read(size):
         # A line ends after the last "\n", or after the last "\r" whose
         # next byte is in the block and so known not to be "\n".

@@ -94,15 +94,14 @@ class Automaton:
     def __init__(self, pool: KnowledgePool, config: MatcherConfig | None = None):
         if pool.total == 0:
             raise EmptyPoolError("cannot build an automaton from an empty pool")
-        self.config = config or MatcherConfig()
         try:
-            self._build(pool)
+            self._build(pool, (config or MatcherConfig()).boundary)
         except MemoryError as exc:
             raise ResourceError(
                 f"out of memory building automaton over {pool.total} patterns"
             ) from exc
 
-    def _build(self, pool: KnowledgePool) -> None:
+    def _build(self, pool: KnowledgePool, boundary: bool) -> None:
         surfaces = pool.surfaces
         lens = np.fromiter(map(len, surfaces), dtype=np.int64,
                            count=pool.total)
@@ -128,7 +127,7 @@ class Automaton:
             # Column by column: no temporary holds 8 bytes per codepoint.
             for k in range(length):
                 keys += rows[:, k] * powers[k]
-            if self.config.boundary:
+            if boundary:
                 cls = class_table()[rows]
                 self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
                                      & ~(cls & CJK).any(axis=1))

@@ -154,8 +154,10 @@ class ScoreRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ScoreRecord":
-        obj = json.loads(line)
+        """The record on a score line; a line that is not one is a
+        DataError."""
         try:
+            obj = json.loads(line)
             return cls(
                 doc_id=obj["id"],
                 n_p=obj["n_p"],
@@ -169,6 +171,8 @@ class ScoreRecord:
             )
         except KeyError as exc:
             raise DataError(f"score record missing key {exc}") from exc
+        except (*JSON_ERRORS, TypeError, AttributeError) as exc:
+            raise DataError(f"not a score record ({exc})") from exc
 
 
 class Scores(NamedTuple):
@@ -357,7 +361,8 @@ class ScoreTable:
     def column(self, score_field: str) -> list:
         """The score column named by `score_field`: d, c, hks or a
         domain name (that domain's composite score); [] for an empty
-        table."""
+        table. A NaN or infinite value, which `extend_columns` refuses
+        but `from_records` does not, is a DataError naming its record."""
         values = self.scores.get(score_field)
         if values is None and self.ids:
             available = [*RECORD_SCORES, *sorted(self.scores.keys()
@@ -365,6 +370,11 @@ class ScoreTable:
             raise DataError(
                 f"record {self.ids[0]!r} has no score field "
                 f"{score_field!r}; available: {', '.join(available)}")
+        if values and not all(map(math.isfinite, values)):
+            row = next(k for k, v in enumerate(values)
+                       if not math.isfinite(v))
+            raise DataError(f"record {self.ids[row]!r}: {score_field!r} is "
+                            f"not a finite number ({values[row]!r})")
         return values or []
 
     def take(self, rows: Sequence[int]) -> ScoreTable:

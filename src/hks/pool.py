@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class KnowledgePool:
         never change after construction."""
         counts = np.bincount(self.domain_ids, minlength=len(DOMAINS))
         return {name: int(counts[i]) for i, name in enumerate(DOMAINS)}
-
-    def elements(self) -> Iterator[KnowledgeElement]:
-        for i, surface in enumerate(self.surfaces):
-            yield KnowledgeElement(surface, DOMAINS[self.domain_ids[i]],
-                                   SOURCES[self.source_ids[i]])
 
 
 def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:

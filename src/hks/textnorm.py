@@ -77,19 +77,6 @@ def normalize_lines(texts: list[str]) -> list[str]:
     return lines
 
 
-def char_class(ch: str) -> int:
-    """Class bitmask for a single character (scalar path)."""
-    cls = 0
-    if unicodedata.category(ch) in _WORD_CATEGORIES:
-        cls |= WORD
-    cp = ord(ch)
-    for lo, hi in _CJK_RANGES:
-        if lo <= cp <= hi:
-            cls |= CJK
-            break
-    return cls
-
-
 def class_table() -> np.ndarray:
     """uint8 class table indexed by codepoint, built lazily once.
 
@@ -151,15 +138,3 @@ def token_count_from_classes(cls: np.ndarray) -> int:
     """Token count over a per-codepoint class array."""
     return int(token_counts(cls, np.zeros(1, dtype=np.intp))[0])
 
-
-def tokenize_count(text: str) -> int:
-    """Token count of `text` under the documented segmentation rule.
-
-    Counts maximal non-CJK word-character runs as one token each and
-    every CJK character as its own token. Everything else (spaces,
-    punctuation, symbols) separates tokens and is not counted.
-    """
-    if not text:
-        return 0
-    cps = encode_codepoints(text)
-    return token_count_from_classes(class_table()[cps])

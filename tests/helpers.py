@@ -49,8 +49,8 @@ def ref_normalize(text: str) -> str:
 
 def ref_load_pool(path, strict: bool = False):
     """The pool in the file at `path` (gzip by its `.gz` suffix), read one
-    line at a time by the documented rules, with hks.pool's log lines,
-    errors and report."""
+    line at a time by the documented rules, a leading byte order mark
+    dropped, with hks.pool's log lines, errors and report."""
     from hks import DataError, EmptyPoolError
     from hks.pool import DOMAINS, SOURCES, KnowledgePool, PoolLoadReport
 
@@ -61,7 +61,7 @@ def ref_load_pool(path, strict: bool = False):
     index = {}
     report = PoolLoadReport()
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as stream:
+    with opener(path, "rt", encoding="utf-8-sig") as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:

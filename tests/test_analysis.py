@@ -94,6 +94,13 @@ class TestBucketDistribution:
         assert hist.counts["a"][:5].sum() == 2
         assert hist.counts["b"][5:].sum() == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_is_refused(self, bad):
+        with pytest.raises(DataError, match=r"^record 'a-0001': 'hks' is "
+                                            r"not a finite number"):
+            bucket_distribution(self.recs([0.5, bad], "a"), "hks", "subset",
+                                4)
+
     def test_missing_group_key_routes_to_unknown(self):
         recs = self.recs([0.3], "a") + [make_record("x", 10, 0.7)]
         hist = bucket_distribution(recs, "hks", "subset", 4)

@@ -840,6 +840,31 @@ class TestWalkthrough:
         assert "replaced" not in manifest
         assert main([*argv, "--out", str(root / "s2"), "--strict"]) == 2
 
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_leading_byte_order_mark_is_not_text(self, tmp_path, capsys,
+                                                 suffix, strict):
+        bom = b"\xef\xbb\xbf"
+        pack = gzip.compress if suffix else bytes
+        pool = tmp_path / f"pool.tsv{suffix}"
+        pool.write_bytes(pack(bom + b"jazz\tart\ncooking\tlife\n"))
+        shard = tmp_path / f"shard.jsonl{suffix}"
+        shard.write_bytes(pack(bom + json.dumps(
+            {"id": "a", "text": "jazz and cooking"}).encode() + b"\n"))
+        capsys.readouterr()
+        assert main(["pool", "stats", str(pool)]) == 0
+        assert json.loads(capsys.readouterr().out)["length_histogram"] == \
+            {"4": 1, "7": 1}
+        assert main(["score", "--pool", str(pool), "--corpus", str(shard),
+                     "--out", str(tmp_path / "s"), *strict]) == 0
+        stats = json.loads((tmp_path / "s" / "run_stats.json").read_text())
+        assert (stats["skipped_malformed"], stats["docs_scored"]) == (0, 1)
+        (line,) = (tmp_path / "s" / "scores-00000.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        record = json.loads(line)
+        assert (record["id"], record["n_k"]) == ("a", 2)
+        assert record["domains"]["art"]["n"] == 1
+
     def test_no_boundary_and_no_domains_flags(self, workspace):
         root, corpus = workspace
         assert run_score(root, corpus, "--no-boundary", "--no-domains") == 0

@@ -1,13 +1,14 @@
 """File access: the one module that opens files, and its verified reader."""
 
 import ast
+import codecs
 from contextlib import nullcontext
 import hashlib
 import io
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hks
@@ -132,9 +133,15 @@ def test_line_digest(tmp_path, data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\t", b"\n", b"\r",
-                                      b"\r\n", b"\xe2\x80\xa8", b"\xff"]),
+                                      b"\r\n", b"\xe2\x80\xa8", b"\xff",
+                                      codecs.BOM_UTF8]),
                      max_size=30).map(b"".join),
        size=st.integers(1, 8))
+# A leading byte order mark is dropped at every chunk size, a later one
+# kept as the text stream keeps it.
+@example(data=codecs.BOM_UTF8 + b"a\n" + codecs.BOM_UTF8 + b"\n", size=1)
+@example(data=codecs.BOM_UTF8 + b"\r\na", size=2)
+@example(data=codecs.BOM_UTF8 + codecs.BOM_UTF8 + b"\xff\n", size=4)
 def test_line_chunks_read_as_the_text_stream(tmp_path_factory, data, size):
     path = tmp_path_factory.mktemp("chunks") / "lines.txt"
     path.write_bytes(data)
@@ -148,5 +155,5 @@ def test_line_chunks_read_as_the_text_stream(tmp_path_factory, data, size):
             for chunk in line_chunks(stream, size):
                 chunks.append(chunk)
     assert "".join(chunks) == io.TextIOWrapper(io.BytesIO(whole),
-                                               encoding="utf-8").read()
+                                               encoding="utf-8-sig").read()
     assert all(chunks) and all(c.endswith("\n") for c in chunks[:-1])

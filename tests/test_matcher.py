@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, build_automaton)
 from hks.matcher import count_all
-from hks.textnorm import normalize, tokenize_count
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
                      occurrence_counts, random_pool_elements, random_text,
@@ -273,7 +272,6 @@ class TestBatchTokenCount:
         counts = count_all(texts, auto)
         assert counts.n_p.dtype == np.int64
         assert counts.n_p.tolist() == \
-            [tokenize_count(normalize(t)) for t in texts] == \
             [ref_token_count(ref_normalize(t)) for t in texts]
 
 

@@ -248,6 +248,13 @@ class TestScoreRecord:
         with pytest.raises(DataError):
             ScoreRecord.from_json('{"id": "x"}')
 
+    def test_line_the_decoder_rejects_is_data_error(self):
+        # Too deep for the decoder, an integer of more digits than int()
+        # converts, and JSON that is not an object.
+        for line in ["[" * 200_000, "1" * 5_000, "[1]"]:
+            with pytest.raises(DataError, match="^not a score record"):
+                ScoreRecord.from_json(line)
+
     def test_without_domains(self):
         prof = KnowledgeProfile(doc_id="d", n_p=4, n_k=1, n_distinct=1,
                                 per_domain={"life": (1, 1)})

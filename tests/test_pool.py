@@ -28,16 +28,23 @@ def load_from_lines(lines, **opts):
         return load_pool(path, **opts)
 
 
+def domains(pool):
+    return [DOMAINS[i] for i in pool.domain_ids]
+
+
+def sources(pool):
+    return [SOURCES[i] for i in pool.source_ids]
+
+
 class TestLoad:
     def test_basic(self):
         pool = load_from_lines([
             "graph theory\tscience",
             "jazz\tart\ttitle_keyword",
         ])
-        assert pool.total == 2
-        els = list(pool.elements())
-        assert els[0] == KnowledgeElement("graph theory", "science", "unknown")
-        assert els[1] == KnowledgeElement("jazz", "art", "title_keyword")
+        assert pool.surfaces == ["graph theory", "jazz"]
+        assert domains(pool) == ["science", "art"]
+        assert sources(pool) == ["unknown", "title_keyword"]
 
     def test_dedup_and_length_filter(self):
         # Duplicate kept once; single-char surface dropped.
@@ -57,7 +64,7 @@ class TestLoad:
             "quantum field\tart",
         ])
         assert pool.total == 1
-        assert next(pool.elements()).domain == "science"
+        assert domains(pool) == ["science"]
         assert pool.report.domain_conflicts == 1
 
     def test_surfaces_normalized_before_dedup(self):
@@ -96,12 +103,11 @@ class TestLoad:
         pool = load_from_lines(["ab\tlife",
                                 "model_extracted\tart\ttitle_keyword",
                                 "no tab"])
-        assert [el.source for el in pool.elements()] == [
-            "unknown", "title_keyword"]
+        assert sources(pool) == ["unknown", "title_keyword"]
 
     def test_unknown_source_tag_coerced(self):
         pool = load_from_lines(["ab\tlife\tscraped"])
-        assert next(pool.elements()).source == "unknown"
+        assert sources(pool) == ["unknown"]
 
     def test_empty_pool_raises(self):
         with pytest.raises(EmptyPoolError):
@@ -285,14 +291,21 @@ _POOLS = st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])),
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_POOLS, last=st.sampled_from(["", "\n", "\r\n"]),
-       chunk_bytes=st.integers(1, 40), strict=st.booleans())
+       chunk_bytes=st.integers(1, 40), strict=st.booleans(),
+       bom=st.booleans())
 @example(lines=[("ab\tlife", "\n"), ("AB\tart", "\r\n"), ("", "\n"),
                 ("\u0301a\tlife\tx\ty", "\r")], last="", chunk_bytes=3,
-         strict=False)
+         strict=False, bom=False)
+# A leading byte order mark is not part of the first surface.
+@example(lines=[("jazz\tart", "\n"), ("\ufeffab\tlife", "\n")], last="",
+         chunk_bytes=1, strict=False, bom=True)
+@example(lines=[("", "\n"), ("jazz\tart", "\n")], last="", chunk_bytes=2,
+         strict=True, bom=True)
 def test_load_matches_per_line_oracle(tmp_path, caplog, lines, last,
-                                      chunk_bytes, strict):
+                                      chunk_bytes, strict, bom):
     path = tmp_path / "pool.tsv"
-    path.write_bytes(("".join(line + end for line, end in lines)
+    path.write_bytes(("\ufeff" * bom
+                      + "".join(line + end for line, end in lines)
                       + last).encode("utf-8"))
     assert_loads_like_oracle(path, caplog, strict, chunk_bytes)
 
@@ -315,9 +328,10 @@ class TestInvariants:
             "Deep  LEARNING\tscience",
             "café culture\tculture",
         ])
-        for el in pool.elements():
-            assert el.surface == normalize(el.surface)
-            assert len(el.surface) >= 2
+        assert pool.total == 2
+        for surface in pool.surfaces:
+            assert surface == normalize(surface)
+            assert len(surface) >= 2
 
 
 class TestStats:

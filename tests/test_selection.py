@@ -378,6 +378,20 @@ class TestDispatch:
                 SelectionSpec(seed=seed)
         assert SelectionSpec(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("spec", [
+        SelectionSpec(budget=2, by_docs=True),
+        SelectionSpec(strategy="sample", budget=2, by_docs=True),
+        SelectionSpec(strategy="mix", budget=10, alpha=0.5, split_budget=20)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_refused(self, spec, bad):
+        # The rank of a NaN depends on where it sits in the list.
+        recs = [make_record(doc_id, 10, score) for doc_id, score in
+                [("a", 0.5), ("b", bad), ("c", 0.7), ("d", 0.1)]]
+        for records in (recs, recs[::-1]):
+            with pytest.raises(DataError, match=r"^record 'b': 'hks' is "
+                                                r"not a finite number"):
+                select(records, spec)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_mix_rejects_seed_outside_8_bytes(self, seed):
         recs = records_from([1.0, 2.0])

@@ -7,11 +7,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hks.textnorm import (CJK, WORD, char_class, class_table,
-                          encode_codepoints, normalize, normalize_lines,
-                          tokenize_count)
+from hks.textnorm import (CJK, WORD, class_table, encode_codepoints,
+                          normalize, normalize_lines, token_count_from_classes)
 
-from helpers import ref_normalize, ref_token_count
+from helpers import is_cjk, is_word, ref_normalize, ref_token_count
+
+
+def class_of(ch: str) -> int:
+    """The class of `ch` in `class_table()`."""
+    return int(class_table()[ord(ch)])
+
+
+def token_count(text: str) -> int:
+    """The token count of `text` from its per-codepoint classes, as
+    `count_all` counts it, once it equals the scalar segmenter's."""
+    count = token_count_from_classes(class_table()[encode_codepoints(text)])
+    assert count == ref_token_count(text), text
+    return count
 
 
 class TestNormalize:
@@ -92,41 +104,35 @@ class TestNormalizeLines:
 
 class TestCharClass:
     def test_latin_letter_is_word(self):
-        assert char_class("a") == WORD
+        assert class_of("a") == WORD
 
     def test_digit_and_underscore_are_word(self):
-        assert char_class("7") == WORD
-        assert char_class("_") == WORD
+        assert class_of("7") == WORD
+        assert class_of("_") == WORD
 
     def test_space_and_punct_are_neither(self):
-        assert char_class(" ") == 0
-        assert char_class(".") == 0
+        assert class_of(" ") == 0
+        assert class_of(".") == 0
 
     def test_han_is_word_and_cjk(self):
-        assert char_class("数") == WORD | CJK
+        assert class_of("数") == WORD | CJK
 
     def test_kana_is_cjk(self):
-        assert char_class("の") & CJK
+        assert class_of("の") & CJK
 
     def test_hangul_is_word_not_cjk(self):
         # Korean is space-delimited; Hangul segments like Latin words.
-        assert char_class("한") == WORD
-
-    def test_table_agrees_with_scalar(self):
-        table = class_table()
-        rng = np.random.default_rng(3)
-        cps = rng.integers(0, 0x110000, size=3000)
-        for cp in cps:
-            ch = chr(int(cp))
-            assert table[int(cp)] == char_class(ch)
+        assert class_of("한") == WORD
 
     def test_table_equals_scalar_on_every_codepoint(self):
         # Exhaustive, so it covers both sides of every 2**16-codepoint
         # step of the build (0xFFFF is unassigned, 0x10000 a letter).
         table = class_table()
         assert table.shape == (0x110000,) and table.dtype == np.uint8
-        scalar = np.fromiter((char_class(chr(cp)) for cp in range(0x110000)),
-                             dtype=np.uint8, count=0x110000)
+        scalar = np.fromiter(
+            (WORD * is_word(ch) | CJK * is_cjk(ch)
+             for ch in map(chr, range(0x110000))),
+            dtype=np.uint8, count=0x110000)
         wrong = np.flatnonzero(table != scalar)
         assert not wrong.size, [hex(cp) for cp in wrong[:10]]
         assert (table[0xFFFF], table[0x10000]) == (0, WORD)
@@ -134,28 +140,28 @@ class TestCharClass:
 
 class TestTokenCount:
     def test_latin_words(self):
-        assert tokenize_count("graph neural network") == 3
+        assert token_count("graph neural network") == 3
 
     def test_cjk_chars_count_individually(self):
-        assert tokenize_count("数据") == 2
+        assert token_count("数据") == 2
 
     def test_mixed(self):
         # "data数据 set" -> "data", two Han chars, "set".
-        assert tokenize_count("data数据 set") == 4
+        assert token_count("data数据 set") == 4
 
     def test_punctuation_separates(self):
-        assert tokenize_count("a.b,c") == 3
-        assert tokenize_count("...") == 0
+        assert token_count("a.b,c") == 3
+        assert token_count("...") == 0
 
     def test_empty(self):
-        assert tokenize_count("") == 0
+        assert token_count("") == 0
 
     def test_matches_reference_segmenter(self):
         rng = np.random.default_rng(19)
         from helpers import random_text
         for _ in range(500):
             t = normalize(random_text(rng, 200))
-            assert tokenize_count(t) == ref_token_count(t)
+            assert token_count(t) == ref_token_count(t)
 
     def test_encode_roundtrip(self):
         s = "ab数\U00020000c"
