@@ -16,8 +16,8 @@ from .errors import HksError, UsageError
 from .files import writing
 from .metrics import RECORD_SCORES, SCORE_FIELDS
 from .pool import load_pool, pool_stats
-from .pipeline import (RunConfig, run_corr, run_fsearch, run_hist, run_score,
-                       run_select, run_split)
+from .pipeline import (RunConfig, _check_outputs, run_corr, run_fsearch,
+                       run_hist, run_score, run_select, run_split)
 from .selection import STRATEGIES, SelectionSpec
 
 log = logging.getLogger(__name__)
@@ -154,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pool_stats(args) -> int:
+    if args.out:
+        _check_outputs([args.pool], args.out)
     pool = load_pool(args.pool, strict=args.strict)
     payload = pool_stats(pool).to_json()
     if args.out:

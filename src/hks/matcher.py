@@ -34,7 +34,7 @@ from .pool import DOMAINS, KnowledgePool
 # perfbench/spans.py wraps `token_count_from_classes` here by name, so the
 # import stays (tests/test_imports.py); the batch counts use `token_counts`.
 from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
-                       token_count_from_classes, token_counts)
+                       normalize_lines, token_count_from_classes, token_counts)
 
 # Odd, so invertible mod 2^64; no output depends on its value.
 _BASE = 0x9E3779B97F4A7C15
@@ -211,11 +211,12 @@ class MatchCounts(NamedTuple):
 def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
     """The counts of a batch of document texts, in order.
 
-    The normalized texts are matched as one codepoint array, SEPARATOR
-    between neighbours; tokens and matches are counted over the whole
-    array at once and then per document.
+    The texts, each "\n" read as a space, are normalized as one batch
+    and matched as one codepoint array, SEPARATOR between neighbours;
+    tokens and matches are counted over the whole array at once and then
+    per document.
     """
-    texts = [normalize(text) for text in texts]
+    texts = normalize_lines([text.replace("\n", " ") for text in texts])
     sizes = np.array([len(t) + 1 for t in texts], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     cps = encode_codepoints("\0".join(texts)).copy()

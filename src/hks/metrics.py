@@ -332,8 +332,8 @@ class ScoreTable:
     def from_records(cls, records: ScoreTable | Sequence[ScoreRecord],
                      ) -> ScoreTable:
         """The columns of a sequence of ScoreRecords; a ScoreTable is
-        returned as it is. A record whose domain names differ from the
-        first record's is a DataError naming it."""
+        returned as it is. A record whose domains differ from the first
+        record's, or with a NaN or infinite score, is a DataError."""
         if isinstance(records, ScoreTable):
             return records
         ids, n_p, d, c, hks, meta = [], [], [], [], [], []
@@ -356,13 +356,17 @@ class ScoreTable:
         scores = {"d": d, "c": c, "hks": hks}
         for name in sorted(names):
             scores[name] = [r.domains[name]["score"] for r in records]
+        for name, values in scores.items():
+            if not all(map(math.isfinite, values)):
+                row = list(map(math.isfinite, values)).index(False)
+                raise DataError(f"record {ids[row]!r}: {name!r} is not a "
+                                f"finite number ({values[row]!r})")
         return cls(ids, n_p, scores, meta)
 
     def column(self, score_field: str) -> list:
         """The score column named by `score_field`: d, c, hks or a
         domain name (that domain's composite score); [] for an empty
-        table. A NaN or infinite value, which `extend_columns` refuses
-        but `from_records` does not, is a DataError naming its record."""
+        table."""
         values = self.scores.get(score_field)
         if values is None and self.ids:
             available = [*RECORD_SCORES, *sorted(self.scores.keys()
@@ -370,11 +374,6 @@ class ScoreTable:
             raise DataError(
                 f"record {self.ids[0]!r} has no score field "
                 f"{score_field!r}; available: {', '.join(available)}")
-        if values and not all(map(math.isfinite, values)):
-            row = next(k for k, v in enumerate(values)
-                       if not math.isfinite(v))
-            raise DataError(f"record {self.ids[row]!r}: {score_field!r} is "
-                            f"not a finite number ({values[row]!r})")
         return values or []
 
     def take(self, rows: Sequence[int]) -> ScoreTable:

@@ -743,6 +743,8 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
         if not col.startswith("ext:") and col not in SCORE_FIELDS:
             raise DataError(f"no score field {col!r}; available: "
                             f"{', '.join(SCORE_FIELDS)}, ext:<name>")
+        if columns.count(col) > 1:
+            raise DataError(f"column {col!r} is named more than once")
     table = _open_run(scores_dir, [out_path], [ext_path] if ext_path else [])
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table

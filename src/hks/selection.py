@@ -81,8 +81,8 @@ class SelectionSpec:
             if self.by_docs:
                 raise MixSpecError("mix strategy budgets tokens, not "
                                    "documents")
-        if not self.tau > 0:  # NaN fails too
-            raise DataError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:  # NaN fails too
+            raise DataError(f"tau must be finite and > 0, got {self.tau}")
         _check_seed(self.seed)
         check_budget(self.budget, "budget")
         _check_alpha(self.alpha)

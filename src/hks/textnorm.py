@@ -1,12 +1,12 @@
 """Text normalization, character classes, and token counting.
 
 Matching is only well-defined if pool surfaces and document text go
-through the *same* normalization, so both sides funnel through
-:func:`normalize`. Token counting follows a deterministic word-segmentation
-rule: a token is either a maximal run of word characters (letters, digits,
-combining marks, connector punctuation) or a single CJK character
-(Han ideographs and kana carry no word delimiters, so each counts as
-one token).
+through the *same* normalization, so both funnel through
+:func:`normalize_lines`, a batch at a time. Token counting follows a
+deterministic word-segmentation rule: a token is either a maximal run
+of word characters (letters, digits, combining marks, connector
+punctuation) or a single CJK character (Han ideographs and kana carry
+no word delimiters, so each counts as one token).
 """
 
 from __future__ import annotations
@@ -44,18 +44,18 @@ _class_table: np.ndarray | None = None
 
 
 def normalize(text: str) -> str:
-    """NFC + full case folding + whitespace collapse.
+    """NFC + full case folding + whitespace collapse: `normalize_lines`
+    of the text with each "\\n" read as the space it collapses to."""
+    return normalize_lines([text.replace("\n", " ")])[0]
+
+
+def normalize_lines(texts: list[str]) -> list[str]:
+    """NFC + full case folding + whitespace collapse of each text, for
+    texts holding no "\\n": the one implementation of the rule.
 
     Case folding can denormalize (e.g. U+0130 folds to "i" + combining
     dot), so NFC is applied again after folding. Whitespace runs collapse
     to single spaces and leading/trailing whitespace is stripped.
-    """
-    folded = unicodedata.normalize("NFC", text).casefold()
-    return " ".join(unicodedata.normalize("NFC", folded).split())
-
-
-def normalize_lines(texts: list[str]) -> list[str]:
-    """`[normalize(text) for text in texts]`, for texts holding no "\\n".
 
     NFC, casefold and NFC each run once over the texts joined by "\\n",
     which never composes, reorders or folds, so every text comes out as

@@ -495,8 +495,10 @@ class TestExitCodes:
         (["--strategy", "mix", "--alpha", "0.5", "--split-budget-tokens",
           "6", "--seed", str(2**64)], "seed"),
         (["--strategy", "sample", "--tau", "nan"], "tau"),
+        (["--strategy", "sample", "--tau", "inf"], "tau"),
+        (["--strategy", "sample", "--tau", "1e309"], "tau"),
     ], ids=["sample-seed-negative", "sample-seed-2**64", "mix-seed-negative",
-            "mix-seed-2**64", "tau-nan"])
+            "mix-seed-2**64", "tau-nan", "tau-inf", "tau-1e309"])
     def test_bad_seed_or_tau_is_data_error(self, workspace, capsys,
                                            monkeypatch, flags, named):
         root, corpus = workspace
@@ -749,6 +751,18 @@ class TestPoolStats:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"] == 5
 
+    def test_out_over_its_pool_is_refused(self, workspace, capsys,
+                                          monkeypatch):
+        root, _ = workspace
+        monkeypatch.chdir(root)
+        before = files_under(root)
+        capsys.readouterr()
+        assert main(["pool", "stats", "pool.tsv", "--out",
+                     "shards/../pool.tsv"]) == 2
+        assert ("hks: error: shards/../pool.tsv: is "
+                in capsys.readouterr().err)
+        assert files_under(root) == before
+
 
 class TestWalkthrough:
     def test_score_select_split_analyze(self, workspace, capsys):
@@ -865,6 +879,42 @@ class TestWalkthrough:
         assert (record["id"], record["n_k"]) == ("a", 2)
         assert record["domains"]["art"]["n"] == 1
 
+    def test_every_json_output_is_strict_json(self, workspace, capsys):
+        # RFC 8259 has no NaN or Infinity. A command may refuse an extreme
+        # flag, but what it writes must parse.
+        root, corpus = workspace
+        scores = str(root / "scores")
+        assert run_score(root, corpus) == 0
+        assert main(["pool", "stats", str(root / "pool.tsv"), "--out",
+                     str(root / "stats.json")]) == 0
+        select = ["select", "--scores", scores, "--budget-docs", "2"]
+        for i, tau in enumerate(["0.001", "1e308", "inf", "1e309"]):
+            main([*select, "--out", str(root / f"sample-{i}"), "--strategy",
+                  "sample", "--tau", tau, "--seed", "3"])
+        assert main([*select, "--out", str(root / "topk"), "--emit-corpus",
+                     str(root / "emitted.jsonl")]) == 0
+        assert main(["select", "--scores", scores, "--out",
+                     str(root / "mix"), "--strategy", "mix",
+                     "--budget-tokens", "10", "--alpha", "0.5",
+                     "--split-budget-tokens", "6"]) == 0
+        assert main(["split", "--scores", scores, "--out",
+                     str(root / "split"), "--budget-tokens", "6"]) == 0
+        assert main(["analyze", "corr", "--scores", scores, "--columns",
+                     "d,c,hks,art", "--out", str(root / "corr.json")]) == 0
+        capsys.readouterr()
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        written = sorted(root.rglob("*.json")) + sorted(root.rglob("*.jsonl"))
+        assert len(written) >= 20
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            docs = [text] if path.suffix == ".json" else text.splitlines()
+            for doc in docs:
+                json.loads(doc, parse_constant=refuse)
+        assert (root / "sample-1" / "selection.json").exists()
+
     def test_no_boundary_and_no_domains_flags(self, workspace):
         root, corpus = workspace
         assert run_score(root, corpus, "--no-boundary", "--no-domains") == 0
@@ -917,7 +967,16 @@ class TestArgumentErrorsReadNoShard:
         (["analyze", "corr", "--columns", "d,bogus", "--out", "corr.json"],
          "no score field 'bogus'; available: hks, d, c, art, culture, "
          "life, science, society, ext:<name>"),
-    ], ids=["split-negative-budget", "hist-zero-buckets", "corr-bogus-column"])
+        (["analyze", "corr", "--columns", "d,d", "--out", "corr.json"],
+         "column 'd' is named more than once"),
+        (["analyze", "corr", "--columns", "hks,d,hks", "--out", "corr.json"],
+         "column 'hks' is named more than once"),
+        (["analyze", "corr", "--columns", "d,ext:ppl,ext:ppl", "--ext",
+          "ext.jsonl", "--out", "corr.json"],
+         "column 'ext:ppl' is named more than once"),
+    ], ids=["split-negative-budget", "hist-zero-buckets", "corr-bogus-column",
+            "corr-column-twice", "corr-column-repeated-apart",
+            "corr-ext-column-twice"])
     def test_refused_before_load(self, workspace, capsys, monkeypatch,
                                  argv, message):
         root, corpus = workspace

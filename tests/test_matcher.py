@@ -201,10 +201,12 @@ class TestOracleEquivalence:
 # "a b c"), CJK-bearing ones ("a数b" has word edges yet is matched as a
 # raw substring), non-word edges ("-", "+", " "), Hangul (word-bounded
 # like Latin) and a combining mark, which NFC folds into "é" after "e"
-# and which is a word character on its own after CJK.
+# and which is a word character on its own after CJK. Texts also hold
+# line breaks, which normalize to a space like any whitespace.
 _SURFACE_PIECES = ["a", "b", "ab", "a-b", "a b c", "a数b", "e", "é",
                    "\u0301", "_", "1", "-", "+", " ", "数", "据", "한", "국"]
-_TEXT_PIECES = _SURFACE_PIECES + [".", "!?", "--", "  ", "A", "É", "語"]
+_TEXT_PIECES = _SURFACE_PIECES + [".", "!?", "--", "  ", "A", "É", "語",
+                                   "\n", "\r", "\u2028"]
 
 _surfaces = (st.lists(st.sampled_from(_SURFACE_PIECES), min_size=1, max_size=4)
              .map(lambda parts: ref_normalize("".join(parts))).filter(bool))
@@ -240,6 +242,8 @@ class TestBatch:
     # The join must not read as U+0000, which a surface may hold.
     @example(elements=[("a\x00b", "art")], texts=["a", "b", "a\x00b"],
              boundary=False)
+    @example(elements=[("a b", "art")], texts=["a\nb", "a\r\nb", "a\u2028b"],
+             boundary=True)
     def test_batch_matches_naive_per_document(self, elements, texts,
                                               boundary):
         auto = build_automaton(make_pool(elements),

@@ -482,3 +482,28 @@ def test_shard_without_scored_records_writes_the_parsed_columns(tmp_path,
                             ("input", "config_hash", "pool_sha256")}) \
         == entry["columns_sha256"]
     assert again.read_bytes() == written.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["d", "c", "hks", "art"])
+def test_record_list_with_a_non_finite_score_is_refused(field, bad):
+    # Refused where the rows enter, whichever column a later read takes.
+    records = toy_records(4, 6, True)
+    target = records[3]
+    if field in DOMAINS:
+        target.domains[field]["score"] = bad
+    else:
+        setattr(target, field, bad)
+    for ordered in (records, records[::-1]):
+        with pytest.raises(DataError, match=(
+                f"^record {re.escape(repr(target.doc_id))}: '{field}' is "
+                f"not a finite number \\({bad!r}\\)$")):
+            ScoreTable.from_records(ordered)
+
+
+def test_column_of_a_loaded_table_is_its_list(tmp_path):
+    scores = write_scores(tmp_path, [[r.to_json() for r in
+                                      toy_records(5, 30, True)]])
+    table = load_score_records(scores)
+    for name in ("hks", "d", "art"):
+        assert table.column(name) is table.scores[name]

@@ -369,10 +369,10 @@ class TestDispatch:
             SelectionSpec(budget=-1)
         with pytest.raises(DataError):
             SelectionSpec(alpha=1.2)
-        for tau in (math.nan, -math.inf):
+        for tau in (math.nan, -math.inf, math.inf):
             with pytest.raises(DataError, match="tau"):
                 SelectionSpec(tau=tau)
-        assert SelectionSpec(tau=math.inf).tau == math.inf
+        assert SelectionSpec(tau=1e308).tau == 1e308
         for seed in (-1, 2**64):
             with pytest.raises(DataError, match="seed"):
                 SelectionSpec(seed=seed)

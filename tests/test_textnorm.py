@@ -1,6 +1,8 @@
 """Normalization, character classes, and token counting."""
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,15 @@ _LINE_TEXTS = st.lists(st.text(st.one_of(
     max_size=8), max_size=12)
 
 
+# Document texts: newlines and every other line or space separator,
+# combining marks, Hangul jamo, folds that change length, CJK and NUL.
+_DOC_CHARS = ["\n", "\r", "\x85", "\u2028", "\x1c", "\xa0", "\u3000",
+              "\t", " ", "\u0301", "\u0307", "\u0327", "\u1100", "\u1161",
+              "\u11a8", "\u0130", "ß", "ﬁ", "e", "A", "数", "語", "\0"]
+_BATCHES = st.lists(st.text(st.one_of(
+    st.sampled_from(_DOC_CHARS), st.characters()), max_size=8), max_size=12)
+
+
 class TestNormalizeLines:
     @settings(max_examples=300, deadline=None)
     @given(texts=_LINE_TEXTS)
@@ -87,6 +98,17 @@ class TestNormalizeLines:
     @example(texts=["a  b", " a", "a ", "a\u2028b", "a \x1fb"])
     def test_equals_normalize_of_each(self, texts):
         assert normalize_lines(texts) == [normalize(t) for t in texts]
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=_BATCHES)
+    # A joiner that let neighbours compose would fold these into "é".
+    @example(texts=["e", "\u0301"])
+    @example(texts=["\u1100", "\u1161", "\u1100\n\u1161\u11a8"])
+    @example(texts=["a\nb", "\n", "\r\n", "\u0130\n\u0307", ""])
+    def test_batch_equals_reference(self, texts):
+        # How documents are normalized: "\n" read as a space, one batch.
+        assert normalize_lines([t.replace("\n", " ") for t in texts]) == \
+            [ref_normalize(t) for t in texts]
 
     def test_empty_list(self):
         assert normalize_lines([]) == []
@@ -168,3 +190,29 @@ class TestTokenCount:
         cps = encode_codepoints(s)
         assert cps.dtype == np.uint32
         assert [chr(c) for c in cps] == list(s)
+
+
+def test_unicodedata_normalize_is_called_in_one_place():
+    # One implementation of the normalization rule: every reference to
+    # unicodedata.normalize in the package sits in normalize_lines.
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "normalize"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "unicodedata") or (
+                    isinstance(child, ast.ImportFrom)
+                    and child.module == "unicodedata"
+                    and "normalize" in [a.name for a in child.names]):
+                found.append((module, scope))
+            visit(child, module, scope)
+
+    src = Path(__file__).resolve().parent.parent / "src" / "hks"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert found and set(found) == {("textnorm", "normalize_lines")}, found
