@@ -10,20 +10,25 @@ match when not flanked by word characters, so "art" never fires inside
 match as raw substrings: CJK text carries no word delimiters.
 
 Every surface takes one matching path, a hash join over codepoints
-(Karp & Rabin, IBM J. Res. Dev. 1987): surfaces are keyed by length and
-a polynomial hash of their codepoints mod 2^64. Each text window of each
-surface length is hashed from prefix sums; a flag table on the top hash
-bits drops most windows, and the rest are looked up among that length's
-sorted hashes. Every surface with an equal hash is checked against the
-window's codepoints, so a shared hash never miscounts, and the boundary
-rule reads the word flags beside the window. `count_all` matches a
-batch of documents as one codepoint array, with SEPARATOR between
-neighbours so that no window spans two documents, and returns the
-batch's counts as arrays.
+(Karp & Rabin, IBM J. Res. Dev. 1987) keyed by anchors (Wu & Manber,
+"A fast algorithm for multi-pattern searching", 1994). Surfaces fall
+into length bands 1, 2-3, 4-7, 8-15 and so on; each is keyed by a
+polynomial hash mod 2^64 of its codepoints, and by the same hash of its
+first A, its head, where A is the shortest length in its band. Per band,
+each text window of length A is hashed once from prefix sums; a flag
+table on the top hash bits drops most windows, and the rest are looked
+up once among the band's sorted heads. Each surface with an equal head
+is a candidate, kept when it ends inside the text, its full-length
+window hashes to its key, and the window's codepoints equal its own, so
+a shared hash never miscounts; the boundary rule reads the word flags
+beside the window. `count_all` matches a batch of documents as one
+codepoint array, with SEPARATOR between neighbours so that no window
+spans two documents, and returns the batch's counts as arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -78,13 +83,40 @@ def _powers(base: int, n: int) -> np.ndarray:
     return np.cumprod(np.full(n, base, dtype=np.uint64))
 
 
+class _Band(NamedTuple):
+    """The surfaces of lengths 2^b to 2^(b+1) - 1, sorted by anchor hash.
+
+    `anchor` is the band's shortest surface length A and `width` its
+    longest. `heads` holds the hash of each surface's first A
+    codepoints, and at the first index of each run of equal heads,
+    `runs` holds the run's length. `keys` are the full hashes, `ids` the
+    pattern ids and `lens` the lengths; a surface's codepoints start at
+    its `offsets` entry in `flat`, the band's rows end to end.
+    """
+
+    anchor: int
+    width: int
+    heads: np.ndarray
+    runs: np.ndarray
+    keys: np.ndarray
+    ids: np.ndarray
+    lens: np.ndarray
+    offsets: np.ndarray
+    flat: np.ndarray
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a lone array is itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 class Automaton:
     """Immutable multi-pattern matcher built from a pool.
 
     Pattern ids are pool indices; `bounded[p]` says whether the boundary
-    rule applies to pattern p. `_tables` holds, per surface length and
-    shortest first, (length, sorted hashes, their pattern ids, their
-    codepoint rows); `_filter` flags each top-bits value some hash has.
+    rule applies to pattern p. `_bands` holds one `_Band` per length
+    band present, shortest first; `_filter` flags each top-bits value
+    some anchor hash has.
 
     Construction is deterministic for a given pool. Matching reads the
     instance and never writes it, so one instance may be shared across
@@ -103,7 +135,7 @@ class Automaton:
 
     def _build(self, pool: KnowledgePool, boundary: bool) -> None:
         surfaces = pool.surfaces
-        lens = np.fromiter(map(len, surfaces), dtype=np.int64,
+        lens = np.fromiter(map(len, surfaces), dtype=np.int32,
                            count=pool.total)
         if lens.min() < 1:
             raise DataError("empty surface in pool; automaton patterns need length >= 1")
@@ -114,27 +146,65 @@ class Automaton:
         bits = max(10, pool.total.bit_length() + 4)
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
-        self._tables = []
+        self._bands = []
         powers = _powers(_BASE, int(lens.max()))
         order = np.argsort(lens, kind="stable")
-        for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-            cps = encode_codepoints("".join([surfaces[i] for i in ids]))
-            # One row per surface, in the narrowest type that fits.
-            rows = cps.astype(np.min_scalar_type(int(cps.max()))).reshape(ids.size, -1)
-            del cps  # dropped early: temporaries set the build's peak memory
-            length = rows.shape[1]
-            keys = np.zeros(ids.size, dtype=np.uint64)
-            # Column by column: no temporary holds 8 bytes per codepoint.
-            for k in range(length):
-                keys += rows[:, k] * powers[k]
-            if boundary:
-                cls = class_table()[rows]
-                self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
-                                     & ~(cls & CJK).any(axis=1))
-                del cls  # likewise
-            self._filter[keys >> self._shift] = True
-            rank = np.argsort(keys, kind="stable")
-            self._tables.append((length, keys[rank], ids[rank], rows[rank]))
+        groups = np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
+        # Length L falls in band L.bit_length(): 1, 2-3, 4-7, 8-15, ...
+        for _, band in itertools.groupby(
+                groups, lambda ids: int(lens[ids[0]]).bit_length()):
+            band = list(band)
+            anchor = int(lens[band[0][0]])
+            rows, heads, keys = zip(*[self._encode(ids, anchor, powers, boundary)
+                                      for ids in band])
+            # Rows stay in length order; the sorted entries point into them.
+            flat = _joined([row.ravel() for row in rows])
+            starts = itertools.accumulate([row.size for row in rows], initial=0)
+            offsets = _joined([np.arange(start, start + row.size, row.shape[1],
+                                         dtype=np.min_scalar_type(flat.size))
+                               for start, row in zip(starts, rows)])
+            del rows
+            heads, keys = _joined(heads), _joined(keys)
+            self._filter[heads >> self._shift] = True
+            # Not stable, so several times faster: a window checks every
+            # surface of its head's run, in whatever order.
+            rank = np.argsort(heads)
+            # In a band of one length, the heads are the keys.
+            one = keys is heads
+            heads = heads[rank]
+            keys = heads if one else keys[rank]
+            firsts = np.flatnonzero(np.diff(heads, prepend=~heads[:1]))
+            runs = np.zeros(rank.size, dtype=np.int32)
+            runs[firsts[:-1]] = np.diff(firsts)
+            runs[firsts[-1]] = rank.size - firsts[-1]
+            del firsts
+            width = int(lens[band[-1][0]])
+            ids = _joined(band)[rank]
+            self._bands.append(_Band(
+                anchor, width, heads, runs, keys,
+                ids.astype(np.min_scalar_type(pool.total)),
+                lens[ids].astype(np.min_scalar_type(width)), offsets[rank], flat))
+
+    def _encode(self, ids: np.ndarray, anchor: int, powers: np.ndarray,
+                boundary: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The codepoint rows of the surfaces `ids`, all of one length,
+        and the hashes of their first `anchor` codepoints and of the
+        whole; sets their `bounded` flags."""
+        cps = encode_codepoints("".join([self.pat_surfaces[i] for i in ids]))
+        # One row per surface, in the narrowest type that fits.
+        rows = cps.astype(np.min_scalar_type(int(cps.max()))).reshape(ids.size, -1)
+        del cps  # dropped early: temporaries set the build's peak memory
+        keys = heads = np.zeros(ids.size, dtype=np.uint64)
+        # Column by column: no temporary holds 8 bytes per codepoint.
+        for k in range(rows.shape[1]):
+            if k == anchor:
+                heads = keys.copy()
+            keys += rows[:, k] * powers[k]
+        if boundary:
+            cls = class_table()[rows]
+            self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
+                                 & ~(cls & CJK).any(axis=1))
+        return rows, heads, keys
 
     def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every boundary-surviving occurrence in the codepoints `cps`
@@ -146,24 +216,43 @@ class Automaton:
         prefix = np.zeros(n + 1, dtype=np.uint64)
         np.cumsum(cps * _powers(_BASE, n + 1)[1:], out=prefix[1:])
         unshift = _powers(_INVERSE, n + 1)
+
+        def hashed(at: np.ndarray, end: np.ndarray) -> np.ndarray:
+            """The hashes of the windows [at, end)."""
+            return (prefix[end] - prefix[at]) * unshift[at]
+
         word = np.zeros(n + 2, dtype=bool)
         word[1:-1] = cls == WORD
         found = [(np.zeros(0, dtype=np.int64),) * 2]
-        for length, keys, ids, rows in self._tables:
-            if length > n:
+        for anchor, width, heads, runs, keys, ids, lens, offsets, flat in self._bands:
+            if anchor > n:
                 break
-            h = (prefix[length:] - prefix[:-length]) * unshift[:-length]
-            at = np.flatnonzero(self._filter[h >> self._shift])
-            lo = np.searchsorted(keys, h[at], side="left")
-            n_eq = np.searchsorted(keys, h[at], side="right") - lo
-            # Every surface with an equal hash is a candidate.
+            # In place: a batch-long temporary sets the scan's peak memory.
+            top = prefix[anchor:] - prefix[:-anchor]
+            top *= unshift[:-anchor]
+            top >>= self._shift
+            at = np.flatnonzero(self._filter[top])
+            del top
+            h = hashed(at, at + anchor)
+            lo = np.searchsorted(heads, h)
+            n_eq = runs.take(lo, mode="clip") * (heads.take(lo, mode="clip") == h)
+            # Every surface with an equal head is a candidate.
             at = np.repeat(at, n_eq)
             cand = (np.repeat(lo + n_eq - np.cumsum(n_eq), n_eq)
                     + np.arange(at.size))
-            same = (cps[at[:, None] + np.arange(length)] == rows[cand]).all(axis=1)
-            at, pids = at[same], ids[cand[same]]
+            end = at + lens[cand]
+            fits = end <= n
+            at, cand, end = at[fits], cand[fits], end[fits]
+            same = hashed(at, end) == keys[cand]
+            at, cand, end = at[same], cand[same], end[same]
+            # The first L codepoints of a width-long window, L its surface's.
+            cols = np.arange(width)
+            same = ((cps.take(at[:, None] + cols, mode="clip")
+                     == flat.take(offsets[cand][:, None] + cols, mode="clip"))
+                    | (cols >= (end - at)[:, None])).all(axis=1)
+            at, end, pids = at[same], end[same], ids[cand[same]]
             # word[i + 1] flags text position i.
-            free = ~(self.bounded[pids] & (word[at] | word[at + length + 1]))
+            free = ~(self.bounded[pids] & (word[at] | word[end + 1]))
             found.append((pids[free], at[free]))
         pids, starts = zip(*found)
         return np.concatenate(pids), np.concatenate(starts)

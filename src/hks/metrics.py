@@ -293,6 +293,14 @@ def _counts_ok(values: list) -> bool:
     return set(map(type, values)) <= {int} and min(values, default=1) >= 1
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, False for a value it refuses."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def finite_numbers(values: list) -> bool:
     try:
         return (set(map(type, values)) <= {int, float}
@@ -333,7 +341,9 @@ class ScoreTable:
                      ) -> ScoreTable:
         """The columns of a sequence of ScoreRecords; a ScoreTable is
         returned as it is. A record whose domains differ from the first
-        record's, or with a NaN or infinite score, is a DataError."""
+        record's, or with a score that is not a finite number (NaN,
+        infinite, None, a str, an int beyond float range), is a
+        DataError."""
         if isinstance(records, ScoreTable):
             return records
         ids, n_p, d, c, hks, meta = [], [], [], [], [], []
@@ -357,10 +367,14 @@ class ScoreTable:
         for name in sorted(names):
             scores[name] = [r.domains[name]["score"] for r in records]
         for name, values in scores.items():
-            if not all(map(math.isfinite, values)):
-                row = list(map(math.isfinite, values)).index(False)
-                raise DataError(f"record {ids[row]!r}: {name!r} is not a "
-                                f"finite number ({values[row]!r})")
+            try:
+                if all(map(math.isfinite, values)):
+                    continue
+            except (TypeError, OverflowError):  # None, a str, a huge int
+                pass
+            row = list(map(_is_finite, values)).index(False)
+            raise DataError(f"record {ids[row]!r}: {name!r} is not a "
+                            f"finite number ({values[row]!r})")
         return cls(ids, n_p, scores, meta)
 
     def column(self, score_field: str) -> list:

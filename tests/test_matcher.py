@@ -283,6 +283,68 @@ def _thue_morse(n: int, zero: str, one: str) -> str:
     return "".join(one if bin(i).count("1") % 2 else zero for i in range(n))
 
 
+# Banded pools: prefixes of a few 64-character stems, so surfaces of one
+# band share their first characters and some are prefixes of others; a
+# surface may have its last character swapped to differ only there.
+# "-" edges and CJK take the substring path, a/b surfaces the word rule.
+_STEM_CHARS = "ab-数"
+_FILLERS = ["a", "b", " ", "-", "数", ".", "x"]
+
+
+@st.composite
+def _banded_cases(draw):
+    stems = draw(st.lists(st.text(_STEM_CHARS, min_size=64, max_size=64),
+                          min_size=1, max_size=3))
+    lengths = draw(st.lists(st.integers(2, 64), min_size=3, max_size=12,
+                            unique=True)
+                   .filter(lambda ls: len({n.bit_length() for n in ls}) >= 3))
+    pool = {}
+    for n in lengths:
+        surface = draw(st.sampled_from(stems))[:n]
+        if draw(st.booleans()):
+            surface = surface[:-1] + draw(st.sampled_from(_STEM_CHARS))
+        pool[surface] = draw(st.sampled_from(DOMAINS))
+    pieces = st.sampled_from(list(pool) + stems + _FILLERS)
+    texts = draw(st.lists(st.lists(pieces, max_size=8).map("".join),
+                          max_size=4))
+    return list(pool.items()), texts
+
+
+class TestBandedDifferential:
+    """`count_all` and `find_matches` against the naive scan on pools of
+    lengths 2-64 across at least three length bands, in both boundary
+    modes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_banded_cases())
+    # A text ending inside a longer surface of the band; one surface a
+    # prefix of another, and two that differ in their last character.
+    @example(case=([("ab", "art"), ("abab", "life"), ("abab-ab", "science"),
+                    ("abab-aa", "culture"), ("abab-abab", "society")],
+                   ["abab-a", "abab-ab", "xabab-abab", "ab-abab-aa"]))
+    # Equal heads and, on the first text, an equal full hash (see
+    # TestAnchorCollision): only the codepoint compare refuses it.
+    @example(case=([("ab", "art"), ("abab", "life"), ("c" * 1024, "culture"),
+                    (_thue_morse(1024, "a", "b") + "ab", "science"),
+                    (_thue_morse(1024, "b", "a") + "b", "art")],
+                   [_thue_morse(1024, "b", "a") + "ab",
+                    _thue_morse(1024, "a", "b") + "b abab"]))
+    def test_batch_and_matches_equal_the_naive_scan(self, case):
+        elements, texts = case
+        for boundary in (True, False):
+            auto = build_automaton(make_pool(elements),
+                                   MatcherConfig(boundary=boundary))
+            assert len(auto._bands) >= 3
+            counts = count_all(texts, auto)
+            assert [(n_k, n_distinct, dict(zip(DOMAINS, zip(o, u))))
+                    for n_k, n_distinct, o, u in zip(
+                        *(column.tolist() for column in counts[1:]))] == \
+                [naive_match_counts(t, elements, boundary) for t in texts]
+            for t in texts:
+                assert auto.find_matches(t) == \
+                    naive_occurrences(t, elements, boundary)
+
+
 class TestHashCollision:
     """The length-1024 Thue-Morse word over {a, b} and its complement
     have equal polynomial hashes mod 2^64 under any odd base."""
@@ -293,8 +355,9 @@ class TestHashCollision:
 
     def test_the_surfaces_share_a_hash(self):
         auto = build_automaton(make_pool(self.ELEMENTS))
-        ((length, keys, _, _),) = auto._tables
-        assert length == 1024 and keys[0] == keys[1]
+        (band,) = auto._bands
+        assert (band.anchor, band.width) == (1024, 1024)
+        assert band.keys[0] == band.keys[1]
 
     @pytest.mark.parametrize("boundary", [True, False])
     @pytest.mark.parametrize("text", [
@@ -309,6 +372,47 @@ class TestHashCollision:
         if " " in text:
             assert prof.per_domain["science"][0] == text.count(self.WORD)
             assert prof.per_domain["art"][0] == text.count(self.COMPLEMENT)
+
+
+class TestAnchorCollision:
+    """The Thue-Morse word extended by "ab" and its complement extended
+    by "b" fall in one band, whose anchor length 1024 a third surface
+    sets: their heads collide while the surfaces differ. A text holding
+    one extension with the other's first 1024 characters also matches
+    its full hash, so only the codepoint compare tells them apart."""
+
+    WORD = TestHashCollision.WORD + "ab"
+    COMPLEMENT = TestHashCollision.COMPLEMENT + "b"
+    ELEMENTS = [("c" * 1024, "life"), (WORD, "science"),
+                (COMPLEMENT, "art")]
+
+    def test_the_heads_collide(self):
+        auto = build_automaton(make_pool(self.ELEMENTS))
+        (band,) = auto._bands
+        assert (band.anchor, band.width) == (1024, 1026)
+        assert len(set(band.heads.tolist())) == 2
+        assert len(set(band.keys.tolist())) == 3
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    @pytest.mark.parametrize("text", [
+        WORD, COMPLEMENT, TestHashCollision.COMPLEMENT + "ab",
+        TestHashCollision.WORD + "b", f"{WORD} {COMPLEMENT}",
+        f"{COMPLEMENT}.{WORD}", WORD + COMPLEMENT, COMPLEMENT[:-1],
+        "c" * 1026,
+    ], ids=["word", "complement", "complement-ab", "word-b", "both",
+            "both-reversed", "joined", "cut-short", "c-run"])
+    def test_each_surface_counted_exactly(self, text, boundary):
+        elements = self.ELEMENTS
+        auto = build_automaton(make_pool(elements),
+                               MatcherConfig(boundary=boundary))
+        counts = count_all([text, text[:1030]], auto)
+        assert [(n_k, n_distinct, dict(zip(DOMAINS, zip(o, u))))
+                for n_k, n_distinct, o, u in zip(
+                    *(column.tolist() for column in counts[1:]))] == \
+            [naive_match_counts(t, elements, boundary)
+             for t in (text, text[:1030])]
+        assert auto.find_matches(text) == \
+            naive_occurrences(text, elements, boundary)
 
 
 class TestAdditivity:

@@ -501,6 +501,25 @@ def test_record_list_with_a_non_finite_score_is_refused(field, bad):
             ScoreTable.from_records(ordered)
 
 
+@pytest.mark.parametrize("bad", [None, "1.0", 10 ** 400],
+                         ids=["none", "str", "huge-int"])
+@pytest.mark.parametrize("field", ["d", "hks", "art"])
+def test_record_list_with_a_score_that_is_no_number_is_refused(field, bad):
+    # math.isfinite raises TypeError or OverflowError on these; the
+    # refusal is the DataError a NaN gets, naming record and field.
+    records = toy_records(4, 6, True)
+    target = records[2]
+    if field in DOMAINS:
+        target.domains[field]["score"] = bad
+    else:
+        setattr(target, field, bad)
+    for ordered in (records, records[::-1]):
+        with pytest.raises(DataError, match=(
+                f"^record {re.escape(repr(target.doc_id))}: '{field}' is "
+                f"not a finite number \\({re.escape(repr(bad))}\\)$")):
+            ScoreTable.from_records(ordered)
+
+
 def test_column_of_a_loaded_table_is_its_list(tmp_path):
     scores = write_scores(tmp_path, [[r.to_json() for r in
                                       toy_records(5, 30, True)]])
