@@ -36,16 +36,18 @@ import numpy as np
 
 from .errors import DataError, EmptyPoolError, ResourceError
 from .pool import DOMAINS, KnowledgePool
-# perfbench/spans.py wraps `token_count_from_classes` here by name, so the
-# import stays (tests/test_imports.py); the batch counts use `token_counts`.
-from .textnorm import (CJK, WORD, class_table, encode_codepoints, normalize,
-                       normalize_lines, token_count_from_classes, token_counts)
+# perfbench/spans.py wraps `class_table` and `token_count_from_classes`
+# here by name, so the imports stay (tests/test_imports.py).
+from .textnorm import (CJK, WORD, class_table, classes, encode_codepoints,
+                       normalize, normalize_lines, token_count_from_classes,
+                       token_counts)
 
 # Odd, so invertible mod 2^64; no output depends on its value.
 _BASE = 0x9E3779B97F4A7C15
 _INVERSE = pow(_BASE, -1, 1 << 64)
 # Beyond Unicode, so no surface holds it; its class is 0.
 SEPARATOR = 0x110000
+_power_pair = (np.zeros(0, dtype=np.uint64),) * 2
 
 
 @dataclass
@@ -78,9 +80,15 @@ class MatcherConfig:
     boundary: bool = True
 
 
-def _powers(base: int, n: int) -> np.ndarray:
-    """base^1 .. base^n mod 2^64."""
-    return np.cumprod(np.full(n, base, dtype=np.uint64))
+def _powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_BASE^1 .. _BASE^n and _INVERSE^1 .. _INVERSE^n mod 2^64, cut from
+    the longest pair made yet; threads share it, so it is never grown."""
+    global _power_pair
+    pair = _power_pair
+    if pair[0].size < n:
+        pair = _power_pair = tuple(np.cumprod(np.full(n, b, dtype=np.uint64))
+                                   for b in (_BASE, _INVERSE))
+    return pair[0][:n], pair[1][:n]
 
 
 class _Band(NamedTuple):
@@ -147,7 +155,7 @@ class Automaton:
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
         self._bands = []
-        powers = _powers(_BASE, int(lens.max()))
+        powers = _powers(int(lens.max()))[0]
         order = np.argsort(lens, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
         # Length L falls in band L.bit_length(): 1, 2-3, 4-7, 8-15, ...
@@ -201,7 +209,7 @@ class Automaton:
                 heads = keys.copy()
             keys += rows[:, k] * powers[k]
         if boundary:
-            cls = class_table()[rows]
+            cls = classes(rows)
             self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
                                  & ~(cls & CJK).any(axis=1))
         return rows, heads, keys
@@ -213,9 +221,9 @@ class Automaton:
         # prefix[i] sums cps[j] * B^(j + 2) over j < i, so the window
         # [i, i + L) hashes to (prefix[i + L] - prefix[i]) * B^-(i + 1),
         # the sum of its k-th codepoint times B^(k + 1), as its surface does.
+        powers, unshift = _powers(n + 1)
         prefix = np.zeros(n + 1, dtype=np.uint64)
-        np.cumsum(cps * _powers(_BASE, n + 1)[1:], out=prefix[1:])
-        unshift = _powers(_INVERSE, n + 1)
+        np.cumsum(cps * powers[1:], out=prefix[1:])
 
         def hashed(at: np.ndarray, end: np.ndarray) -> np.ndarray:
             """The hashes of the windows [at, end)."""
@@ -260,7 +268,7 @@ class Automaton:
     def find_matches(self, text: str) -> list[tuple[int, str]]:
         """(start offset, surface) pairs in the normalized text, sorted."""
         cps = encode_codepoints(normalize(text))
-        pids, starts = self._hits(cps, class_table()[cps])
+        pids, starts = self._hits(cps, classes(cps))
         return sorted(zip(starts.tolist(),
                           [self.pat_surfaces[p] for p in pids.tolist()]))
 
@@ -309,7 +317,7 @@ def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
     sizes = np.array([len(t) + 1 for t in texts], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     cps = encode_codepoints("\0".join(texts)).copy()
-    cls = class_table()[cps]
+    cls = classes(cps)
     # Each text's segment holds its separator too, so none is empty.
     n_p = token_counts(cls, starts)
     cps[starts[1:] - 1] = SEPARATOR

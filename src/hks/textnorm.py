@@ -6,7 +6,9 @@ through the *same* normalization, so both funnel through
 deterministic word-segmentation rule: a token is either a maximal run
 of word characters (letters, digits, combining marks, connector
 punctuation) or a single CJK character (Han ideographs and kana carry
-no word delimiters, so each counts as one token).
+no word delimiters, so each counts as one token). Classes are filled on
+demand: :func:`classes` classifies only the codepoints a run meets, a
+few dozen to a few thousand of the 1.1M.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ _CJK_RANGES = (
 _WORD_CATEGORIES = ("Lu", "Ll", "Lt", "Lm", "Lo", "Nd", "Nl", "No",
                     "Mn", "Mc", "Me", "Pc")
 
-# Codepoints classified per step of the class-table build; divides
-# sys.maxunicode + 1.
-_CHUNK = 1 << 16
+# A class-table entry not classified yet; real classes are 0 to 3.
+_UNSEEN = 0xFF
 _class_table: np.ndarray | None = None
 
 
@@ -78,39 +79,34 @@ def normalize_lines(texts: list[str]) -> list[str]:
 
 
 def class_table() -> np.ndarray:
-    """uint8 class table indexed by codepoint, built lazily once.
-
-    Categories are read _CHUNK codepoints at a time as one string of
-    two-letter names, viewed as uint16 codes and mapped through a
-    lookup over every code, which bounds the build's working memory.
-    Shared by every document annotated in the process.
-    """
+    """uint8 class table indexed by codepoint, one per process; an entry
+    is _UNSEEN until `classes` meets its codepoint, so only it reads one."""
     global _class_table
     if _class_table is None:
-        word = np.zeros(1 << 16, dtype=np.uint8)
-        word[_category_codes("".join(_WORD_CATEGORIES))] = WORD
-        table = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
-        for lo in range(0, sys.maxunicode + 1, _CHUNK):
-            names = "".join(map(unicodedata.category,
-                                map(chr, range(lo, lo + _CHUNK))))
-            classes = word[_category_codes(names)]
-            # Chunks with no word character (most planes above 3) are
-            # left unwritten, so their zero pages are never touched.
-            if classes.any():
-                table[lo:lo + _CHUNK] = classes
-        for lo, hi in _CJK_RANGES:
-            table[lo:hi + 1] |= CJK
-        _class_table = table
+        _class_table = np.full(sys.maxunicode + 1, _UNSEEN, dtype=np.uint8)
     return _class_table
 
 
-def _category_codes(names: str) -> np.ndarray:
-    """One uint16 code per two-letter category name in `names`."""
-    return np.frombuffer(names.encode("ascii"), dtype=np.uint16)
+def classes(cps: np.ndarray) -> np.ndarray:
+    """The classes of the codepoints `cps`, any integer array, from
+    `class_table()` once the ones it has not met are classified. Forked
+    workers fill their own copy-on-write pages; threads write only the
+    value a codepoint already has, so a race only repeats work."""
+    table = class_table()
+    cls = table[cps]
+    if cls.max(initial=0) == _UNSEEN:
+        new = np.unique(cps[cls == _UNSEEN])
+        found = WORD * np.array([unicodedata.category(chr(cp)) in _WORD_CATEGORIES
+                                 for cp in new.tolist()], dtype=np.uint8)
+        for lo, hi in _CJK_RANGES:
+            found[(new >= lo) & (new <= hi)] |= CJK
+        table[new] = found
+        cls = table[cps]
+    return cls
 
 
 def encode_codepoints(text: str) -> np.ndarray:
-    """Text as a uint32 codepoint array, the index into `class_table()`."""
+    """Text as a uint32 codepoint array, the argument of `classes`."""
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 

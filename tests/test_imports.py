@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hks"
 # on its module by name and tests/test_perfbench_targets.py requires
 # every name it wraps to exist. Each can go with its wrapper.
 KEPT = {"pipeline.py": {"annotate", "score_record"},
-        "matcher.py": {"token_count_from_classes"}}
+        "matcher.py": {"class_table", "token_count_from_classes"}}
 
 
 def unused_imports(path: Path) -> set[str]:
@@ -92,3 +92,28 @@ def test_every_definition_is_reached():
     defined, unread = definitions()
     assert sorted(unread - UNREAD.keys()) == []
     assert sorted(UNREAD.keys() - defined) == []
+
+
+def test_class_table_is_read_only_through_classes():
+    # The table holds a sentinel (0xFF) for every codepoint not yet met,
+    # which would read as WORD | CJK in token_counts and as non-word in
+    # the scan: only textnorm's class_table and classes may name it.
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, child.name)
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else None)
+            if (name in ("class_table", "_class_table")
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((module, scope))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert set(found) == {("textnorm", "class_table"),
+                          ("textnorm", "classes")}, found

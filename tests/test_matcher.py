@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, build_automaton)
+from hks import matcher, textnorm
 from hks.matcher import count_all
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
@@ -484,3 +485,40 @@ class TestThreads:
         finally:
             sys.setswitchinterval(old)
         assert results == [serial, serial]
+
+    def test_threads_fill_fresh_shared_tables(self, monkeypatch):
+        # Threads start on an unfilled class table and an empty power
+        # pair; their batch lengths differ, so they race to classify the
+        # same codepoints and to replace the pair with longer ones.
+        rng = np.random.default_rng(9)
+        auto = build_automaton(make_pool(random_pool_elements(rng, 200)))
+        texts = [random_text(rng, 300) for _ in range(60)]
+        sizes = (1, 3, 7, 60)
+        serial = [[count_all(texts[i:i + size], auto)
+                   for i in range(0, len(texts), size)] for size in sizes]
+        monkeypatch.setattr(textnorm, "_class_table", None)
+        monkeypatch.setattr(matcher, "_power_pair",
+                            (np.zeros(0, dtype=np.uint64),) * 2)
+        results = [None] * len(sizes)
+
+        def work(slot):
+            size = sizes[slot]
+            results[slot] = [count_all(texts[i:i + size], auto)
+                             for i in range(0, len(texts), size)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(len(sizes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        for got, want in zip(results, serial):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -8,22 +8,32 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hks.textnorm import (CJK, WORD, class_table, encode_codepoints,
+from hks import textnorm
+from hks.textnorm import (CJK, WORD, class_table, classes, encode_codepoints,
                           normalize, normalize_lines, token_count_from_classes)
 
 from helpers import is_cjk, is_word, ref_normalize, ref_token_count
 
 
 def class_of(ch: str) -> int:
-    """The class of `ch` in `class_table()`."""
-    return int(class_table()[ord(ch)])
+    """The class of `ch` as `classes` gives it."""
+    return int(classes(encode_codepoints(ch))[0])
+
+
+def scalar_classes(cps: np.ndarray) -> np.ndarray:
+    """The class of each codepoint of `cps` by the scalar oracle, in the
+    shape of `cps`."""
+    return np.array([WORD * is_word(chr(cp)) | CJK * is_cjk(chr(cp))
+                     for cp in cps.ravel().tolist()],
+                    dtype=np.uint8).reshape(cps.shape)
 
 
 def token_count(text: str) -> int:
     """The token count of `text` from its per-codepoint classes, as
     `count_all` counts it, once it equals the scalar segmenter's."""
-    count = token_count_from_classes(class_table()[encode_codepoints(text)])
+    count = token_count_from_classes(classes(encode_codepoints(text)))
     assert count == ref_token_count(text), text
     return count
 
@@ -146,18 +156,52 @@ class TestCharClass:
         # Korean is space-delimited; Hangul segments like Latin words.
         assert class_of("한") == WORD
 
-    def test_table_equals_scalar_on_every_codepoint(self):
-        # Exhaustive, so it covers both sides of every 2**16-codepoint
-        # step of the build (0xFFFF is unassigned, 0x10000 a letter).
-        table = class_table()
-        assert table.shape == (0x110000,) and table.dtype == np.uint8
+    def test_table_equals_scalar_on_every_codepoint(self, monkeypatch):
+        # Exhaustive, through the demand-filled path of a fresh table.
+        monkeypatch.setattr(textnorm, "_class_table", None)
+        every = classes(np.arange(0x110000, dtype=np.uint32))
+        assert every.shape == (0x110000,) and every.dtype == np.uint8
         scalar = np.fromiter(
             (WORD * is_word(ch) | CJK * is_cjk(ch)
              for ch in map(chr, range(0x110000))),
             dtype=np.uint8, count=0x110000)
-        wrong = np.flatnonzero(table != scalar)
+        wrong = np.flatnonzero(every != scalar)
         assert not wrong.size, [hex(cp) for cp in wrong[:10]]
-        assert (table[0xFFFF], table[0x10000]) == (0, WORD)
+        # Every class was written back, and the gather reads it.
+        assert np.array_equal(class_table(), scalar)
+        assert np.array_equal(classes(np.arange(0x110000)), scalar)
+
+    def test_only_the_codepoints_met_are_classified(self, monkeypatch):
+        monkeypatch.setattr(textnorm, "_class_table", None)
+        assert classes(encode_codepoints("abc")).tolist() == [WORD] * 3
+        table = class_table()
+        assert table.shape == (0x110000,) and table.dtype == np.uint8
+        met = np.flatnonzero(table != textnorm._UNSEEN)
+        assert met.tolist() == [ord("a"), ord("b"), ord("c")]
+
+    def test_empty_array_classifies_nothing(self, monkeypatch):
+        monkeypatch.setattr(textnorm, "_class_table", None)
+        assert classes(np.zeros((0, 3), dtype=np.uint32)).shape == (0, 3)
+        assert (class_table() == textnorm._UNSEEN).all()
+
+    # A few codepoints drawn often, so calls meet ones classified before:
+    # letters, digits, space, a mark, CJK and an unassigned CJK slot.
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(hnp.arrays(
+        dtype=st.sampled_from([np.uint32, np.int64]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                               max_side=6),
+        elements=st.one_of(
+            st.sampled_from([0x20, 0x41, 0x61, 0x37, 0x5F, 0x2E, 0x301,
+                             0x6570, 0x306E, 0xD55C, 0x9FFF, 0x2EBEF]),
+            st.integers(0, sys.maxunicode))), max_size=6))
+    def test_equals_oracle_in_any_call_order(self, calls):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textnorm, "_class_table", None)
+            for cps in calls:
+                got = classes(cps)
+                assert got.shape == cps.shape and got.dtype == np.uint8
+                assert np.array_equal(got, scalar_classes(cps)), cps
 
 
 class TestTokenCount:
