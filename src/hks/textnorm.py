@@ -79,11 +79,12 @@ def normalize_lines(texts: list[str]) -> list[str]:
 
 
 def class_table() -> np.ndarray:
-    """uint8 class table indexed by codepoint, one per process; an entry
-    is _UNSEEN until `classes` meets its codepoint, so only it reads one."""
+    """uint8 class table indexed by codepoint, one per process. An entry
+    holds its class XOR _UNSEEN: zero, on a page never touched, until
+    `classes`, its only reader, meets the codepoint."""
     global _class_table
     if _class_table is None:
-        _class_table = np.full(sys.maxunicode + 1, _UNSEEN, dtype=np.uint8)
+        _class_table = np.zeros(sys.maxunicode + 1, dtype=np.uint8)
     return _class_table
 
 
@@ -93,15 +94,15 @@ def classes(cps: np.ndarray) -> np.ndarray:
     workers fill their own copy-on-write pages; threads write only the
     value a codepoint already has, so a race only repeats work."""
     table = class_table()
-    cls = table[cps]
+    cls = table[cps] ^ _UNSEEN
     if cls.max(initial=0) == _UNSEEN:
         new = np.unique(cps[cls == _UNSEEN])
         found = WORD * np.array([unicodedata.category(chr(cp)) in _WORD_CATEGORIES
                                  for cp in new.tolist()], dtype=np.uint8)
         for lo, hi in _CJK_RANGES:
             found[(new >= lo) & (new <= hi)] |= CJK
-        table[new] = found
-        cls = table[cps]
+        table[new] = found ^ _UNSEEN
+        cls = table[cps] ^ _UNSEEN
     return cls
 
 
