@@ -47,7 +47,6 @@ _BASE = 0x9E3779B97F4A7C15
 _INVERSE = pow(_BASE, -1, 1 << 64)
 # Beyond Unicode, so no surface holds it; its class is 0.
 SEPARATOR = 0x110000
-_power_pair = (np.zeros(0, dtype=np.uint64),) * 2
 
 
 @dataclass
@@ -78,17 +77,6 @@ class MatcherConfig:
     """Matching options; `boundary` turns the word-boundary rule on."""
 
     boundary: bool = True
-
-
-def _powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_BASE^1 .. _BASE^n and _INVERSE^1 .. _INVERSE^n mod 2^64, cut from
-    the longest pair made yet; threads share it, so it is never grown."""
-    global _power_pair
-    pair = _power_pair
-    if pair[0].size < n:
-        pair = _power_pair = tuple(np.cumprod(np.full(n, b, dtype=np.uint64))
-                                   for b in (_BASE, _INVERSE))
-    return pair[0][:n], pair[1][:n]
 
 
 class _Band(NamedTuple):
@@ -124,11 +112,13 @@ class Automaton:
     Pattern ids are pool indices; `bounded[p]` says whether the boundary
     rule applies to pattern p. `_bands` holds one `_Band` per length
     band present, shortest first; `_filter` flags each top-bits value
-    some anchor hash has.
+    some anchor hash has. `_pair` holds the powers of _BASE and _INVERSE
+    up to the longest batch matched yet, and dies with the instance.
 
-    Construction is deterministic for a given pool. Matching reads the
-    instance and never writes it, so one instance may be shared across
-    threads and forked processes.
+    Construction is deterministic for a given pool. Matching writes only
+    `_pair`, replacing it when a batch outgrows it and never growing it in
+    place, so one instance may be shared across threads and forked
+    processes.
     """
 
     def __init__(self, pool: KnowledgePool, config: MatcherConfig | None = None):
@@ -155,7 +145,8 @@ class Automaton:
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
         self._bands = []
-        powers = _powers(int(lens.max()))[0]
+        self._pair = (np.zeros(0, dtype=np.uint64),) * 2
+        powers = self._powers(int(lens.max()))[0]
         order = np.argsort(lens, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
         # Length L falls in band L.bit_length(): 1, 2-3, 4-7, 8-15, ...
@@ -214,6 +205,15 @@ class Automaton:
                                  & ~(cls & CJK).any(axis=1))
         return rows, heads, keys
 
+    def _powers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """_BASE^1 .. _BASE^n and _INVERSE^1 .. _INVERSE^n mod 2^64, cut
+        from `_pair`."""
+        pair = self._pair
+        if pair[0].size < n:
+            pair = self._pair = tuple(np.cumprod(np.full(n, b, dtype=np.uint64))
+                                      for b in (_BASE, _INVERSE))
+        return pair[0][:n], pair[1][:n]
+
     def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every boundary-surviving occurrence in the codepoints `cps`
         with classes `cls`, as (pattern ids, start indices)."""
@@ -221,7 +221,7 @@ class Automaton:
         # prefix[i] sums cps[j] * B^(j + 2) over j < i, so the window
         # [i, i + L) hashes to (prefix[i + L] - prefix[i]) * B^-(i + 1),
         # the sum of its k-th codepoint times B^(k + 1), as its surface does.
-        powers, unshift = _powers(n + 1)
+        powers, unshift = self._powers(n + 1)
         prefix = np.zeros(n + 1, dtype=np.uint64)
         np.cumsum(cps * powers[1:], out=prefix[1:])
 

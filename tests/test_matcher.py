@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, build_automaton)
-from hks import matcher, textnorm
+from hks import textnorm
 from hks.matcher import count_all
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
@@ -489,7 +489,8 @@ class TestThreads:
     def test_threads_fill_fresh_shared_tables(self, monkeypatch):
         # Threads start on an unfilled class table and an empty power
         # pair; their batch lengths differ, so they race to classify the
-        # same codepoints and to replace the pair with longer ones.
+        # same codepoints and to replace the automaton's pair with longer
+        # ones.
         rng = np.random.default_rng(9)
         auto = build_automaton(make_pool(random_pool_elements(rng, 200)))
         texts = [random_text(rng, 300) for _ in range(60)]
@@ -497,8 +498,7 @@ class TestThreads:
         serial = [[count_all(texts[i:i + size], auto)
                    for i in range(0, len(texts), size)] for size in sizes]
         monkeypatch.setattr(textnorm, "_class_table", None)
-        monkeypatch.setattr(matcher, "_power_pair",
-                            (np.zeros(0, dtype=np.uint64),) * 2)
+        monkeypatch.setattr(auto, "_pair", (np.zeros(0, dtype=np.uint64),) * 2)
         results = [None] * len(sizes)
 
         def work(slot):
