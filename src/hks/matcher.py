@@ -79,6 +79,11 @@ class MatcherConfig:
     boundary: bool = True
 
 
+def _powers(base: int, n: int) -> np.ndarray:
+    """base^1 .. base^n mod 2^64."""
+    return np.cumprod(np.full(n, base, dtype=np.uint64))
+
+
 class _Band(NamedTuple):
     """The surfaces of lengths 2^b to 2^(b+1) - 1, sorted by anchor hash.
 
@@ -112,13 +117,11 @@ class Automaton:
     Pattern ids are pool indices; `bounded[p]` says whether the boundary
     rule applies to pattern p. `_bands` holds one `_Band` per length
     band present, shortest first; `_filter` flags each top-bits value
-    some anchor hash has. `_pair` holds the powers of _BASE and _INVERSE
-    up to the longest batch matched yet, and dies with the instance.
+    some anchor hash has.
 
-    Construction is deterministic for a given pool. Matching writes only
-    `_pair`, replacing it when a batch outgrows it and never growing it in
-    place, so one instance may be shared across threads and forked
-    processes.
+    Construction is deterministic for a given pool. Matching reads the
+    instance and never writes it, so one instance may be shared across
+    threads and forked processes.
     """
 
     def __init__(self, pool: KnowledgePool, config: MatcherConfig | None = None):
@@ -145,8 +148,7 @@ class Automaton:
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
         self._bands = []
-        self._pair = (np.zeros(0, dtype=np.uint64),) * 2
-        powers = self._powers(int(lens.max()))[0]
+        powers = _powers(_BASE, int(lens.max()))
         order = np.argsort(lens, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
         # Length L falls in band L.bit_length(): 1, 2-3, 4-7, 8-15, ...
@@ -205,15 +207,6 @@ class Automaton:
                                  & ~(cls & CJK).any(axis=1))
         return rows, heads, keys
 
-    def _powers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """_BASE^1 .. _BASE^n and _INVERSE^1 .. _INVERSE^n mod 2^64, cut
-        from `_pair`."""
-        pair = self._pair
-        if pair[0].size < n:
-            pair = self._pair = tuple(np.cumprod(np.full(n, b, dtype=np.uint64))
-                                      for b in (_BASE, _INVERSE))
-        return pair[0][:n], pair[1][:n]
-
     def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every boundary-surviving occurrence in the codepoints `cps`
         with classes `cls`, as (pattern ids, start indices)."""
@@ -221,9 +214,9 @@ class Automaton:
         # prefix[i] sums cps[j] * B^(j + 2) over j < i, so the window
         # [i, i + L) hashes to (prefix[i + L] - prefix[i]) * B^-(i + 1),
         # the sum of its k-th codepoint times B^(k + 1), as its surface does.
-        powers, unshift = self._powers(n + 1)
         prefix = np.zeros(n + 1, dtype=np.uint64)
-        np.cumsum(cps * powers[1:], out=prefix[1:])
+        np.cumsum(cps * _powers(_BASE, n + 1)[1:], out=prefix[1:])
+        unshift = _powers(_INVERSE, n + 1)
 
         def hashed(at: np.ndarray, end: np.ndarray) -> np.ndarray:
             """The hashes of the windows [at, end)."""

@@ -39,7 +39,7 @@ _CJK_RANGES = (
 _WORD_CATEGORIES = ("Lu", "Ll", "Lt", "Lm", "Lo", "Nd", "Nl", "No",
                     "Mn", "Mc", "Me", "Pc")
 
-# A class-table entry not classified yet; real classes are 0 to 3.
+# What `classes` reads for a codepoint not met yet; classes are 0 to 3.
 _UNSEEN = 0xFF
 _class_table: np.ndarray | None = None
 
@@ -94,7 +94,9 @@ def classes(cps: np.ndarray) -> np.ndarray:
     workers fill their own copy-on-write pages; threads write only the
     value a codepoint already has, so a race only repeats work."""
     table = class_table()
-    cls = table[cps] ^ _UNSEEN
+    # Decoded in place: a copy would add to the automaton build's peak.
+    cls = table[cps]
+    cls ^= _UNSEEN
     if cls.max(initial=0) == _UNSEEN:
         new = np.unique(cps[cls == _UNSEEN])
         found = WORD * np.array([unicodedata.category(chr(cp)) in _WORD_CATEGORIES
@@ -102,7 +104,8 @@ def classes(cps: np.ndarray) -> np.ndarray:
         for lo, hi in _CJK_RANGES:
             found[(new >= lo) & (new <= hi)] |= CJK
         table[new] = found ^ _UNSEEN
-        cls = table[cps] ^ _UNSEEN
+        cls = table[cps]
+        cls ^= _UNSEEN
     return cls
 
 

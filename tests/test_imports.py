@@ -95,9 +95,10 @@ def test_every_definition_is_reached():
 
 
 def test_class_table_is_read_only_through_classes():
-    # The table holds a sentinel (0xFF) for every codepoint not yet met,
-    # which would read as WORD | CJK in token_counts and as non-word in
-    # the scan: only textnorm's class_table and classes may name it.
+    # The table holds each class XOR a sentinel (0xFF), and 0 for a
+    # codepoint not met yet, which a raw read would take as WORD | CJK in
+    # token_counts and as non-word in the scan: only textnorm's
+    # class_table and classes may name it.
     found = []
 
     def visit(node, module, scope):

@@ -487,10 +487,8 @@ class TestThreads:
         assert results == [serial, serial]
 
     def test_threads_fill_fresh_shared_tables(self, monkeypatch):
-        # Threads start on an unfilled class table and an empty power
-        # pair; their batch lengths differ, so they race to classify the
-        # same codepoints and to replace the automaton's pair with longer
-        # ones.
+        # Threads start on an unfilled class table and race to classify
+        # the same codepoints, each in batches of its own length.
         rng = np.random.default_rng(9)
         auto = build_automaton(make_pool(random_pool_elements(rng, 200)))
         texts = [random_text(rng, 300) for _ in range(60)]
@@ -498,7 +496,6 @@ class TestThreads:
         serial = [[count_all(texts[i:i + size], auto)
                    for i in range(0, len(texts), size)] for size in sizes]
         monkeypatch.setattr(textnorm, "_class_table", None)
-        monkeypatch.setattr(auto, "_pair", (np.zeros(0, dtype=np.uint64),) * 2)
         results = [None] * len(sizes)
 
         def work(slot):
