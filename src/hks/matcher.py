@@ -14,7 +14,9 @@ Every surface takes one matching path, a hash join over codepoints
 "A fast algorithm for multi-pattern searching", 1994). Surfaces fall
 into length bands 1, 2-3, 4-7, 8-15 and so on; each is keyed by a
 polynomial hash mod 2^64 of its codepoints, and by the same hash of its
-first A, its head, where A is the shortest length in its band. Per band,
+first A, its head, where A is the shortest length in its band. A band
+of several lengths in which more than _MAX_RUN surfaces share a head
+splits at its median length, so each half takes its own anchor. Per band,
 each text window of length A is hashed once from prefix sums; a flag
 table on the top hash bits drops most windows, and the rest are looked
 up once among the band's sorted heads. Each surface with an equal head
@@ -28,7 +30,6 @@ spans two documents, and returns the batch's counts as arrays.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -84,15 +85,20 @@ def _powers(base: int, n: int) -> np.ndarray:
     return np.cumprod(np.full(n, base, dtype=np.uint64))
 
 
-class _Band(NamedTuple):
-    """The surfaces of lengths 2^b to 2^(b+1) - 1, sorted by anchor hash.
+# A text window expands into every surface of its head's run, so the
+# build splits a band of several lengths until no run is longer.
+_MAX_RUN = 32
 
-    `anchor` is the band's shortest surface length A and `width` its
-    longest. `heads` holds the hash of each surface's first A
-    codepoints, and at the first index of each run of equal heads,
-    `runs` holds the run's length. `keys` are the full hashes, `ids` the
-    pattern ids and `lens` the lengths; a surface's codepoints start at
-    its `offsets` entry in `flat`, the band's rows end to end.
+
+class _Band(NamedTuple):
+    """Surfaces of lengths `anchor` to `width`, sorted by anchor hash.
+
+    `rows` holds their codepoints, one row of `width` per surface in
+    length order, zero past the surface's length; sorted entry i is row
+    `order[i]`. `heads` holds the hash of each surface's first `anchor`
+    codepoints, and at the first index of each run of equal heads, `runs`
+    holds the run's length. `keys` are the full hashes, `ids` the pattern
+    ids and `lens` the lengths.
     """
 
     anchor: int
@@ -102,22 +108,16 @@ class _Band(NamedTuple):
     keys: np.ndarray
     ids: np.ndarray
     lens: np.ndarray
-    offsets: np.ndarray
-    flat: np.ndarray
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays end to end; a lone array is itself, not a copy."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    order: np.ndarray
+    rows: np.ndarray
 
 
 class Automaton:
     """Immutable multi-pattern matcher built from a pool.
 
     Pattern ids are pool indices; `bounded[p]` says whether the boundary
-    rule applies to pattern p. `_bands` holds one `_Band` per length
-    band present, shortest first; `_filter` flags each top-bits value
-    some anchor hash has.
+    rule applies to pattern p. `_bands` holds the `_Band`s, anchors
+    ascending; `_filter` flags each top-bits value some anchor hash has.
 
     Construction is deterministic for a given pool. Matching reads the
     instance and never writes it, so one instance may be shared across
@@ -148,64 +148,64 @@ class Automaton:
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
         self._bands = []
-        powers = _powers(_BASE, int(lens.max()))
         order = np.argsort(lens, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
-        # Length L falls in band L.bit_length(): 1, 2-3, 4-7, 8-15, ...
-        for _, band in itertools.groupby(
-                groups, lambda ids: int(lens[ids[0]]).bit_length()):
-            band = list(band)
-            anchor = int(lens[band[0][0]])
-            rows, heads, keys = zip(*[self._encode(ids, anchor, powers, boundary)
-                                      for ids in band])
-            # Rows stay in length order; the sorted entries point into them.
-            flat = _joined([row.ravel() for row in rows])
-            starts = itertools.accumulate([row.size for row in rows], initial=0)
-            offsets = _joined([np.arange(start, start + row.size, row.shape[1],
-                                         dtype=np.min_scalar_type(flat.size))
-                               for start, row in zip(starts, rows)])
-            del rows
-            heads, keys = _joined(heads), _joined(keys)
-            self._filter[heads >> self._shift] = True
+        powers = _powers(_BASE, int(lens[order[-1]]))
+        # Bands 1, 2-3, 4-7, 8-15, ..., popped shortest first.
+        work = [ids for ids in np.split(order, np.searchsorted(
+            lens[order], 1 << np.arange(1, 32)))[::-1] if ids.size]
+        while work:
+            ids = work.pop()
+            band_lens = lens[ids]
+            anchor, width = int(band_lens[0]), int(band_lens[-1])
+            cps = encode_codepoints("".join([surfaces[i] for i in ids]))
+            # One row per surface, zero-padded to the band's width, in the
+            # narrowest type that fits, filled a length at a time.
+            rows = np.zeros((ids.size, width), np.min_scalar_type(int(cps.max())))
+            edges = (np.flatnonzero(band_lens[1:] != band_lens[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *edges], [*edges, ids.size]):
+                n = int(band_lens[lo])
+                rows[lo:hi, :n] = cps[:(hi - lo) * n].reshape(hi - lo, n)
+                cps = cps[(hi - lo) * n:]
+            del cps  # dropped early: temporaries set the build's peak memory
+            if boundary:
+                # Padding has class 0; a surface ends in column length - 1.
+                cls = classes(rows)
+                self.bounded[ids] = ((cls[:, 0] == WORD)
+                                     & (cls[np.arange(ids.size), band_lens - 1] == WORD)
+                                     & ~(cls & CJK).any(axis=1))
+                del cls
+            # Column by column: no temporary holds 8 bytes per codepoint;
+            # padding adds nothing to a key.
+            keys = heads = np.zeros(ids.size, dtype=np.uint64)
+            for k in range(width):
+                if k == anchor:
+                    heads = keys.copy()
+                keys += rows[:, k] * powers[k]
             # Not stable, so several times faster: a window checks every
             # surface of its head's run, in whatever order.
             rank = np.argsort(heads)
             # In a band of one length, the heads are the keys.
-            one = keys is heads
-            heads = heads[rank]
-            keys = heads if one else keys[rank]
+            heads, keys = ((heads[rank],) * 2 if keys is heads
+                           else (heads[rank], keys[rank]))
             firsts = np.flatnonzero(np.diff(heads, prepend=~heads[:1]))
             runs = np.zeros(rank.size, dtype=np.int32)
             runs[firsts[:-1]] = np.diff(firsts)
             runs[firsts[-1]] = rank.size - firsts[-1]
             del firsts
-            width = int(lens[band[-1][0]])
-            ids = _joined(band)[rank]
+            if anchor < width and runs.max() > _MAX_RUN:
+                # At the median length, or past the anchor's if that is the
+                # median: the upper half takes a longer anchor, so its
+                # heads spread.
+                cut = np.searchsorted(band_lens, max(band_lens[ids.size // 2], anchor + 1))
+                work += [ids[cut:], ids[:cut]]
+                continue
+            self._filter[heads >> self._shift] = True
+            ids = ids[rank]
             self._bands.append(_Band(
                 anchor, width, heads, runs, keys,
                 ids.astype(np.min_scalar_type(pool.total)),
-                lens[ids].astype(np.min_scalar_type(width)), offsets[rank], flat))
-
-    def _encode(self, ids: np.ndarray, anchor: int, powers: np.ndarray,
-                boundary: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The codepoint rows of the surfaces `ids`, all of one length,
-        and the hashes of their first `anchor` codepoints and of the
-        whole; sets their `bounded` flags."""
-        cps = encode_codepoints("".join([self.pat_surfaces[i] for i in ids]))
-        # One row per surface, in the narrowest type that fits.
-        rows = cps.astype(np.min_scalar_type(int(cps.max()))).reshape(ids.size, -1)
-        del cps  # dropped early: temporaries set the build's peak memory
-        keys = heads = np.zeros(ids.size, dtype=np.uint64)
-        # Column by column: no temporary holds 8 bytes per codepoint.
-        for k in range(rows.shape[1]):
-            if k == anchor:
-                heads = keys.copy()
-            keys += rows[:, k] * powers[k]
-        if boundary:
-            cls = classes(rows)
-            self.bounded[ids] = ((cls[:, 0] == WORD) & (cls[:, -1] == WORD)
-                                 & ~(cls & CJK).any(axis=1))
-        return rows, heads, keys
+                lens[ids].astype(np.min_scalar_type(width)),
+                rank.astype(np.min_scalar_type(ids.size)), rows))
 
     def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every boundary-surviving occurrence in the codepoints `cps`
@@ -225,7 +225,7 @@ class Automaton:
         word = np.zeros(n + 2, dtype=bool)
         word[1:-1] = cls == WORD
         found = [(np.zeros(0, dtype=np.int64),) * 2]
-        for anchor, width, heads, runs, keys, ids, lens, offsets, flat in self._bands:
+        for anchor, width, heads, runs, keys, ids, lens, order, rows in self._bands:
             if anchor > n:
                 break
             # In place: a batch-long temporary sets the scan's peak memory.
@@ -248,8 +248,7 @@ class Automaton:
             at, cand, end = at[same], cand[same], end[same]
             # The first L codepoints of a width-long window, L its surface's.
             cols = np.arange(width)
-            same = ((cps.take(at[:, None] + cols, mode="clip")
-                     == flat.take(offsets[cand][:, None] + cols, mode="clip"))
+            same = ((cps.take(at[:, None] + cols, mode="clip") == rows[order[cand]])
                     | (cols >= (end - at)[:, None])).all(axis=1)
             at, end, pids = at[same], end[same], ids[cand[same]]
             # word[i + 1] flags text position i.

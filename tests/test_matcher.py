@@ -1,7 +1,9 @@
 """Automaton matching vs a naive per-pattern scan oracle."""
 
+import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hks import (DataError, Document, EmptyPoolError, KnowledgeElement,
                  KnowledgePool, MatcherConfig, annotate, build_automaton)
 from hks import textnorm
-from hks.matcher import count_all
+from hks.matcher import _MAX_RUN, count_all
 
 from helpers import (DOMAINS, naive_match_counts, naive_occurrences,
                      occurrence_counts, random_pool_elements, random_text,
@@ -305,15 +307,46 @@ def _banded_cases(draw):
         if draw(st.booleans()):
             surface = surface[:-1] + draw(st.sampled_from(_STEM_CHARS))
         pool[surface] = draw(st.sampled_from(DOMAINS))
+    if draw(st.booleans()):
+        # A family of more than _MAX_RUN surfaces in band 8-15 or 16-31
+        # that all share their first 8 or 16 characters, the band's anchor.
+        head = draw(st.sampled_from(stems))[:draw(st.sampled_from([8, 16]))]
+        tails = draw(st.lists(st.text(_STEM_CHARS, min_size=1, max_size=7),
+                              min_size=_MAX_RUN + 1, max_size=2 * _MAX_RUN,
+                              unique=True))
+        for k, tail in enumerate(["", *tails]):
+            pool[head + tail] = DOMAINS[k % len(DOMAINS)]
     pieces = st.sampled_from(list(pool) + stems + _FILLERS)
     texts = draw(st.lists(st.lists(pieces, max_size=8).map("".join),
                           max_size=4))
     return list(pool.items()), texts
 
 
+def assert_bands_hold(auto):
+    """The invariants `_hits` relies on: anchors rise across the bands,
+    each band's heads are sorted and its runs count them, a run is at
+    most _MAX_RUN long unless the band has one length, every pattern sits
+    in one band, and each entry's row holds its surface, then zeros."""
+    anchors = [band.anchor for band in auto._bands]
+    assert anchors == sorted(set(anchors))
+    for band in auto._bands:
+        assert (band.heads[:-1] <= band.heads[1:]).all()
+        assert band.runs.sum() == band.ids.size
+        assert band.anchor == band.width or band.runs.max() <= _MAX_RUN
+        assert band.anchor <= band.lens.min() and band.lens.max() <= band.width
+        rows = band.rows[band.order]
+        assert not rows[np.arange(band.width) >= band.lens[:, None]].any()
+        assert ["".join(map(chr, row[:n])) for row, n in
+                zip(rows.tolist(), band.lens.tolist())] == \
+            [auto.pat_surfaces[p] for p in band.ids.tolist()]
+    assert sorted(np.concatenate([band.ids for band in auto._bands])
+                  .tolist()) == list(range(len(auto.pat_surfaces)))
+
+
 class TestBandedDifferential:
     """`count_all` and `find_matches` against the naive scan on pools of
-    lengths 2-64 across at least three length bands, in both boundary
+    lengths 2-64 across at least three length bands, some holding a
+    family of surfaces that share the band's anchor, in both boundary
     modes."""
 
     @settings(max_examples=200, deadline=None)
@@ -336,6 +369,7 @@ class TestBandedDifferential:
             auto = build_automaton(make_pool(elements),
                                    MatcherConfig(boundary=boundary))
             assert len(auto._bands) >= 3
+            assert_bands_hold(auto)
             counts = count_all(texts, auto)
             assert [(n_k, n_distinct, dict(zip(DOMAINS, zip(o, u))))
                     for n_k, n_distinct, o, u in zip(
@@ -344,6 +378,40 @@ class TestBandedDifferential:
             for t in texts:
                 assert auto.find_matches(t) == \
                     naive_occurrences(t, elements, boundary)
+
+
+class TestSharedHeads:
+    """1,365 surfaces of band 8-15 share their first 8 characters, one
+    head, so each text window reading "internat" expanded into all of
+    them at once. The band splits until no run is longer than _MAX_RUN,
+    so a batch's scan memory no longer grows with the family."""
+
+    ELEMENTS = [("internat" + "".join(tail), DOMAINS[k % len(DOMAINS)])
+                for k, tail in enumerate(itertools.chain.from_iterable(
+                    itertools.product("abcd", repeat=n) for n in range(6)))]
+    TEXT = "the international internatdab internat day " * 30
+
+    def test_the_band_splits(self):
+        auto = build_automaton(make_pool(self.ELEMENTS))
+        assert len(auto._bands) > 1
+        assert_bands_hold(auto)
+
+    def test_scan_memory_is_bounded(self):
+        auto = build_automaton(make_pool(self.ELEMENTS))
+        texts = [self.TEXT] * 10
+        count_all(texts[:1], auto)  # one-off allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            counts = count_all(texts, auto)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 60 MB when every window expanded into all 1,365 surfaces.
+        assert peak < 4e6
+        assert [(n_k, n_distinct, dict(zip(DOMAINS, zip(o, u))))
+                for n_k, n_distinct, o, u in zip(
+                    *(column.tolist() for column in counts[1:]))] == \
+            [naive_match_counts(self.TEXT, self.ELEMENTS)] * len(texts)
 
 
 class TestHashCollision:
