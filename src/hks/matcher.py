@@ -36,16 +36,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, EmptyPoolError, ResourceError
-from .pool import DOMAINS, KnowledgePool
+from .pool import (DOMAINS, HASH_BASE, INVERSE, KnowledgePool, powers,
+                   surface_starts)
 # perfbench/spans.py wraps `class_table` and `token_count_from_classes`
 # here by name, so the imports stay (tests/test_imports.py).
 from .textnorm import (CJK, WORD, class_table, classes, encode_codepoints,
                        normalize, normalize_lines, token_count_from_classes,
                        token_counts)
 
-# Odd, so invertible mod 2^64; no output depends on its value.
-_BASE = 0x9E3779B97F4A7C15
-_INVERSE = pow(_BASE, -1, 1 << 64)
 # Beyond Unicode, so no surface holds it; its class is 0.
 SEPARATOR = 0x110000
 
@@ -78,11 +76,6 @@ class MatcherConfig:
     """Matching options; `boundary` turns the word-boundary rule on."""
 
     boundary: bool = True
-
-
-def _powers(base: int, n: int) -> np.ndarray:
-    """base^1 .. base^n mod 2^64."""
-    return np.cumprod(np.full(n, base, dtype=np.uint64))
 
 
 # A text window expands into every surface of its head's run, so the
@@ -135,21 +128,20 @@ class Automaton:
             ) from exc
 
     def _build(self, pool: KnowledgePool, boundary: bool) -> None:
-        surfaces = pool.surfaces
-        lens = np.fromiter(map(len, surfaces), dtype=np.int32,
-                           count=pool.total)
+        lens = pool.lens
         if lens.min() < 1:
             raise DataError("empty surface in pool; automaton patterns need length >= 1")
         self.pat_domain = pool.domain_ids
-        self.pat_surfaces = surfaces
+        self._pool = pool
         self.bounded = np.zeros(pool.total, dtype=bool)
         # 16 to 32 flags per surface, so few windows pass by chance.
         bits = max(10, pool.total.bit_length() + 4)
         self._shift = 64 - bits
         self._filter = np.zeros(1 << bits, dtype=bool)
         self._bands = []
+        starts = surface_starts(lens)
         order = np.argsort(lens, kind="stable")
-        powers = _powers(_BASE, int(lens[order[-1]]))
+        power = powers(HASH_BASE, int(lens[order[-1]]))
         # Bands 1, 2-3, 4-7, 8-15, ..., popped shortest first.
         work = [ids for ids in np.split(order, np.searchsorted(
             lens[order], 1 << np.arange(1, 32)))[::-1] if ids.size]
@@ -157,16 +149,14 @@ class Automaton:
             ids = work.pop()
             band_lens = lens[ids]
             anchor, width = int(band_lens[0]), int(band_lens[-1])
-            cps = encode_codepoints("".join([surfaces[i] for i in ids]))
-            # One row per surface, zero-padded to the band's width, in the
-            # narrowest type that fits, filled a length at a time.
-            rows = np.zeros((ids.size, width), np.min_scalar_type(int(cps.max())))
+            # One row per surface, zero-padded to the band's width, filled
+            # a length at a time from the pool's codepoints.
+            rows = np.zeros((ids.size, width), pool.cps.dtype)
             edges = (np.flatnonzero(band_lens[1:] != band_lens[:-1]) + 1).tolist()
             for lo, hi in zip([0, *edges], [*edges, ids.size]):
                 n = int(band_lens[lo])
-                rows[lo:hi, :n] = cps[:(hi - lo) * n].reshape(hi - lo, n)
-                cps = cps[(hi - lo) * n:]
-            del cps  # dropped early: temporaries set the build's peak memory
+                rows[lo:hi, :n] = np.lib.stride_tricks.sliding_window_view(
+                    pool.cps, n)[starts[ids[lo:hi]]]
             if boundary:
                 # Padding has class 0; a surface ends in column length - 1.
                 cls = classes(rows)
@@ -174,17 +164,16 @@ class Automaton:
                                      & (cls[np.arange(ids.size), band_lens - 1] == WORD)
                                      & ~(cls & CJK).any(axis=1))
                 del cls
-            # Column by column: no temporary holds 8 bytes per codepoint;
-            # padding adds nothing to a key.
-            keys = heads = np.zeros(ids.size, dtype=np.uint64)
-            for k in range(width):
-                if k == anchor:
-                    heads = keys.copy()
-                keys += rows[:, k] * powers[k]
+            # In a band of one length, the heads are the keys; otherwise
+            # column by column, so no temporary holds 8 bytes per codepoint.
+            keys = heads = pool.keys[ids]
+            if anchor < width:
+                heads = np.zeros(ids.size, dtype=np.uint64)
+                for k in range(anchor):
+                    heads += rows[:, k] * power[k]
             # Not stable, so several times faster: a window checks every
             # surface of its head's run, in whatever order.
             rank = np.argsort(heads)
-            # In a band of one length, the heads are the keys.
             heads, keys = ((heads[rank],) * 2 if keys is heads
                            else (heads[rank], keys[rank]))
             firsts = np.flatnonzero(np.diff(heads, prepend=~heads[:1]))
@@ -207,6 +196,11 @@ class Automaton:
                 lens[ids].astype(np.min_scalar_type(width)),
                 rank.astype(np.min_scalar_type(ids.size)), rows))
 
+    @property
+    def pat_surfaces(self) -> list[str]:
+        """Each pattern's surface, decoded from the pool on first read."""
+        return self._pool.surfaces
+
     def _hits(self, cps: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every boundary-surviving occurrence in the codepoints `cps`
         with classes `cls`, as (pattern ids, start indices)."""
@@ -215,8 +209,8 @@ class Automaton:
         # [i, i + L) hashes to (prefix[i + L] - prefix[i]) * B^-(i + 1),
         # the sum of its k-th codepoint times B^(k + 1), as its surface does.
         prefix = np.zeros(n + 1, dtype=np.uint64)
-        np.cumsum(cps * _powers(_BASE, n + 1)[1:], out=prefix[1:])
-        unshift = _powers(_INVERSE, n + 1)
+        np.cumsum(cps * powers(HASH_BASE, n + 1)[1:], out=prefix[1:])
+        unshift = powers(INVERSE, n + 1)
 
         def hashed(at: np.ndarray, end: np.ndarray) -> np.ndarray:
             """The hashes of the windows [at, end)."""
@@ -324,7 +318,8 @@ def count_all(texts: Sequence[str], automaton: Automaton) -> MatchCounts:
     doc = np.searchsorted(starts, at, side="right") - 1
     # Distinct surfaces: one per distinct (document, pattern id) pair.
     n_pat = automaton.pat_domain.size
-    pairs = np.unique(doc * n_pat + pids)
+    pairs = np.sort(doc * n_pat + pids)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # np.unique imports numpy.ma
     occurrences = per_domain(doc, pids)
     distinct = per_domain(pairs // n_pat, pairs % n_pat)
     return MatchCounts(n_p, occurrences.sum(axis=1), distinct.sum(axis=1),

@@ -50,9 +50,10 @@ def normalize(text: str) -> str:
     return normalize_lines([text.replace("\n", " ")])[0]
 
 
-def normalize_lines(texts: list[str]) -> list[str]:
+def normalize_lines(texts: list[str] | str) -> list[str] | str:
     """NFC + full case folding + whitespace collapse of each text, for
-    texts holding no "\\n": the one implementation of the rule.
+    texts holding no "\\n": the one implementation of the rule. Given the
+    texts joined by "\\n" as one str, returns theirs joined the same way.
 
     Case folding can denormalize (e.g. U+0130 folds to "i" + combining
     dot), so NFC is applied again after folding. Whitespace runs collapse
@@ -65,16 +66,20 @@ def normalize_lines(texts: list[str]) -> list[str]:
     so a printable column whose spaces are single and inner needs none.
     """
     if not texts:
-        return []
-    joined = unicodedata.normalize("NFC", "\n".join(texts)).casefold()
-    folded = unicodedata.normalize("NFC", joined)
-    lines = folded.split("\n")
-    if len(lines) != len(texts):
-        raise ValueError("normalize_lines: a text holds a newline")
+        return texts
+    joined = texts if isinstance(texts, str) else "\n".join(texts)
+    folded = unicodedata.normalize(
+        "NFC", unicodedata.normalize("NFC", joined).casefold())
     spaced = folded.replace("\n", " ")
+    lines = None
     if not (spaced.isprintable() and "  " not in spaced
             and spaced[:1] != " " and spaced[-1:] != " "):
-        lines = list(map(" ".join, map(str.split, lines)))
+        lines = list(map(" ".join, map(str.split, folded.split("\n"))))
+    if isinstance(texts, str):
+        return folded if lines is None else "\n".join(lines)
+    lines = folded.split("\n") if lines is None else lines
+    if len(lines) != len(texts):
+        raise ValueError("normalize_lines: a text holds a newline")
     return lines
 
 
@@ -98,7 +103,11 @@ def classes(cps: np.ndarray) -> np.ndarray:
     cls = table[cps]
     cls ^= _UNSEEN
     if cls.max(initial=0) == _UNSEEN:
-        new = np.unique(cps[cls == _UNSEEN])
+        # The distinct codepoints met, sorted, by a mark per codepoint:
+        # no sort, and no np.unique, whose first call imports numpy.ma.
+        met = np.zeros(table.size, dtype=bool)
+        met[cps[cls == _UNSEEN]] = True
+        new = np.flatnonzero(met)
         found = WORD * np.array([unicodedata.category(chr(cp)) in _WORD_CATEGORIES
                                  for cp in new.tolist()], dtype=np.uint8)
         for lo, hi in _CJK_RANGES:
