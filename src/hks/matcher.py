@@ -13,13 +13,14 @@ Every surface takes one matching path, a hash join over codepoints
 (Karp & Rabin, IBM J. Res. Dev. 1987) keyed by anchors (Wu & Manber,
 "A fast algorithm for multi-pattern searching", 1994). Surfaces fall
 into length bands 1, 2-3, 4-7, 8-15 and so on; each is keyed by a
-polynomial hash mod 2^64 of its codepoints, and by the same hash of its
-first A, its head, where A is the shortest length in its band. A band
-of several lengths in which more than _MAX_RUN surfaces share a head
-splits at its median length, so each half takes its own anchor. Per band,
-each text window of length A is hashed once from prefix sums; a flag
-table on the top hash bits drops most windows, and the rest are looked
-up once among the band's sorted heads. Each surface with an equal head
+polynomial hash mod 2^64 of its codepoints, the key its pool holds, and
+by the same hash of its first A, its head, where A is the shortest
+length in its band. A band of several lengths in which more than
+_MAX_RUN surfaces share a head splits at its median length, so each
+half takes its own anchor. Per band, each text window of length A is
+hashed once from prefix sums; a flag table on the top hash bits drops
+most windows, and the rest are looked up once among the band's sorted
+heads. Each surface with an equal head
 is a candidate, kept when it ends inside the text, its full-length
 window hashes to its key, and the window's codepoints equal its own, so
 a shared hash never miscounts; the boundary rule reads the word flags

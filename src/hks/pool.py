@@ -9,6 +9,11 @@ length filter and dedup, so the stored pool is already in matchable form.
 Surfaces shorter than 2 characters are dropped. The first occurrence of a
 surface wins; later duplicates are counted, and duplicates that disagree
 on the domain are additionally counted as conflicts.
+
+A loaded pool holds its surfaces as codepoint arrays, not strings: each
+chunk of the file goes from bytes to codepoints and to each surface's
+key, the hash the matcher's scan gives a text window (Karp & Rabin
+1987), and the dedup and the matcher's build read those arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ CHUNK_BYTES = 1 << 16
 HASH_BASE = 0x9E3779B97F4A7C15
 INVERSE = pow(HASH_BASE, -1, 1 << 64)
 # A chunk with no surface: codepoints, lengths, keys and codes.
-_NONE = (np.zeros(0, np.uint8), np.zeros(0, np.int32),
+_EMPTY = (np.zeros(0, np.uint8), np.zeros(0, np.int32),
          np.zeros(0, np.uint64), np.zeros(0, np.int16))
 
 
@@ -180,7 +185,7 @@ def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
     report = PoolLoadReport()
     parts = []
     # Powers of HASH_BASE and its inverse, grown to fit the longest chunk
-    # so far; they go when the load returns.
+    # so far; dropped once the file is read.
     tables: list[np.ndarray] = []
     lines = 0
     with reading(source) as stream:
@@ -191,7 +196,7 @@ def load_pool(source: str | Path, strict: bool = False) -> KnowledgePool:
     del tables
 
     cps, lens, keys, codes = (np.concatenate(column)
-                              for column in zip(*parts or [_NONE]))
+                              for column in zip(*parts or [_EMPTY]))
     if not lens.size:
         raise EmptyPoolError("no elements survived filtering; pool is empty")
     first = _first_equal(cps, surface_starts(lens), lens, keys)
@@ -275,7 +280,7 @@ def _load_chunk(chunk: str, before: int, report: PoolLoadReport,
         known = domain_ids >= 0
         rows, codes = rows[known], codes[known]
     if not rows.size:
-        return n, _NONE
+        return n, _EMPTY
     cps = encode_codepoints(normalize_lines(field(0, rows)[:-1]) + "\n")
     ends = np.flatnonzero(cps == 10)
     lens = np.diff(ends, prepend=-1) - 1

@@ -2,11 +2,16 @@
 
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hks.pipeline
 import hks.selection
+from hks import KnowledgePool
 from hks.cli import main
 from hks.files import line_digest
 
@@ -762,6 +767,37 @@ class TestPoolStats:
         assert ("hks: error: shards/../pool.tsv: is "
                 in capsys.readouterr().err)
         assert files_under(root) == before
+
+
+class TestSetupCost:
+    """What `hks score` and `pool stats` leave out of their set-up."""
+
+    def test_no_surface_is_decoded(self, workspace, monkeypatch, capsys):
+        # Scoring and the stats read the pool's codepoint and length
+        # arrays; decoding them into strings is for tests and find_matches.
+        root, corpus = workspace
+
+        def decoded(pool):
+            raise AssertionError("pool surfaces decoded")
+
+        monkeypatch.setattr(KnowledgePool, "surfaces", property(decoded))
+        assert run_score(root, corpus) == 0
+        capsys.readouterr()
+        assert main(["pool", "stats", str(root / "pool.tsv")]) == 0
+        assert json.loads(capsys.readouterr().out)["length_histogram"]
+
+    def test_numpy_ma_is_not_imported(self, workspace):
+        # The first np.unique of a process imports numpy.ma, about 12 ms.
+        root, corpus = workspace
+        argv = ["-q", "score", "--pool", str(root / "pool.tsv"), "--corpus",
+                corpus, "--out", str(root / "scores")]
+        code = ("import sys; from hks.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "sys.exit('numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0
 
 
 class TestWalkthrough:

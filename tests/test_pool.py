@@ -1,5 +1,6 @@
 """Pool ingestion: parsing, normalization, filtering, dedup, stats."""
 
+import contextlib
 import gzip
 import json
 import logging
@@ -12,12 +13,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hks.matcher
 import hks.pool
 from hks import DataError, EmptyPoolError, ResourceError
+from hks.matcher import MatcherConfig, build_automaton, count_all
 from hks.pool import (DOMAINS, SOURCES, KnowledgeElement, KnowledgePool,
                       PoolStats, load_pool, pool_stats)
 
-from helpers import random_pool_elements, ref_length_histogram, ref_load_pool
+from helpers import (naive_match_counts, random_pool_elements,
+                     ref_length_histogram, ref_load_pool)
+from test_matcher import _thue_morse
 
 
 def load_from_lines(lines, **opts):
@@ -308,6 +313,85 @@ def test_load_matches_per_line_oracle(tmp_path, caplog, lines, last,
                       + "".join(line + end for line, end in lines)
                       + last).encode("utf-8"))
     assert_loads_like_oracle(path, caplog, strict, chunk_bytes)
+
+
+@contextlib.contextmanager
+def colliding_keys():
+    """Hash base 1 for pool keys and the scan alike: a key is then the
+    sum of the codepoints, so anagrams share their (length, key)."""
+    with mock.patch.multiple(hks.pool, HASH_BASE=1, INVERSE=1), \
+            mock.patch.multiple(hks.matcher, HASH_BASE=1, INVERSE=1):
+        yield
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_POOLS, chunk_bytes=st.integers(1, 40), strict=st.booleans())
+@example(lines=[("ab\tlife", "\n"), ("ba\tart", "\n"), ("BA\tlife", "\n"),
+                ("AB\tart\ttitle_keyword", "\r\n"), ("ba\tart", "\n")],
+         chunk_bytes=40, strict=False)
+def test_load_matches_per_line_oracle_with_colliding_keys(
+        tmp_path, caplog, lines, chunk_bytes, strict):
+    path = tmp_path / "pool.tsv"
+    path.write_bytes("".join(line + end for line, end in lines).encode("utf-8"))
+    with colliding_keys():
+        assert_loads_like_oracle(path, caplog, strict, chunk_bytes)
+
+
+class TestKeyCollisions:
+    """Surfaces that share (length, key) are told apart by their
+    codepoints: each distinct surface is kept, and a duplicate is
+    counted against the first line of its own surface."""
+
+    LINES = ["ab\tlife", "ba\tart", "AB\tscience", "bca\tart", "cab\tlife",
+             "abc\tart", "ba\tlife\ttitle_keyword", "cab\tscience", "ab\tlife"]
+    TEXTS = ["ab ba abc cab bca", "abcab", "cba bac acb", "xab ba.", ""]
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "pool.tsv"
+        path.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
+        return path
+
+    def test_anagrams_load_like_the_oracle(self, path, caplog):
+        with colliding_keys():
+            (surfaces, _, _, report), _ = assert_loads_like_oracle(path, caplog)
+            pool = load_pool(path)
+        assert surfaces == ["ab", "ba", "bca", "cab", "abc"]
+        assert (report.dropped_duplicate, report.domain_conflicts) == (4, 3)
+        assert len(set(pool.keys.tolist())) == 2
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_anagrams_count_like_the_naive_scan(self, path, boundary):
+        with colliding_keys():
+            pool = load_pool(path)
+            counts = count_all(self.TEXTS, build_automaton(
+                pool, MatcherConfig(boundary=boundary)))
+        elements = list(zip(pool.surfaces, [DOMAINS[i] for i in pool.domain_ids]))
+        assert [(n_k, n_distinct, dict(zip(DOMAINS, zip(o, u))))
+                for n_k, n_distinct, o, u in zip(
+                    *(column.tolist() for column in counts[1:]))] == \
+            [naive_match_counts(t, elements, boundary) for t in self.TEXTS]
+
+    def test_thue_morse_pair_under_the_real_base(self, tmp_path, caplog):
+        # The length-1024 Thue-Morse word and its complement share their
+        # key under any odd base.
+        word, complement = _thue_morse(1024, "a", "b"), _thue_morse(1024, "b", "a")
+        path = tmp_path / "pool.tsv"
+        path.write_text(f"{word}\tscience\n{complement}\tart\n"
+                        f"{complement.upper()}\tlife\n{word}\tscience\n",
+                        encoding="utf-8")
+        (surfaces, _, _, report), _ = assert_loads_like_oracle(path, caplog)
+        assert surfaces == [word, complement]
+        assert (report.dropped_duplicate, report.domain_conflicts) == (2, 1)
+        pool = load_pool(path)
+        assert pool.keys[0] == pool.keys[1]
+
+    def test_load_and_constructor_agree(self, path):
+        pool = load_pool(path)
+        built = KnowledgePool(pool.surfaces, pool.domain_ids, pool.source_ids)
+        for name in ("cps", "lens", "keys"):
+            assert getattr(built, name).tolist() == getattr(pool, name).tolist()
 
 
 class TestInvariants:

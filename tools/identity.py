@@ -9,14 +9,16 @@ source tree and once on the new, over the same inputs, and compares:
     python tools/identity.py --compare A/identity.json B/identity.json
 
 `generate` writes the inputs of the score-latin, score-mixed and
-select-100k workloads as `perfbench/run.py` does. `run` scores each
-corpus with default flags and with `--no-boundary --no-domains`
-(`--workers` is passed to both), runs `pool stats` on each pool, and on
-each score run and on select-100k's records runs topk, sample and mix
+select-100k workloads as `perfbench/run.py` does, and an edge-case pool
+made from score-mixed's (see `edge_pool`). `run` scores each corpus
+with default flags and with `--no-boundary --no-domains` (`--workers`
+is passed to both), runs `pool stats` on each pool, and on each score
+run of a workload and on select-100k's records runs topk, sample and mix
 selections, one with `--emit-corpus` (where the corpus exists), `split`,
 `analyze hist` and `analyze corr`; where the run has domain columns, a
 selection with `--score-field art` and `corr` over the `science` column
-too. Each command is a `python -m hks.cli` subprocess of the tree under
+too. The edge-case pool gets `pool stats` and both score runs, against
+score-mixed's corpus. Each command is a `python -m hks.cli` subprocess of the tree under
 `--src`. Every output but `run_stats.json` goes into OUT/identity.json
 as `{relative path: sha256}`. Runs compare equal only when they read the
 same INPUTS directory, since a manifest records its input paths.
@@ -32,10 +34,13 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("score-latin", "score-mixed", "select-100k")
+EDGE = "edge-pool"
+DOMAINS = ("science", "society", "culture", "art", "life")
 # Token budgets as shares of a run's tokens, as the benchmark takes them.
 TOPK_SHARE, MIX_SHARE, SPLIT_SHARE = 0.25, 0.04, 0.05
 
@@ -51,6 +56,49 @@ def generate(seed: int, inputs: Path) -> None:
         work.mkdir(parents=True)
         params, _ = bench.generate(workload, seed, work)
         (work / "params.json").write_text(json.dumps(params), "utf-8")
+    mixed = json.loads((inputs / "score-mixed" / "params.json").read_text("utf-8"))
+    work = (inputs / EDGE).resolve()
+    work.mkdir()
+    (work / "pool.tsv").write_bytes(edge_pool(Path(mixed["pool"])))
+    (work / "params.json").write_text(json.dumps(
+        {"pool": str(work / "pool.tsv"), "corpus": mixed["corpus"]}), "utf-8")
+
+
+def edge_pool(pool: Path) -> bytes:
+    """Every line of the pool at `pool` in order, each with one variant
+    by its line number: a duplicate after casefold or NFC with another
+    domain, or after whitespace collapse with padded or non-space
+    whitespace; a third field, known, unknown or padded, or a fourth; an
+    unknown domain, a padded domain, a line with no tab, a 1-character
+    surface or a blank line. A byte order mark leads, lines end in "\n",
+    "\r\n" or a lone "\r", and two surfaces that share their key under
+    any hash base (the length-1024 Thue-Morse word and its complement)
+    close the file."""
+    def thue_morse(zero: str, one: str) -> str:
+        return "".join(one if bin(i).count("1") % 2 else zero for i in range(1024))
+
+    lines = []
+    for i, line in enumerate(pool.read_text("utf-8").splitlines()):
+        surface, domain = line.split("\t")[:2]
+        other = DOMAINS[(DOMAINS.index(domain) + 1) % len(DOMAINS)]
+        lines += [line, [
+            f"{surface.upper()}\t{other}",
+            f"{unicodedata.normalize('NFD', surface)}\t{other}",
+            f" {surface.replace(' ', chr(0x2003) + ' ')}\xa0\t{domain}",
+            f"{surface}\u3000~\t{domain}\tmodel_extracted",
+            f"{surface}~\t{domain}\ttitle_keyword",
+            f"{surface}~~\t{domain}\tscraped",
+            f"{surface}~~~\t{domain}\t title_keyword \textra",
+            f"{surface}!\tfinance",
+            f"{surface}?",
+            f"{surface[:1]}\t{domain}",
+            f"{surface}!!\t {other}\x1c",
+            "",
+        ][i % 12]]
+    lines += [f"{thue_morse('a', 'b')}\tscience", f"{thue_morse('b', 'a')}\tart"]
+    ends = ["\n"] * 5 + ["\r\n", "\r"]
+    return ("\ufeff" + "".join(line + ends[i % len(ends)]
+                               for i, line in enumerate(lines))).encode("utf-8")
 
 
 def hks(src: Path, out: Path, *argv) -> None:
@@ -100,7 +148,7 @@ def phase_two(src: Path, out: Path, scores: str, name: str, total: int,
 
 def run(src: Path, inputs: Path, out: Path, workers: int) -> None:
     out.mkdir(parents=True)
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, EDGE):
         params = json.loads((inputs / workload / "params.json").read_text("utf-8"))
         hks(src, out, "pool", "stats", params["pool"], "--out", f"{workload}.pool.json")
         for tag, flags in (("score", []),
@@ -108,8 +156,9 @@ def run(src: Path, inputs: Path, out: Path, workers: int) -> None:
             scores = f"{workload}.{tag}"
             hks(src, out, "score", "--pool", params["pool"], "--corpus",
                 params["corpus"], "--out", scores, "--workers", workers, *flags)
-            phase_two(src, out, scores, scores, tokens(out / scores),
-                      domains=not flags)
+            if workload != EDGE:
+                phase_two(src, out, scores, scores, tokens(out / scores),
+                          domains=not flags)
         if "scores" in params:
             # The generated records list corpus files that do not exist,
             # so nothing can be emitted from them.
