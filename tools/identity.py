@@ -18,12 +18,12 @@ selections, one with `--emit-corpus` (where the corpus exists), `split`,
 `analyze hist` and `analyze corr`; where the run has domain columns, a
 selection with `--score-field art` and `corr` over the `science` column
 too. The edge-case pool gets `pool stats` and both score runs, against
-score-mixed's corpus. Each command is a `python -m hks.cli` subprocess of the tree under
-`--src`. Every output but `run_stats.json` goes into OUT/identity.json
-as `{relative path: sha256}`. Runs compare equal only when they read the
-same INPUTS directory, since a manifest records its input paths.
-`--compare A B` prints each path added, removed or changed between two
-such files and exits 1 if any is.
+score-mixed's corpus. Each command is a `python -m hks.cli` subprocess
+of the tree under `--src`. Every output but `run_stats.json` goes into
+OUT/identity.json as `{relative path: sha256}`. Runs compare equal only
+when they read the same INPUTS directory, since a manifest records its
+input paths. `--compare A B` prints each path added, removed or changed
+between two such files and exits 1 if any is.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("score-latin", "score-mixed", "select-100k")
 EDGE = "edge-pool"
-DOMAINS = ("science", "society", "culture", "art", "life")
 # Token budgets as shares of a run's tokens, as the benchmark takes them.
 TOPK_SHARE, MIX_SHARE, SPLIT_SHARE = 0.25, 0.04, 0.05
 
@@ -74,6 +73,8 @@ def edge_pool(pool: Path) -> bytes:
     "\r\n" or a lone "\r", and two surfaces that share their key under
     any hash base (the length-1024 Thue-Morse word and its complement)
     close the file."""
+    from hks.pool import DOMAINS
+
     def thue_morse(zero: str, one: str) -> str:
         return "".join(one if bin(i).count("1") % 2 else zero for i in range(1024))
 
@@ -81,10 +82,11 @@ def edge_pool(pool: Path) -> bytes:
     for i, line in enumerate(pool.read_text("utf-8").splitlines()):
         surface, domain = line.split("\t")[:2]
         other = DOMAINS[(DOMAINS.index(domain) + 1) % len(DOMAINS)]
+        spaced = surface.replace(" ", "\u2003 ")
         lines += [line, [
             f"{surface.upper()}\t{other}",
             f"{unicodedata.normalize('NFD', surface)}\t{other}",
-            f" {surface.replace(' ', chr(0x2003) + ' ')}\xa0\t{domain}",
+            f" {spaced}\xa0\t{domain}",
             f"{surface}\u3000~\t{domain}\tmodel_extracted",
             f"{surface}~\t{domain}\ttitle_keyword",
             f"{surface}~~\t{domain}\tscraped",
