@@ -24,7 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import DataError, DegenerateDocumentError, EmptyPoolError
 from .files import JSON_ERRORS, canonical_json
@@ -320,17 +320,20 @@ class ScoreTable:
 
     scores maps each score field (d, c, hks and every domain name) to
     its column, each value kept exactly as `json.loads` returned it.
-    Every row has the same domains, so every column is full. shards
-    holds the path, manifest entry and row slice of each score shard
-    read, in row order; it is empty for a table built by `from_records`
-    or `take`.
+    Every row has the same domains, so every column is full. A table
+    filled with `fields` (see `extend_columns`) holds only the columns
+    named there: it maps every other score field of its records to
+    None, so it still knows their names, and its meta is None unless
+    "meta" is named. shards holds the path, manifest entry and row
+    slice of each score shard read, in row order; it is empty for a
+    table built by `from_records` or `take`.
     """
 
     ids: list[str] = field(default_factory=list)
     n_p: list[int] = field(default_factory=list)
-    scores: dict[str, list] = field(
+    scores: dict[str, list | None] = field(
         default_factory=lambda: {name: [] for name in RECORD_SCORES})
-    meta: list[dict | None] = field(default_factory=list)
+    meta: list[dict | None] | None = field(default_factory=list)
     shards: list[tuple] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -380,9 +383,13 @@ class ScoreTable:
     def column(self, score_field: str) -> list:
         """The score column named by `score_field`: d, c, hks or a
         domain name (that domain's composite score); [] for an empty
-        table."""
+        table. A field the records lack is a DataError naming the first
+        one; a field they have that this table did not keep is a
+        ValueError."""
         values = self.scores.get(score_field)
         if values is None and self.ids:
+            if score_field in self.scores:
+                raise ValueError(f"column {score_field!r} was not kept")
             available = [*RECORD_SCORES, *sorted(self.scores.keys()
                                                  - set(RECORD_SCORES))]
             raise DataError(
@@ -391,12 +398,15 @@ class ScoreTable:
         return values or []
 
     def take(self, rows: Sequence[int]) -> ScoreTable:
-        """The rows at positions `rows`, in that order."""
-        return ScoreTable([self.ids[i] for i in rows],
-                          [self.n_p[i] for i in rows],
-                          {name: [col[i] for i in rows]
+        """The rows at positions `rows`, in that order, of the columns
+        this table holds."""
+        def pick(col: list | None) -> list | None:
+            return None if col is None else [col[i] for i in rows]
+
+        return ScoreTable(pick(self.ids), pick(self.n_p),
+                          {name: pick(col)
                            for name, col in self.scores.items()},
-                          [self.meta[i] for i in rows])
+                          pick(self.meta))
 
     def parse_lines(self, lines: Iterable[str], source) -> dict:
         """The score records on `lines`, read from `source`, as the
@@ -452,17 +462,21 @@ class ScoreTable:
                                 f"({exc})") from exc
         return columns
 
-    def extend_columns(self, columns: dict, source) -> int:
+    def extend_columns(self, columns: dict, source,
+                       fields: Collection[str] | None = None) -> int:
         """Append the rows of `columns`, in the shape `parse_lines`
         returns (a parsed column file, or `parse_lines` of a shard), read
-        from `source`; returns how many were appended.
+        from `source`; returns how many were appended. Ids and n_p are
+        always appended; of the score fields and "meta", only those in
+        `fields` (all when it is None), the others being set to None.
 
-        Missing columns, columns of unequal lengths and domains other
-        than the first row's are a DataError naming `source`. So is an
-        id that is not a non-empty string, an n_p that is not an integer
-        >= 1, a score that is not a finite number and a meta that is not
-        an object, naming `source:k` for the k-th row of `columns`.
-        Nothing is appended unless every check passes.
+        Every column is checked, kept or not. Missing columns, columns
+        of unequal lengths and domains other than the first row's are a
+        DataError naming `source`. So is an id that is not a non-empty
+        string, an n_p that is not an integer >= 1, a score that is not a
+        finite number and a meta that is not an object, naming `source:k`
+        for the k-th row of `columns`. Nothing is appended unless every
+        check passes.
         """
         try:
             rows, domains = columns["id"], columns["domains"]
@@ -494,9 +508,14 @@ class ScoreTable:
                                 f"not {what} ({values[row]!r})")
         self.ids.extend(rows)
         self.n_p.extend(columns["n_p"])
-        self.meta.extend(columns["meta"])
-        for name in RECORD_SCORES:
-            self.scores[name].extend(columns[name])
-        for name in names:
-            self.scores.setdefault(name, []).extend(domains[name])
+        if fields is None or "meta" in fields:
+            self.meta.extend(columns["meta"])
+        else:
+            self.meta = None
+        for name in (*RECORD_SCORES, *names):
+            if fields is None or name in fields:
+                self.scores.setdefault(name, []).extend(
+                    columns[name] if name in RECORD_SCORES else domains[name])
+            else:
+                self.scores[name] = None
         return len(rows)

@@ -25,7 +25,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 from .analysis import (PreferencePair, bucket_distribution, check_histogram,
                        correlation_json, correlation_matrix, function_search,
@@ -495,7 +495,8 @@ def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
     return columns
 
 
-def load_score_records(scores_dir: str | Path) -> ScoreTable:
+def load_score_records(scores_dir: str | Path,
+                       fields: Collection[str] | None = None) -> ScoreTable:
     """Every record of a scoring run's output directory, as columns.
 
     Reads the manifest once, then the shards it lists into the table's
@@ -503,12 +504,16 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
     shard's columns come from its column file when the manifest lists
     that file, and otherwise from its lines, parsed once: the same
     columns (see ScoreTable.parse_lines), which one extend_columns call
-    checks and appends. A missing manifest, a shard or listed column
-    file that changed since scoring, a column file naming another
-    shard's sha256, a record count other than the manifest's, a line
-    that is not a score record, a malformed column or value, a document
-    id seen twice (in one shard or across two) and a run with no records
-    are each a DataError naming the directory or the file.
+    checks and appends. Every column of every shard is checked, but the
+    table keeps only ids, n_p and the score fields and "meta" named in
+    `fields` (every column when it is None; see ScoreTable).
+
+    A missing manifest, a shard or listed column file that changed since
+    scoring, a column file naming another shard's sha256, a record count
+    other than the manifest's, a line that is not a score record, a
+    malformed column or value, a document id seen twice (in one shard or
+    across two) and a run with no records are each a DataError naming
+    the directory or the file.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
@@ -537,7 +542,7 @@ def load_score_records(scores_dir: str | Path) -> ScoreTable:
             check_sha256(path, digest, shard["sha256"])
             counted(path, count)
             from_columns += 1
-        counted(source, table.extend_columns(columns, source))
+        counted(source, table.extend_columns(columns, source, fields))
         for doc_id in table.ids[start:]:
             if doc_id in shard_of:
                 raise DataError(f"duplicate document id {doc_id!r} "
@@ -565,13 +570,15 @@ def _check_outputs(inputs: Iterable[str | Path], *outputs: str | Path) -> None:
 
 
 def _open_run(scores_dir: str | Path, outputs: Sequence[str | Path],
-              reads: Sequence[str | Path] = ()) -> ScoreTable:
+              reads: Sequence[str | Path] = (),
+              fields: Collection[str] | None = None) -> ScoreTable:
     """The records of the score run under `scores_dir`, as
-    `load_score_records` reads them, for a command that writes `outputs`
-    and also reads `reads`. An output that is the run's manifest, a score
-    shard, column file or corpus input it lists, one of `reads` or an
-    output before it is a DataError naming it."""
-    table = load_score_records(scores_dir)
+    `load_score_records` reads them keeping the columns in `fields`, for
+    a command that writes `outputs` and also reads `reads`. An output
+    that is the run's manifest, a score shard, column file or corpus
+    input it lists, one of `reads` or an output before it is a DataError
+    naming it."""
+    table = load_score_records(scores_dir, fields)
     files = [Path(scores_dir) / MANIFEST_NAME, *reads]
     for path, shard, _ in table.shards:
         files += (path, path.with_name(shard.get("columns", path.name)),
@@ -592,7 +599,8 @@ def run_select(scores_dir: str, spec: SelectionSpec, out_dir: str,
     out = Path(out_dir)
     table = _open_run(scores_dir, [*([emit_corpus] if emit_corpus else []),
                                    out / "selected.jsonl",
-                                   out / "selection.json"])
+                                   out / "selection.json"],
+                      fields=(spec.score_field,))
     result = select(table, spec)
     row_of = dict(zip(table.ids, range(len(table))))
     rows = [row_of[doc_id] for doc_id in result.selected_ids]
@@ -641,7 +649,7 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
     check_budget(token_budget)
     out = Path(out_dir)
     table = _open_run(scores_dir, [out / "high.jsonl", out / "low.jsonl",
-                                   out / "split.json"])
+                                   out / "split.json"], fields=(score_field,))
     high, low, threshold = threshold_split(table, token_budget, score_field)
     high_ids = set(high.ids)
     with writing(out / "high.jsonl") as high_dest, \
@@ -669,7 +677,7 @@ def run_split(scores_dir: str, token_budget: int, out_dir: str,
 def run_hist(scores_dir: str, metric: str, group_by: str, n_buckets: int,
              out_path: str) -> None:
     check_histogram(metric, n_buckets)
-    table = _open_run(scores_dir, [out_path])
+    table = _open_run(scores_dir, [out_path], fields=(metric, "meta"))
     hist = bucket_distribution(table, metric, group_by, n_buckets)
     with writing(out_path) as dest:
         dest.write(hist.to_csv())
@@ -739,7 +747,9 @@ def run_corr(scores_dir: str, columns: Sequence[str], out_path: str,
                             f"{', '.join(SCORE_FIELDS)}, ext:<name>")
         if columns.count(col) > 1:
             raise DataError(f"column {col!r} is named more than once")
-    table = _open_run(scores_dir, [out_path], [ext_path] if ext_path else [])
+    table = _open_run(scores_dir, [out_path], [ext_path] if ext_path else [],
+                      fields=[col for col in columns
+                              if not col.startswith("ext:")])
     ext = _load_ext_columns(ext_path, ext_names) if ext_path else {}
     kept = table
     if ext_names:

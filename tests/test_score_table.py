@@ -4,6 +4,7 @@ and the values a score line must hold."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,3 +527,117 @@ def test_column_of_a_loaded_table_is_its_list(tmp_path):
     table = load_score_records(scores)
     for name in ("hks", "d", "art"):
         assert table.column(name) is table.scores[name]
+
+
+PHASE_TWO = [
+    ["select", "--budget-docs", "1", "--out", "sel"],
+    ["split", "--budget-tokens", "5", "--out", "split"],
+    ["analyze", "hist", "--metric", "d", "--group-by", "subset",
+     "--out", "hist.csv"],
+    ["analyze", "corr", "--columns", "d,hks", "--out", "corr.json"],
+]
+
+
+def renamed_columns(columns):
+    columns["domains"]["arts"] = columns["domains"].pop("art")
+
+
+@pytest.mark.parametrize("line, edit, message", [
+    (edited(science="x"), set_value(None, "x", "science"),
+     ":2: 'domains.science.score' is not a finite number ('x')"),
+    (edited(meta=[1]), set_value("meta", [1]),
+     ":2: 'meta' is not an object ([1])"),
+    (edited(c=float("nan")), set_value("c", float("nan")),
+     ":2: 'c' is not a finite number (nan)"),
+    (renamed("art", "arts"), renamed_columns,
+     ":2: domains differ from the first record's"),
+], ids=["domain-str", "meta-list", "c-nan", "domains-differ"])
+@pytest.mark.parametrize("from_columns", [False, True],
+                         ids=["lines", "column-file"])
+def test_columns_a_command_does_not_keep_are_still_checked(
+        tmp_path, capsys, line, edit, message, from_columns):
+    # Each command keeps ids, n_p and the columns it reads, which here
+    # leaves the bad value in a column it drops (hist keeps meta).
+    first = edited(id="doc-a")
+    # With a column file the shard's own lines are valid, so only the
+    # column file's values can fail.
+    scores = write_scores(tmp_path, [[first], [
+        first.replace("doc-a", "x"), edited() if from_columns else line]])
+    named = scores / "scores-00001.jsonl"
+    if from_columns:
+        add_columns(scores, edit)
+        named = scores / "scores-00001.columns.json"
+        if edit is renamed_columns:
+            message = ": not a column file (domains differ from the " \
+                      "first record's)"
+    capsys.readouterr()
+    for argv in PHASE_TWO:
+        out = tmp_path / argv[-1]
+        assert main([*argv[:-1], str(out), "--scores", str(scores)]) == 2
+        assert f"{named}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def strict_kept(table: ScoreTable, fields) -> tuple:
+    """`strict` of `table` without the columns not in `fields`."""
+    scores = {name: col for name, col in table.scores.items()
+              if name in fields}
+    return (canonical_json([table.ids, table.n_p,
+                            table.meta if "meta" in fields else None]),
+            canonical_json(scores),
+            [(path, span) for path, _, span in table.shards])
+
+
+@pytest.mark.parametrize("fields", [(), ("hks",), ("art",), ("d", "meta"),
+                                    ("meta",), ("c", "science", "hks")])
+@pytest.mark.parametrize("from_columns", [False, True],
+                         ids=["lines", "column-file"])
+def test_load_keeps_only_the_named_columns(tmp_path, fields, from_columns):
+    records = toy_records(4, 30, True)
+    scores = write_scores(tmp_path, [[r.to_json() for r in records[:12]],
+                                     [r.to_json() for r in records[12:]]])
+    if from_columns:
+        add_columns(scores)
+    full = load_score_records(scores)
+    kept = load_score_records(scores, fields)
+    assert strict_kept(kept, fields) == strict_kept(full, fields)
+    # The run's field names stay, in their order, with dropped columns
+    # as None.
+    assert list(kept.scores) == list(full.scores)
+    assert [name for name, col in kept.scores.items()
+            if col is not None] == [name for name in full.scores
+                                    if name in fields]
+    assert (kept.meta is None) == ("meta" not in fields)
+    for name in full.scores.keys() - set(fields):
+        with pytest.raises(ValueError, match=f"column '{name}' was not kept"):
+            kept.column(name)
+    rows = kept.take([3, 1, 20])
+    assert rows.scores == {name: None if col is None else
+                           [col[3], col[1], col[20]]
+                           for name, col in kept.scores.items()}
+    assert rows.meta == (None if kept.meta is None else
+                         [kept.meta[3], kept.meta[1], kept.meta[20]])
+
+
+def test_projected_load_holds_a_fraction_of_the_full_table(tmp_path):
+    # 20k records in ten shards: one shard's parsed columns are the
+    # only unkept values alive at once.
+    rng = np.random.default_rng(7)
+    lines = [json.dumps({"id": f"doc-{i}", "n_p": 1 + i % 50, "n_k": 1,
+                         "n_distinct": 1, "d": d, "c": c, "hks": hks,
+                         "meta": {"subset": "ab"[i % 2]}})
+             for i, (d, c, hks) in enumerate(rng.random((20_000, 3)).tolist())]
+    scores = write_scores(tmp_path, [lines[i:i + 2000]
+                                     for i in range(0, len(lines), 2000)])
+    peaks = []
+    for fields in (None, ("hks",)):
+        tracemalloc.start()
+        try:
+            table = load_score_records(scores, fields)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20_000
+        del table
+    full, projected = peaks
+    assert projected < 0.5 * full

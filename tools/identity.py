@@ -15,15 +15,17 @@ with default flags and with `--no-boundary --no-domains` (`--workers`
 is passed to both), runs `pool stats` on each pool, and on each score
 run of a workload and on select-100k's records runs topk, sample and mix
 selections, one with `--emit-corpus` (where the corpus exists), `split`,
-`analyze hist` and `analyze corr`; where the run has domain columns, a
-selection with `--score-field art` and `corr` over the `science` column
-too. The edge-case pool gets `pool stats` and both score runs, against
-score-mixed's corpus. Each command is a `python -m hks.cli` subprocess
-of the tree under `--src`. Every output but `run_stats.json` goes into
-OUT/identity.json as `{relative path: sha256}`. Runs compare equal only
-when they read the same INPUTS directory, since a manifest records its
-input paths. `--compare A B` prints each path added, removed or changed
-between two such files and exits 1 if any is.
+`analyze hist` by the `subset` key and by a key no record has (so every
+record lands in "unknown") and `analyze corr`; where the run has domain
+columns, a selection and a split with `--score-field art` and `corr`
+over the `science` column too. The edge-case pool gets `pool stats` and
+both score runs, against score-mixed's corpus. Each command is a
+`python -m hks.cli` subprocess of the tree under `--src`. Every output
+but `run_stats.json` goes into OUT/identity.json as `{relative path:
+sha256}`. Runs compare equal only when they read the same INPUTS
+directory, since a manifest records its input paths. `--compare A B`
+prints each path added, removed or changed between two such files and
+exits 1 if any is.
 """
 
 from __future__ import annotations
@@ -140,10 +142,15 @@ def phase_two(src: Path, out: Path, scores: str, name: str, total: int,
     if emit:
         hks(src, out, *sel, "--out", f"{name}.emit", "--budget-docs", 20,
             "--emit-corpus", f"{name}.corpus")
-    hks(src, out, "split", "--scores", scores, "--out", f"{name}.split",
-        "--budget-tokens", budget(SPLIT_SHARE))
-    hks(src, out, "analyze", "hist", "--scores", scores, "--metric", "hks",
-        "--group-by", "subset", "--out", f"{name}.hist.csv")
+    split = ["split", "--scores", scores, "--budget-tokens", budget(SPLIT_SHARE)]
+    hks(src, out, *split, "--out", f"{name}.split")
+    if domains:
+        hks(src, out, *split, "--out", f"{name}.art-split", "--score-field", "art")
+    hist = ["analyze", "hist", "--scores", scores]
+    hks(src, out, *hist, "--metric", "hks", "--group-by", "subset",
+        "--out", f"{name}.hist.csv")
+    hks(src, out, *hist, "--metric", "c", "--group-by", "nosuchkey",
+        "--out", f"{name}.unknown.hist.csv")
     hks(src, out, "analyze", "corr", "--scores", scores, "--columns",
         "d,c,hks,science" if domains else "d,c,hks", "--out", f"{name}.corr.json")
 
