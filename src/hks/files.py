@@ -5,7 +5,8 @@ body is claimed by the innermost `reading` or `writing` around it, except
 a failed gzip CRC or length check, which is always the reader's. Score
 shards are read back through `verified_lines`, which checks each one's
 sha256 against the manifest as it streams the shard, and their column
-files through `verified_bytes`."""
+files through `verified_bytes`. Phase two's load workers hand their
+parts to the parent as pickle files (`write_pickle`, `read_pickle`)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import gzip
 import hashlib
 import json
 import os
+import pickle
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -127,6 +129,25 @@ def writing(path: str | Path) -> Iterator[TextIO]:
     finally:
         if tmp.exists():
             tmp.unlink()
+
+
+def write_pickle(path: str | Path, obj) -> None:
+    """Pickle `obj` into a new file at `path`."""
+    try:
+        with open(path, "wb") as dest:
+            pickle.dump(obj, dest, pickle.HIGHEST_PROTOCOL)
+    except OSError as exc:
+        raise ResourceError(f"cannot write {path}: {exc}") from exc
+
+
+def read_pickle(path: str | Path):
+    """The object `write_pickle` wrote to `path`, unpickled from the
+    file a frame (about 64 KiB) at a time."""
+    try:
+        with open(path, "rb") as src:
+            return pickle.load(src)
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
 
 
 def _binary_lines(path: str | Path) -> Iterator[bytes]:

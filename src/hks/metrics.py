@@ -506,16 +506,30 @@ class ScoreTable:
                 row = next(k for k, v in enumerate(values) if not ok([v]))
                 raise DataError(f"{source}:{row + 1}: {name!r} is "
                                 f"not {what} ({values[row]!r})")
-        self.ids.extend(rows)
-        self.n_p.extend(columns["n_p"])
-        if fields is None or "meta" in fields:
-            self.meta.extend(columns["meta"])
-        else:
-            self.meta = None
-        for name in (*RECORD_SCORES, *names):
-            if fields is None or name in fields:
-                self.scores.setdefault(name, []).extend(
-                    columns[name] if name in RECORD_SCORES else domains[name])
-            else:
-                self.scores[name] = None
+
+        def kept(name: str, values: list) -> list | None:
+            return values if fields is None or name in fields else None
+
+        self.extend(ScoreTable(
+            rows, columns["n_p"],
+            {name: kept(name, columns[name] if name in RECORD_SCORES
+                        else domains[name])
+             for name in (*RECORD_SCORES, *names)},
+            kept("meta", columns["meta"])))
         return len(rows)
+
+    def extend(self, part: ScoreTable) -> None:
+        """Append the rows of `part`, a table of the same domain set
+        whose columns are checked; a column `part` did not keep (None)
+        is dropped from this table too."""
+        self.ids.extend(part.ids)
+        self.n_p.extend(part.n_p)
+        if part.meta is None:
+            self.meta = None
+        else:
+            self.meta.extend(part.meta)
+        for name, values in part.scores.items():
+            if values is None:
+                self.scores[name] = None
+            else:
+                self.scores.setdefault(name, []).extend(values)

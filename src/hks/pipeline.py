@@ -8,13 +8,17 @@ checksums and counts only, no timings. Wall-clock diagnostics go to a
 separate run_stats.json sidecar so reruns and crash-resumed runs stay
 byte-identical.
 
-Parallelism is per input shard over forked workers sharing the
-immutable parent automaton; each shard's output order is its input
-order, so worker count never changes any output byte.
+Parallelism is per shard, over forked workers (`_fork_map`). Scoring
+runs `--workers` of them, sharing the immutable parent automaton; each
+shard's output order is its input order. Phase two loads a run's score
+shards over as many workers as its cores and shard bytes warrant (see
+`load_score_records`), and the parent puts the parts together in
+manifest order. So no worker count changes any output byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import itertools
@@ -22,6 +26,7 @@ import json
 import logging
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,9 +35,10 @@ from typing import Collection, Iterable, Iterator, Sequence, TextIO
 from .analysis import (PreferencePair, bucket_distribution, check_histogram,
                        correlation_json, correlation_matrix, function_search,
                        function_search_csv)
-from .errors import DataError
+from .errors import DataError, HksError, ResourceError
 from .files import (JSON_ERRORS, canonical_json, check_sha256, line_digest,
-                    reading, verified_bytes, verified_lines, writing)
+                    read_pickle, reading, verified_bytes, verified_lines,
+                    write_pickle, writing)
 # perfbench/spans.py wraps `annotate` and `score_record` here by name, so
 # the imports stay (tests/test_imports.py); scoring calls `count_all`,
 # `score_columns` and `encode_scores`.
@@ -51,6 +57,9 @@ STATS_NAME = "run_stats.json"
 COLUMNS_SUFFIX = ".columns.json"
 # Characters of document text matched per count_all call.
 BATCH_CHARS = 1 << 16
+# Bytes of score shards per phase-two load worker: a run of fewer than
+# twice this loads in-process, where a fork costs more than it saves.
+LOAD_BYTES_PER_WORKER = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,32 @@ class ShardOutcome:
     degenerate: int = 0
     density_gt_1: int = 0
     replaced: int = 0
+
+
+def _fork_map(fn, tasks: Sequence, workers: int, run: str) -> list:
+    """[fn(task) for task in tasks], in that order, run over `workers`
+    forked processes, which inherit the parent's module state, when it
+    is above 1. An exception `fn` raises reaches the caller as it would
+    in-process; a worker that dies (killed, out of memory) is a
+    ResourceError naming `run`."""
+    if workers < 2:
+        return [fn(task) for task in tasks]
+    # Imported only by a run that forks: the import costs every process
+    # about 0.4 MB of RSS and 4 ms.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # The executor forks all its workers at the first submit, before it
+    # starts its management thread, so no fork copies a lock that
+    # thread holds.
+    procs = ProcessPoolExecutor(workers,
+                                mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(procs.map(fn, tasks))
+    except BrokenProcessPool as exc:
+        raise ResourceError(f"{run}: a worker process died ({exc})") from exc
+    finally:
+        procs.shutdown(cancel_futures=True)
 
 
 # Worker state inherited through fork; set once in the parent before
@@ -409,12 +444,8 @@ def run_score(config: RunConfig) -> dict:
     _G_AUTOMATON, _G_POOL, _G_CONFIG = automaton, pool, config
     workers = min(config.workers, len(tasks))
     try:
-        if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as procs:
-                scored = procs.map(_score_shard, tasks, chunksize=1)
-        else:
-            scored = [_score_shard(t) for t in tasks]
+        scored = _fork_map(_score_shard, tasks, workers,
+                           f"scoring {config.corpus} into {out_dir}")
     finally:
         _G_AUTOMATON, _G_POOL, _G_CONFIG = None, None, None
     scored_at = time.monotonic()
@@ -495,6 +526,93 @@ def _listed_columns(scores_dir: Path, shard: dict) -> dict | None:
     return columns
 
 
+def _read_shard(table: ScoreTable, scores_dir: Path, shard: dict,
+                fields: Collection[str] | None) -> None:
+    """Append to `table` the rows of the score shard listed by the
+    manifest entry `shard`, keeping the columns in `fields`, once its
+    sha256, every column and its record count check out (see
+    `load_score_records`)."""
+    path = scores_dir / shard["output"]
+
+    def counted(source: Path, added: int) -> None:
+        if added != shard["records"]:
+            raise DataError(f"{source}: holds {added} records, the "
+                            f"manifest lists {shard['records']}")
+
+    columns = _listed_columns(scores_dir, shard)
+    if columns is None:
+        source = path
+        with verified_lines(path, shard["sha256"]) as lines:
+            columns = table.parse_lines(lines, path)
+    else:
+        source = scores_dir / shard["columns"]
+        digest, count = line_digest(path)
+        check_sha256(path, digest, shard["sha256"])
+        counted(path, count)
+    counted(source, table.extend_columns(columns, source, fields))
+
+
+def _shard_part(task: tuple) -> str | None:
+    """A load worker's part of one shard: the table that
+    `_read_shard(ScoreTable(), *task[1:])` fills, pickled to the file
+    task[0]. Returns that path, or None when reading the shard or
+    writing the file raises."""
+    path, *task = task
+    part = ScoreTable()
+    try:
+        _read_shard(part, *task)
+        write_pickle(path, part)
+    except HksError:
+        return None
+    return path
+
+
+def _load_parts(scores_dir: Path, shards: list[dict],
+                fields: Collection[str] | None,
+                workers: int) -> Iterator[ScoreTable | None]:
+    """The part of each shard `shards` lists, in that order, as
+    `workers` forked processes read them (see `_shard_part`), or None
+    for a shard the caller reads itself: every shard when `workers` is
+    1 or no temporary directory can be made.
+
+    Parts travel through files, unpickled a frame at a time, and not
+    through the pool's pipe: freeing a pipe message of megabytes raises
+    glibc's mmap threshold, after which the table's growing columns
+    fragment the heap. On select-100k that left a full-table load's
+    peak RSS 6-14 MB above the in-process load's."""
+    try:
+        tmp = (tempfile.TemporaryDirectory(prefix="hks-load-")
+               if workers > 1 else None)
+    except OSError as exc:
+        log.warning("%s: loading in-process, as no temporary directory "
+                    "can be made (%s)", scores_dir, exc)
+        tmp = None
+    if tmp is None:
+        yield from itertools.repeat(None, len(shards))
+        return
+    with tmp:
+        tasks = [(os.path.join(tmp.name, f"{i}.pickle"), scores_dir, shard,
+                  fields) for i, shard in enumerate(shards)]
+        for path in _fork_map(_shard_part, tasks, workers,
+                              f"loading {scores_dir}"):
+            yield None if path is None else read_pickle(path)
+
+
+def _load_workers(scores_dir: Path, shards: list[dict]) -> int:
+    """Workers for a load of the score shards `shards` lists: one per
+    LOAD_BYTES_PER_WORKER of those files, at most one per core this
+    process may run on and one per shard, and at least 1."""
+    size = 0
+    for shard in shards:
+        try:
+            size += (scores_dir / shard["output"]).stat().st_size
+        except OSError:  # the load names the file
+            pass
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    return max(1, min(cores, len(shards), size // LOAD_BYTES_PER_WORKER))
+
+
 def load_score_records(scores_dir: str | Path,
                        fields: Collection[str] | None = None) -> ScoreTable:
     """Every record of a scoring run's output directory, as columns.
@@ -508,50 +626,52 @@ def load_score_records(scores_dir: str | Path,
     table keeps only ids, n_p and the score fields and "meta" named in
     `fields` (every column when it is None; see ScoreTable).
 
+    The load forks a worker per LOAD_BYTES_PER_WORKER of shard bytes,
+    at most one per core and one per shard, and runs in-process when
+    that comes to fewer than two (see `_load_workers`); no option sets
+    how many. Each worker reads, checks and projects whole shards and
+    hands the kept columns to the parent (see `_load_parts`). The parent
+    appends the parts in manifest order and reads again, in process, a
+    shard whose worker failed or whose domains differ from the table's,
+    so the error raised is the one an in-process load raises. The table
+    is the same either way.
+
     A missing manifest, a shard or listed column file that changed since
     scoring, a column file naming another shard's sha256, a record count
     other than the manifest's, a line that is not a score record, a
     malformed column or value, a document id seen twice (in one shard or
     across two) and a run with no records are each a DataError naming
-    the directory or the file.
+    the directory or the file; the first shard in manifest order that
+    fails is named.
     """
     scores_dir = Path(scores_dir)
     manifest = _read_manifest(scores_dir)
     if manifest is None:
         raise DataError(f"{scores_dir}: no {MANIFEST_NAME}; phase two reads "
                         f"only the output directory of an `hks score` run")
+    shards = manifest["shards"]
+    workers = _load_workers(scores_dir, shards)
     table = ScoreTable()
     shard_of: dict[str, Path] = {}
-    from_columns = 0
-
-    def counted(path: Path, added: int) -> None:
-        if added != shard["records"]:
-            raise DataError(f"{path}: holds {added} records, the "
-                            f"manifest lists {shard['records']}")
-
-    for shard in manifest["shards"]:
-        path, start = scores_dir / shard["output"], len(table)
-        columns = _listed_columns(scores_dir, shard)
-        if columns is None:
-            source = path
-            with verified_lines(path, shard["sha256"]) as lines:
-                columns = table.parse_lines(lines, path)
-        else:
-            source = scores_dir / shard["columns"]
-            digest, count = line_digest(path)
-            check_sha256(path, digest, shard["sha256"])
-            counted(path, count)
-            from_columns += 1
-        counted(source, table.extend_columns(columns, source, fields))
-        for doc_id in table.ids[start:]:
-            if doc_id in shard_of:
-                raise DataError(f"duplicate document id {doc_id!r} "
-                                f"in {shard_of[doc_id]} and {path}")
-            shard_of[doc_id] = path
-        table.shards.append((path, shard, slice(start, len(table))))
-    log.debug("%s: read %d records from %d shards: %d from column files, "
-              "%d parsed", scores_dir, len(table), len(table.shards),
-              from_columns, len(table.shards) - from_columns)
+    with contextlib.closing(_load_parts(scores_dir, shards, fields,
+                                        workers)) as parts:
+        for shard, part in zip(shards, parts):
+            path, start = scores_dir / shard["output"], len(table)
+            if part is None or (table.ids and part.ids and part.scores.keys()
+                                != table.scores.keys()):
+                _read_shard(table, scores_dir, shard, fields)
+            else:
+                table.extend(part)
+            for doc_id in table.ids[start:]:
+                if doc_id in shard_of:
+                    raise DataError(f"duplicate document id {doc_id!r} "
+                                    f"in {shard_of[doc_id]} and {path}")
+                shard_of[doc_id] = path
+            table.shards.append((path, shard, slice(start, len(table))))
+    from_columns = sum("columns" in shard for shard in shards)
+    log.debug("%s: read %d records from %d shards by %d worker(s): %d from "
+              "column files, %d parsed", scores_dir, len(table), len(shards),
+              workers, from_columns, len(shards) - from_columns)
     if not len(table):
         raise DataError(f"score run under {scores_dir} holds zero records")
     return table

@@ -872,6 +872,44 @@ class TestWalkthrough:
         stats = json.loads((root / "scores" / "run_stats.json").read_text())
         assert stats["workers"] == 2
 
+    @pytest.mark.parametrize("command", ["score", "select"])
+    def test_worker_that_dies_is_a_resource_error(self, workspace, command):
+        # The second shard's worker kills itself. A pool that waits for
+        # it forever fails the subprocess timeout instead of the test.
+        root, corpus = workspace
+        scores = root / "scores"
+        if command == "score":
+            target = "_score_shard"
+            argv = ["score", "--pool", str(root / "pool.tsv"), "--corpus",
+                    corpus, "--out", str(scores), "--workers", "2"]
+            run = f"scoring {corpus} into {scores}"
+        else:
+            assert run_score(root, corpus) == 0
+            target = "_shard_part"
+            argv = ["select", "--scores", str(scores), "--budget-docs", "1",
+                    "--out", str(root / "sel")]
+            run = f"loading {scores}"
+        code = "\n".join([
+            "import os, signal, sys",
+            "import hks.pipeline",
+            "from hks.cli import main",
+            "hks.pipeline.LOAD_BYTES_PER_WORKER = 1",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            f"real = hks.pipeline.{target}",
+            "def dying(task):",
+            "    if 'scores-00001' in repr(task):",
+            "        os.kill(os.getpid(), signal.SIGKILL)",
+            "    return real(task)",
+            f"hks.pipeline.{target} = dying",
+            f"sys.exit(main({argv!r}))"])
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3
+        assert f"{run}: a worker process died" in proc.stderr
+        assert not (root / "sel").exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_undecodable_bytes_counted(self, workspace, workers):
         root, _ = workspace

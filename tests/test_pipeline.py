@@ -759,8 +759,8 @@ class TestDownstream:
              }[command]()
         assert [r.getMessage() for r in caplog.records
                 if r.name == "hks.pipeline"] == [
-            f"{out}: read 3 records from 3 shards: 3 from column files, "
-            f"0 parsed"]
+            f"{out}: read 3 records from 3 shards by 1 worker(s): 3 from "
+            f"column files, 0 parsed"]
 
     def test_column_file_of_another_shard_is_refused(self, scored):
         _, config = scored

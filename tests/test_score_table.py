@@ -3,6 +3,7 @@ and the values a score line must hold."""
 
 import json
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hks import (DataError, ScoreRecord, SelectionSpec, StratumExhaustedError,
-                 bucket_distribution, correlation_matrix, select,
-                 threshold_split)
+from hks import (DataError, ResourceError, ScoreRecord, SelectionSpec,
+                 StratumExhaustedError, bucket_distribution,
+                 correlation_matrix, select, threshold_split)
+import hks.pipeline
 from hks.cli import main
 from hks.files import canonical_json, line_digest, verified_lines
 from hks.metrics import ScoreTable
@@ -641,3 +643,156 @@ def test_projected_load_holds_a_fraction_of_the_full_table(tmp_path):
         del table
     full, projected = peaks
     assert projected < 0.5 * full
+
+
+def in_process_and_forked(fn, *args) -> tuple:
+    """`outcome(fn, *args)` with every score run loaded in-process and
+    again over two forked workers, whatever the machine's cores or the
+    run's bytes, and the worker counts the forked loads forked."""
+    serial = outcome(fn, *args)
+    forks = []
+    fork_map = hks.pipeline._fork_map
+
+    def spy(fn, tasks, workers, run):
+        forks.append(workers)
+        return fork_map(fn, tasks, workers, run)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hks.pipeline, "LOAD_BYTES_PER_WORKER", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                      raising=False)
+        patch.setattr(hks.pipeline, "_fork_map", spy)
+        forked = outcome(fn, *args)
+    return serial, forked, forks
+
+
+@pytest.mark.parametrize("fields", [None, ("hks",)],
+                         ids=["every-column", "one-column"])
+@pytest.mark.parametrize("from_columns", [False, True],
+                         ids=["lines", "column-file"])
+def test_forked_load_gives_the_in_process_table(tmp_path, caplog, fields,
+                                                from_columns):
+    caplog.set_level("DEBUG", logger="hks.pipeline")
+    records = [r.to_json() for r in toy_records(5, 40, True)]
+    # An empty first shard: the table takes its domains from the next.
+    scores = write_scores(tmp_path, [[], *(records[i:i + 10]
+                                           for i in range(0, 40, 10))])
+    if from_columns:
+        add_columns(scores)
+    serial, forked, forks = in_process_and_forked(load_score_records,
+                                                  scores, fields)
+    assert forks == [2]
+    assert isinstance(serial, ScoreTable) and len(serial) == 40
+    assert forked == serial and strict(forked) == strict(serial)
+    assert [r.getMessage().split(": ")[1] for r in caplog.records
+            if r.name == "hks.pipeline"] == [
+        "read 40 records from 5 shards by 1 worker(s)",
+        "read 40 records from 5 shards by 2 worker(s)"]
+
+
+def record(i: int, **changes) -> str:
+    return edited(id=f"doc-{i}", **changes)
+
+
+def renamed_record(i: int) -> str:
+    return json.dumps({**json.loads(renamed("life", "living")),
+                       "id": f"doc-{i}"})
+
+
+def bad_sha256(scores: Path, shard: int, key: str = "sha256") -> None:
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][shard][key] = "0" * 64
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+
+
+def bad_count(scores: Path, shard: int) -> None:
+    manifest = json.loads((scores / "manifest.json").read_text())
+    manifest["shards"][shard]["records"] += 1
+    (scores / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("first, third, edit, message", [
+    ([record(2), record(3, hks=math.nan)], [record(6), "{"], None,
+     "scores-00001.jsonl:2: 'hks' is not a finite number"),
+    # A worker reading shard 1 alone sees its line 1 as the first record
+    # and fails on line 2 instead; the in-process load names line 1.
+    ([renamed_record(2), "not json"], [record(6), "{"], None,
+     "scores-00001.jsonl:1: domains differ from the first record's"),
+    # A shard of another domain set holds valid records on its own.
+    ([renamed_record(2), renamed_record(3)], [record(6), "{"], None,
+     "scores-00001.jsonl:1: domains differ from the first record's"),
+    ([record(2), record(3)], [record(6), record(7)],
+     lambda scores: (bad_sha256(scores, 1), bad_count(scores, 3)),
+     "scores-00001.jsonl: sha256 "),
+    ([record(2), record(3)], [record(6), record(7)],
+     lambda scores: (bad_count(scores, 1), bad_sha256(scores, 3)),
+     "scores-00001.jsonl: holds 2 records, the manifest lists 3"),
+], ids=["bad-values", "renamed-then-malformed", "renamed-shard",
+        "sha256-then-count", "count-then-sha256"])
+def test_forked_load_names_the_first_bad_shard(tmp_path, first, third, edit,
+                                               message):
+    scores = write_scores(tmp_path, [[record(0), record(1)], first,
+                                     [record(4), record(5)], third])
+    if edit:
+        edit(scores)
+    serial, forked, forks = in_process_and_forked(load_score_records, scores)
+    assert forks == [2]
+    assert forked == serial
+    assert serial[0] is DataError and f"{scores}/{message}" in serial[1]
+
+
+@pytest.mark.parametrize("from_columns", [False, True],
+                         ids=["lines", "column-file"])
+def test_forked_load_names_ids_and_counts_across_shards(tmp_path,
+                                                        from_columns):
+    scores = write_scores(tmp_path, [[record(0), record(1)], [record(2)],
+                                     [record(3), record(1)]])
+    if from_columns:
+        add_columns(scores)
+    serial, forked, forks = in_process_and_forked(load_score_records, scores)
+    assert forks == [2] and forked == serial == (DataError, (
+        f"duplicate document id 'doc-1' in {scores / 'scores-00000.jsonl'} "
+        f"and {scores / 'scores-00002.jsonl'}"))
+    if from_columns:
+        # A column file whose own sha256 is listed wrong, before a count.
+        bad_sha256(scores, 0, "columns_sha256")
+        named = "scores-00000.columns.json: sha256 "
+    else:
+        bad_count(scores, 0)
+        named = "scores-00000.jsonl: holds 2 records, the manifest lists 3"
+    serial, forked, forks = in_process_and_forked(load_score_records, scores)
+    assert forks == [2] and forked == serial
+    assert serial[1].startswith(f"{scores}/{named}")
+
+
+def test_load_without_a_temporary_directory_runs_in_process(
+        tmp_path, monkeypatch, caplog):
+    scores = write_scores(tmp_path, [[record(0), record(1)], [record(2)]])
+    expected = load_score_records(scores)
+
+    def no_directory(*args, **kwargs):
+        raise FileNotFoundError("no usable temporary directory")
+
+    monkeypatch.setattr(hks.pipeline.tempfile, "TemporaryDirectory",
+                        no_directory)
+    serial, forked, forks = in_process_and_forked(load_score_records, scores)
+    assert forks == [] and strict(forked) == strict(serial) == strict(expected)
+    assert "loading in-process, as no temporary directory can be made" \
+        in caplog.text
+
+
+def test_part_a_worker_cannot_hand_over_is_read_in_process(tmp_path,
+                                                            monkeypatch):
+    scores = write_scores(tmp_path, [[record(0), record(1)], [record(2)]])
+    expected = load_score_records(scores)
+    write_pickle = hks.pipeline.write_pickle
+
+    def full_disk(path, part):
+        if part.ids == ["doc-2"]:
+            raise ResourceError(f"cannot write {path}: disk full")
+        write_pickle(path, part)
+
+    # The forked workers inherit the patch.
+    monkeypatch.setattr(hks.pipeline, "write_pickle", full_disk)
+    serial, forked, forks = in_process_and_forked(load_score_records, scores)
+    assert forks == [2] and strict(forked) == strict(serial) == strict(expected)
